@@ -109,17 +109,20 @@ def _member_path(out: Path, index: int) -> Path:
     return out.with_name(f"{out.stem}.m{index}{out.suffix}")
 
 
-def _evaluate(cfg, networks, train_ds, test_ds, svm_seed: int = 0, svm_out=None):
-    tc = cfg.train_config()
-    enc_train = encode_dataset(train_ds.images, tc.dog, tc.window)
-    enc_test = encode_dataset(test_ds.images, tc.dog, tc.window)
+def _encode(cfg: ExperimentConfig, ds):
+    """A split's (encoded spike grids, labels)."""
+    return encode_dataset(ds.images, cfg.dog(), cfg.window()), ds.labels
+
+
+def _evaluate(cfg, networks, train, test, svm_seed: int = 0, svm_out=None):
+    """Recognition rate and test sparsity; ``train``/``test`` come from ``_encode``."""
     policy = cfg.inference_policy()
-    f_train = extract_features(networks, enc_train, cfg.t_end, policy)
-    f_test = extract_features(networks, enc_test, cfg.t_end, policy)
-    model = fit(f_train, train_ds.labels, c=1.0, seed=svm_seed)
+    f_train = extract_features(networks, train[0], cfg.t_end, policy)
+    f_test = extract_features(networks, test[0], cfg.t_end, policy)
+    model = fit(f_train, train[1], c=1.0, seed=svm_seed)
     if svm_out:
         save_svm(svm_out, model)
-    rate = accuracy(model, f_test, test_ds.labels)
+    rate = accuracy(model, f_test, test[1])
     return rate, mean_sparsity(f_test)
 
 
@@ -128,15 +131,16 @@ def cmd_eval(args) -> int:
     train_ds = _load_split(args, "train", args.limit_train)
     test_ds = _load_split(args, "test", args.limit_test)
 
+    train, test = _encode(cfg, train_ds), _encode(cfg, test_ds)
+
     rows = []
     if args.ensemble:
         nets = [load_network(m) for m in args.models]
-        rate, sp = _evaluate(cfg, nets, train_ds, test_ds, svm_out=args.svm_out)
+        rate, sp = _evaluate(cfg, nets, train, test, svm_out=args.svm_out)
         rows.append((cfg.name, "+".join(Path(m).stem for m in args.models), rate, sp))
     else:
         for m in args.models:
-            rate, sp = _evaluate(cfg, [load_network(m)], train_ds, test_ds,
-                                 svm_out=args.svm_out)
+            rate, sp = _evaluate(cfg, [load_network(m)], train, test, svm_out=args.svm_out)
             rows.append((cfg.name, Path(m).stem, rate, sp))
 
     lines = ["config,seed,recognition_rate,sparsity"]
@@ -184,13 +188,18 @@ def cmd_sweep(args) -> int:
     train_ds = _load_split(args, "train", args.limit_train)
     test_ds = _load_split(args, "test", args.limit_test)
 
+    # no sweep axis touches the DoG filter or the coding window, so every
+    # cell shares one encoding of each split
+    train, test = _encode(cfg, train_ds), _encode(cfg, test_ds)
+
     cells = [(v, args.seed + r) for v in values for r in range(args.runs)]
     results = {}
     for v, seed in cells:
         vcfg = _sweep_value_config(cfg, args.axis, v)
         spec = _spec_for(vcfg, train_ds.images)
-        net = train_network(spec, train_ds.images, vcfg.train_config(), seed)
-        results[(v, seed)] = _evaluate(vcfg, [net], train_ds, test_ds)
+        net = train_network(spec, train_ds.images, vcfg.train_config(), seed,
+                            encoded=train[0])
+        results[(v, seed)] = _evaluate(vcfg, [net], train, test)
 
     lines = [f"{args.axis},seed,recognition_rate,sparsity"]
     for v in values:
@@ -232,8 +241,7 @@ def cmd_features(args) -> int:
     cfg = _config(args)
     ds = _load_split(args, "train", args.limit_train)
     nets = [load_network(m) for m in args.models]
-    tc = cfg.train_config()
-    grids = encode_dataset(ds.images, tc.dog, tc.window)
+    grids, _ = _encode(cfg, ds)
     feats = extract_features(nets, grids, cfg.t_end, cfg.inference_policy())
     save_features(args.out, feats, has_labels=bool(args.labels_out))
     if args.labels_out:

@@ -33,6 +33,8 @@ _MODEL_MAGIC = "SPIKECONV MODEL"
 _SVM_MAGIC = "SPIKECONV SVM"
 _FEATURES_MAGIC = "SPIKECONV FEATURES"
 _VERSION = 1
+# field count of each fixed-length model header line, keyword included
+_HEADER_FIELDS = {"input": 4, "bounds": 3}
 
 
 def network_bytes(network: Network) -> bytes:
@@ -86,13 +88,18 @@ def network_from_bytes(data: bytes) -> Network:
     layers, targets = [], []
     for line in lines:
         fields = line.split()
-        if fields[0] == "input":
+        key = fields[0] if fields else ""
+        if key in _HEADER_FIELDS and len(fields) != _HEADER_FIELDS[key]:
+            raise ValueError(f"malformed header line {line!r}")
+        if key == "input":
             input_shape = Shape3(int(fields[1]), int(fields[2]), int(fields[3]))
-        elif fields[0] == "bounds":
+        elif key == "bounds":
             w_min, w_max = float(fields[1]), float(fields[2])
-        elif fields[0] == "layer":
+        elif key == "layer":
             if "ttarget" in fields:
                 k = fields.index("ttarget")
+                if k != len(fields) - 2:
+                    raise ValueError(f"malformed header line {line!r}")
                 targets.append(float(fields[k + 1]))
                 fields = fields[:k]
             else:

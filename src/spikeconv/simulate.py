@@ -7,12 +7,21 @@ resolve in neuron (map, y, x) order, with inhibition applied between
 candidate firings. Every neuron fires at most once per sample and membrane
 potentials start at zero for each sample.
 
-The hot paths below vectorize this exactly: per output window, input sites
-are sorted by (time, site) — the restriction of the global event order to
-the window — and the first index where the running weighted sum reaches the
-threshold is the neuron's firing event. Winner-take-all keeps the earliest
-crossing per competition scope; soft inhibition iterates fire-by-fire with
-carry offsets, flooring potentials at zero.
+Two engines compute a conv/fc layer; the inhibition policy alone picks one:
+
+- the crossing engine, when no fire changes another neuron's potential:
+  no inhibition (or soft inhibition with ``v_inh == 0``, the same thing)
+  and winner-take-all at column scope. Per output window, input sites are
+  sorted by (time, site), the restriction of the global event order to the
+  window, and the first index where the running weighted sum reaches the
+  threshold is the neuron's firing event; column WTA keeps the earliest
+  crossing per column, the lowest map on ties.
+- the event engine, when a fire lowers its competitors' potentials (soft
+  inhibition with ``v_inh > 0``, either scope) or the competition spans the
+  whole layer (winner-take-all at layer scope): it delivers the events one
+  by one exactly as stated above.
+
+A pooling neuron fires at the earliest input time in its window.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ __all__ = [
     "reset_sample",
     "pool_forward",
     "PoolState",
+    "forward_layer",
     "forward_times",
     "run_sample",
     "times_to_events",
@@ -204,7 +214,7 @@ class _Plan:
         return np.pad(times, ((0, 0), (p, p), (p, p)), constant_values=np.inf)
 
     def reverse(self):
-        """CSR site -> (position, window-slot) map for the slow canonical path."""
+        """CSR site -> (position, window-slot) map for the event engine."""
         if self._reverse is None:
             pk = np.repeat(np.arange(self.positions, dtype=np.int64), self.window)
             kk = np.tile(np.arange(self.window, dtype=np.int64), self.positions)
@@ -266,12 +276,10 @@ def _first_crossings(st: np.ndarray, contrib: np.ndarray, thresholds: np.ndarray
 
 
 def _conv_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
+    """Crossing engine: no inhibition, or winner-take-all over each column."""
     d_out = weights.shape[0]
     oh, ow = plan.out_shape.height, plan.out_shape.width
     p_total = plan.positions
-
-    if policy.mode == "soft" and policy.scope == "layer":
-        return _forward_layer_slow(times_in, weights, thresholds, policy, plan)
 
     padded_flat = plan.pad_times(times_in).ravel()
     w2 = weights.reshape(d_out, -1)
@@ -280,7 +288,6 @@ def _conv_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _
     w2z = np.concatenate([w2, np.zeros((d_out, 1))], axis=1)
     monotone = weights.min() >= 0.0
     out = np.full((d_out, p_total), np.inf)
-    layer_best = None  # layer-scope WTA: global minimum over all chunks
 
     occ_count = np.isfinite(padded_flat[plan.win_index]).sum(axis=1)
     active = np.nonzero(occ_count > 0)[0]
@@ -298,188 +305,104 @@ def _conv_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _
         contrib = w2z[:, gidx]
         kk, ft, valid = _first_crossings(st, contrib, thresholds, monotone)
 
-        if policy.mode == "none" or (policy.mode == "soft" and policy.v_inh == 0.0):
-            out[:, pos] = ft
-        elif policy.mode == "wta" and policy.scope == "column":
+        if policy.mode == "wta":
             key = np.where(valid, kk, _BIG)
             win = np.argmin(key, axis=0)  # first minimum -> lowest map
             cols = np.arange(pos.size)
             ok = key[win, cols] < _BIG
             out[win[ok], pos[cols[ok]]] = ft[win[ok], cols[ok]]
-        elif policy.mode == "wta" and policy.scope == "layer":
-            cand = _best_crossing(plan, pos, order, kk, ft, valid)
-            if cand is not None and (layer_best is None or cand[0] < layer_best[0]):
-                layer_best = cand
-        elif policy.mode == "soft":
-            out[:, pos] = _soft_columns(st, contrib, thresholds, policy.v_inh)
-        else:  # pragma: no cover
-            raise AssertionError(policy)
-
-    if policy.mode == "wta" and policy.scope == "layer" and layer_best is not None:
-        _, (d, p, t) = layer_best
-        out[d, p] = t
+        else:
+            out[:, pos] = ft
     return out.reshape(d_out, oh, ow)
 
 
-def _best_crossing(plan, pos, order, kk, ft, valid):
-    """Earliest candidate in a chunk under the canonical delivery order.
+def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
+    """Event engine: soft inhibition at either scope, or layer-wide winner-take-all.
 
-    Candidates compare by their crossing input event (time, map, y, x), then
-    by the crossing neuron's own site (map, y, x).
+    Delivers the input sites one at a time in (time, map, y, x) order; the
+    crossings each delivery causes resolve in (map, y, x) order, every fire
+    inhibiting its competitors before the next crossing is checked.
     """
-    d_idx, p_idx = np.nonzero(valid)
-    if d_idx.size == 0:
-        return None
-    slot = np.take_along_axis(order[p_idx], kk[d_idx, p_idx][:, None], axis=1).ravel()
-    site_flat = plan.win_index[pos[p_idx], slot]
-    pw, ph = plan.pad_w, plan.pad_h
-    m = site_flat // (ph * pw)
-    rem = site_flat % (ph * pw)
-    ey = rem // pw - plan.layer.padding
-    ex = rem % pw - plan.layer.padding
-    times = ft[d_idx, p_idx]
-    oy, ox = np.divmod(pos[p_idx], plan.out_shape.width)
-    keys = list(zip(times, m, ey, ex, d_idx, oy, ox))
-    best = min(range(len(keys)), key=lambda i: keys[i])
-    d, p, t = int(d_idx[best]), int(pos[p_idx[best]]), float(times[best])
-    return keys[best], (d, p, t)
-
-
-def _soft_columns(st, contrib, thresholds, v_inh):
-    """Column-scoped soft inhibition: finalize one fire per column per round.
-
-    Each round takes every column's earliest surviving crossing, fires it,
-    subtracts v_inh from the column mates' potentials at that instant
-    (floored at zero, folded into a carry offset) and recomputes crossings.
-    """
-    d_out, p_n, _ = contrib.shape
-    if p_n == 1:
-        # single competition scope: a plain event loop beats the per-fire
-        # recompute when many neurons end up firing
-        return _soft_sequential(st[0], contrib[:, 0, :], thresholds, v_inh)[:, None]
-    v = np.cumsum(contrib, axis=2)
-    carry = np.zeros((d_out, p_n))
-    fired = np.zeros((d_out, p_n), dtype=bool)
-    out = np.full((d_out, p_n), np.inf)
-    p_idx = np.arange(p_n)
-
-    while True:
-        need = thresholds[:, None] - carry
-        crossed = v >= need[:, :, None]
-        has = crossed.any(axis=2) & ~fired
-        kk = np.argmax(crossed, axis=2)
-        ftime = st[p_idx[None, :], kk]
-        has &= np.isfinite(ftime)
-        if not has.any():
-            break
-        key = np.where(has, kk, _BIG)
-        win = np.argmin(key, axis=0)
-        win_kk = key[win, p_idx]
-        live = win_kk < _BIG
-        if not live.any():
-            break
-        wp = p_idx[live]
-        wd = win[live]
-        wk = win_kk[live]
-        out[wd, wp] = st[wp, wk]
-        fired[wd, wp] = True
-        if v_inh > 0.0:
-            # potential of every column mate at the winner's firing instant
-            v_at = carry[:, wp] + v[:, wp, wk]
-            cut = np.minimum(np.maximum(v_at, 0.0), v_inh)
-            mates = ~fired[:, wp]
-            carry[:, wp] -= np.where(mates, cut, 0.0)
-    return out
-
-
-def _soft_sequential(st, contrib, thresholds, v_inh):
-    """Exact per-event delivery for one soft-inhibited competition scope.
-
-    st: (K,) sorted event times; contrib: (D, K) contributions in the same
-    order. Crossings resolve in map order after each event, each fire
-    knocking the survivors down by v_inh (floored at zero).
-    """
-    d_out, k_n = contrib.shape
-    v = np.zeros(d_out)
-    alive = np.ones(d_out, dtype=bool)
-    out = np.full(d_out, np.inf)
-    for k in range(k_n):
-        t = st[k]
-        if not np.isfinite(t):
-            break
-        v[alive] += contrib[alive, k]
-        while True:
-            ready = np.nonzero(alive & (v >= thresholds))[0]
-            if ready.size == 0:
-                break
-            d = int(ready[0])  # lowest map index first
-            out[d] = t
-            alive[d] = False
-            v[d] = 0.0
-            if v_inh > 0.0:
-                v[alive] = np.maximum(0.0, v[alive] - v_inh)
-        if not alive.any():
-            break
-    return out
-
-
-def _forward_layer_slow(times_in, weights, thresholds, policy, plan):
-    """Canonical per-event delivery; supports every policy/scope (slow)."""
     d_out = weights.shape[0]
-    p_total = plan.positions
+    shape = (d_out, plan.out_shape.height, plan.out_shape.width)
     w2 = weights.reshape(d_out, -1)
     starts, rev_p, rev_k = plan.reverse()
 
-    tp = plan.pad_times(times_in)
-    flat_t = tp.ravel()
-    live = np.isfinite(flat_t)
-    sites = np.nonzero(live)[0]
-    m = sites // (plan.pad_h * plan.pad_w)
-    rem = sites % (plan.pad_h * plan.pad_w)
-    order = np.lexsort((rem % plan.pad_w, rem // plan.pad_w, m, flat_t[sites]))
-    sites = sites[order]
+    flat_t = plan.pad_times(times_in).ravel()
+    sites = np.nonzero(np.isfinite(flat_t))[0]
+    # stable over ascending site indices: ties in time keep (map, y, x) order
+    sites = sites[np.argsort(flat_t[sites], kind="stable")]
 
-    v = np.zeros((d_out, p_total))
-    fired = np.zeros((d_out, p_total), dtype=bool)
-    suppressed = np.zeros(p_total if policy.scope == "column" else 1, dtype=bool)
-    out = np.full((d_out, p_total), np.inf)
+    v = np.zeros((d_out, plan.positions))
+    # effective thresholds: +inf once a neuron has fired, so a fired neuron's
+    # potential no longer matters
+    th = np.repeat(thresholds[:, None], plan.positions, axis=1)
+    out = np.full((d_out, plan.positions), np.inf)
+    v_inh = policy.v_inh
+    column = policy.scope == "column"
 
     for s in sites:
-        t = flat_t[s]
-        pl = rev_p[starts[s]:starts[s + 1]]
-        kl = rev_k[starts[s]:starts[s + 1]]
-        if pl.size == 0:
+        lo, hi = starts[s], starts[s + 1]
+        if lo == hi:
             continue
-        v[:, pl] += w2[:, kl]
-        cd, cp_i = np.nonzero((v[:, pl] >= thresholds[:, None]) & ~fired[:, pl])
+        pl = rev_p[lo:hi]
+        vp = v[:, pl] + w2[:, rev_k[lo:hi]]
+        v[:, pl] = vp
+        # reverse-map positions ascend, so nonzero yields (map, y, x) order
+        cd, ci = np.nonzero(vp >= th[:, pl])
         if cd.size == 0:
             continue
-        cp = pl[cp_i]
-        for i in np.lexsort((cp % plan.out_shape.width, cp // plan.out_shape.width, cd)):
-            d, p = int(cd[i]), int(cp[i])
-            if fired[d, p] or v[d, p] < thresholds[d]:
-                continue
-            scope_id = p if policy.scope == "column" else 0
-            if policy.mode == "wta" and suppressed[scope_id]:
-                continue
+        t = flat_t[s]
+        for d, p in zip(cd.tolist(), pl[ci].tolist()):
+            if v[d, p] < th[d, p]:
+                continue  # inhibited below threshold by an earlier fire
             out[d, p] = t
-            fired[d, p] = True
-            v[d, p] = 0.0
             if policy.mode == "wta":
-                suppressed[scope_id] = True
-            elif policy.mode == "soft" and policy.v_inh > 0.0:
-                if policy.scope == "column":
-                    mates = ~fired[:, p]
-                    v[mates, p] = np.maximum(0.0, v[mates, p] - policy.v_inh)
-                else:
-                    mates = ~fired
-                    mates[d, p] = False
-                    v[mates] = np.maximum(0.0, v[mates] - policy.v_inh)
-    return out.reshape(d_out, plan.out_shape.height, plan.out_shape.width)
+                return out.reshape(shape)  # the layer's one spike
+            th[d, p] = np.inf
+            if column:
+                v[:, p] = np.maximum(v[:, p] - v_inh, 0.0)
+            else:
+                np.maximum(v - v_inh, 0.0, out=v)
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # network-level driving
+
+
+def forward_layer(
+    network: Network,
+    index: int,
+    times: np.ndarray,
+    policy: InhibitionPolicy = NO_INHIBITION,
+) -> np.ndarray:
+    """Fire-time grid of layer ``index`` for its (depth, H, W) input grid.
+
+    Pooling ignores ``policy``. A policy with ``layers="output"`` applies
+    only when ``index`` is the network's last layer; elsewhere the layer
+    runs without inhibition.
+    """
+    spec = network.spec
+    layer = spec.layers[index]
+    in_shape = spec.shapes[index].astuple()
+    if tuple(times.shape) != in_shape:
+        raise ValueError(
+            f"input grid shape {times.shape} does not match "
+            f"layer {index} input {in_shape}"
+        )
+    plan = _plan_for(in_shape, layer)
+    if layer.kind == POOL:
+        return _pool_times(times, plan)
+    weights, thresholds = network.weights[index], network.thresholds[index]
+    if weights is None or thresholds is None:
+        raise ValueError(f"layer {index} has uninitialized parameters")
+    if policy.layers == "output" and index != len(spec.layers) - 1:
+        policy = NO_INHIBITION
+    if (policy.mode == "soft" and policy.v_inh > 0.0) or (
+            policy.mode == "wta" and policy.scope == "layer"):
+        return _event_times(times, weights, thresholds, policy, plan)
+    return _conv_times(times, weights, thresholds, policy, plan)
 
 
 def forward_times(
@@ -494,24 +417,10 @@ def forward_times(
     pooling is a fixed passthrough.
     """
     network.require_ready()
-    spec = network.spec
-    if tuple(input_times.shape) != spec.input_shape.astuple():
-        raise ValueError(
-            f"input grid shape {input_times.shape} does not match "
-            f"network input {spec.input_shape.astuple()}"
-        )
     grids = []
     times = input_times
-    last = len(spec.layers) - 1
-    for i, layer in enumerate(spec.layers):
-        plan = _plan_for(spec.shapes[i].astuple(), layer)
-        if layer.kind == POOL:
-            times = _pool_times(times, plan)
-        else:
-            eff = policy
-            if policy.layers == "output" and i != last:
-                eff = NO_INHIBITION
-            times = _conv_times(times, network.weights[i], network.thresholds[i], eff, plan)
+    for i in range(len(network.spec.layers)):
+        times = forward_layer(network, i, times, policy)
         grids.append(times)
     return grids
 

@@ -27,14 +27,7 @@ from .plasticity import (
     adapt_threshold_wta,
     apply_stdp,
 )
-from .simulate import (
-    InhibitionPolicy,
-    NO_INHIBITION,
-    _conv_times,
-    _plan_for,
-    _pool_times,
-    column_response,
-)
+from .simulate import InhibitionPolicy, NO_INHIBITION, column_response, forward_layer
 
 __all__ = [
     "TrainConfig",
@@ -273,19 +266,6 @@ def broadcast_column(network: Network, index: int, weights: np.ndarray,
     network.install_column(index, weights, thresholds, t_target)
 
 
-def _advance(grids, spec, network, index, policy=NO_INHIBITION):
-    """Push every sample's spike field through one frozen layer."""
-    plan = _plan_for(spec.shapes[index].astuple(), spec.layers[index])
-    out = []
-    for g in grids:
-        if spec.layers[index].kind == POOL:
-            out.append(_pool_times(g, plan))
-        else:
-            out.append(_conv_times(g, network.weights[index],
-                                   network.thresholds[index], policy, plan))
-    return out
-
-
 def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
                   encoded=None, log: TrainingLog | None = None) -> Network:
     """Full layer-wise protocol over a dataset of grayscale images.
@@ -309,7 +289,8 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
             w, th = train_layer(spec, i, grids, cfg, streams, t_tgt, log)
             broadcast_column(network, i, w, th, t_tgt)
         if i < len(spec.layers) - 1:
-            grids = _advance(grids, spec, network, i, prefix)
+            # push every sample's spike field through the now-frozen layer
+            grids = [forward_layer(network, i, g, prefix) for g in grids]
     return network
 
 

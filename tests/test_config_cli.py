@@ -207,6 +207,24 @@ class TestCliEval:
         assert lines[-1].split(",")[1] == "aggregate"
         assert "±" in lines[-1]
 
+    def test_each_split_encoded_once(self, toy, monkeypatch):
+        import spikeconv.cli
+
+        a, b = toy["dir"] / "a.spknet", toy["dir"] / "b.spknet"
+        _train(toy, a, seed=1)
+        _train(toy, b, seed=2)
+        calls = []
+        real = spikeconv.cli.encode_dataset
+        monkeypatch.setattr(spikeconv.cli, "encode_dataset",
+                            lambda *args: calls.append(1) or real(*args))
+        rc = main([
+            "eval", str(a), str(b), "--config", toy["cfg"],
+            "--train-images", toy["train"][0], "--train-labels", toy["train"][1],
+            "--test-images", toy["test"][0], "--test-labels", toy["test"][1],
+        ])
+        assert rc == 0
+        assert len(calls) == 2  # train and test split, shared by both models
+
     def test_eval_deterministic_rows(self, toy, tmp_path):
         out = toy["dir"] / "m.spknet"
         _train(toy, out)

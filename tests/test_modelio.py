@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,13 @@ class TestNetworkContainer:
     def test_missing_end_rejected(self):
         with pytest.raises(ValueError, match="end"):
             network_from_bytes(b"SPIKECONV MODEL 1\ninput 1 2 2\n")
+
+    @pytest.mark.parametrize("line", ["", "input 2 6", "bounds 0.0",
+                                      "layer conv 2 2 1 1 0 ttarget"])
+    def test_short_header_line_rejected(self, line):
+        blob = f"SPIKECONV MODEL 1\ninput 1 2 2\n{line}\nend\n".encode()
+        with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
+            network_from_bytes(blob)
 
     def test_unready_network_rejected(self):
         spec = NetworkSpec(Shape3(1, 2, 2), [LayerSpec("conv", 2, 2, 1, 1, 0)])

@@ -16,7 +16,7 @@ from spikeconv import (
     reset_sample,
     run_sample,
 )
-from spikeconv.simulate import PoolState, forward_times
+from spikeconv.simulate import PoolState, forward_layer, forward_times
 
 from oracles import DenseSimulator
 from util import random_events, random_network
@@ -216,15 +216,20 @@ def _compare_with_oracle(net, events, policy):
 
 class TestOracleEquivalence:
     def test_small_randomized_sweep(self):
+        # every policy on every network, so both engines (crossing: none,
+        # soft with v_inh=0, column WTA; event: soft, layer WTA) meet the
+        # same strides, paddings, time ties and one-position fc layers
         rng = np.random.default_rng(1234)
         policies = [
             InhibitionPolicy("none"),
+            InhibitionPolicy("soft", v_inh=0.0),
             InhibitionPolicy("soft", v_inh=0.4),
             InhibitionPolicy("soft", v_inh=1.0),
             InhibitionPolicy("wta"),
             InhibitionPolicy("wta", scope="layer"),
             InhibitionPolicy("soft", v_inh=0.7, scope="layer"),
             InhibitionPolicy("wta", layers="output"),
+            InhibitionPolicy("wta", scope="layer", layers="output"),
             InhibitionPolicy("soft", v_inh=1.0, layers="output"),
         ]
         for trial in range(30):
@@ -232,8 +237,8 @@ class TestOracleEquivalence:
             n = int(rng.integers(5, net.spec.input_shape.size + 1))
             events = random_events(rng, net.spec.input_shape, n,
                                    tie_heavy=bool(trial % 3 == 0))
-            policy = policies[trial % len(policies)]
-            _compare_with_oracle(net, events, policy)
+            for policy in policies:
+                _compare_with_oracle(net, events, policy)
 
     def test_derived_three_layer_case(self):
         rng = np.random.default_rng(77)
@@ -286,3 +291,6 @@ class TestForwardValidation:
         net = Network(NetworkSpec(Shape3(2, 4, 4), [LayerSpec("conv", 2, 2, 2, 1, 0)]))
         with pytest.raises(ValueError, match="uninitialized"):
             forward_times(net, np.full((2, 4, 4), np.inf))
+        with pytest.raises(ValueError, match="uninitialized"):
+            forward_layer(net, 0, np.full((2, 4, 4), np.inf))
+
