@@ -147,14 +147,16 @@ def cmd_eval(args) -> int:
     for name, seed_id, rate, sp in rows:
         lines.append(f"{name},{seed_id},{rate!r},{sp!r}")
     if len(rows) > 1:
-        rates = np.array([r[2] for r in rows])
-        sps = np.array([r[3] for r in rows])
-        lines.append(
-            f"{cfg.name},aggregate,{rates.mean()!r}±{rates.std()!r},"
-            f"{sps.mean()!r}±{sps.std()!r}"
-        )
+        lines.append(f"{cfg.name},aggregate,{_mean_std([r[2] for r in rows])},"
+                     f"{_mean_std([r[3] for r in rows])}")
     _emit(args.out, lines)
     return 0
+
+
+def _mean_std(values) -> str:
+    """``mean±std`` as plain round-trip floats."""
+    a = np.asarray(values, dtype=np.float64)
+    return f"{float(a.mean())!r}±{float(a.std())!r}"
 
 
 def _sweep_value_config(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
@@ -203,13 +205,11 @@ def cmd_sweep(args) -> int:
 
     lines = [f"{args.axis},seed,recognition_rate,sparsity"]
     for v in values:
-        rates = np.array([results[(v, args.seed + r)][0] for r in range(args.runs)])
-        sps = np.array([results[(v, args.seed + r)][1] for r in range(args.runs)])
-        for r in range(args.runs):
-            rate, sp = results[(v, args.seed + r)]
+        runs = [results[(v, args.seed + r)] for r in range(args.runs)]
+        for r, (rate, sp) in enumerate(runs):
             lines.append(f"{v},{args.seed + r},{rate!r},{sp!r}")
-        lines.append(f"{v},mean±std,{rates.mean()!r}±{rates.std()!r},"
-                     f"{sps.mean()!r}±{sps.std()!r}")
+        lines.append(f"{v},mean±std,{_mean_std([r[0] for r in runs])},"
+                     f"{_mean_std([r[1] for r in runs])}")
     _emit(args.out, lines)
     return 0
 

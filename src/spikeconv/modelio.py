@@ -9,6 +9,7 @@ written with repr, which is lossless for float64.
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 
@@ -100,7 +101,10 @@ def network_from_bytes(data: bytes) -> Network:
                 k = fields.index("ttarget")
                 if k != len(fields) - 2:
                     raise ValueError(f"malformed header line {line!r}")
-                targets.append(float(fields[k + 1]))
+                t_target = float(fields[k + 1])
+                if not math.isfinite(t_target):
+                    raise ValueError(f"non-finite ttarget in header line {line!r}")
+                targets.append(t_target)
                 fields = fields[:k]
             else:
                 targets.append(None)
@@ -155,12 +159,18 @@ def load_features(path):
         header = f.readline().decode().split()
         if header[:2] != _FEATURES_MAGIC.split():
             raise ValueError(f"{path}: bad feature-container magic")
-        rows, cols, has_labels = int(header[2]), int(header[3]), bool(int(header[4]))
+        try:
+            rows, cols, has_labels = (int(v) for v in header[2:5])
+        except ValueError:
+            raise ValueError(
+                f"{path}: feature header needs integer rows, cols and labels "
+                f"fields, got {' '.join(header)!r}"
+            ) from None
         raw = f.read(rows * cols * 8)
         if len(raw) < rows * cols * 8:
             raise ValueError(f"{path}: truncated feature data")
         feats = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-    return feats, has_labels
+    return feats, bool(has_labels)
 
 
 def save_labels(path, labels) -> None:

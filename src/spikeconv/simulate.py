@@ -11,11 +11,21 @@ Two engines compute a conv/fc layer; the inhibition policy alone picks one:
 
 - the crossing engine, when no fire changes another neuron's potential:
   no inhibition (or soft inhibition with ``v_inh == 0``, the same thing)
-  and winner-take-all at column scope. Per output window, input sites are
-  sorted by (time, site), the restriction of the global event order to the
-  window, and the first index where the running weighted sum reaches the
-  threshold is the neuron's firing event; column WTA keeps the earliest
-  crossing per column, the lowest map on ties.
+  and winner-take-all at column scope. Inside a window the global event
+  order is the order of the sites' ranks in (time, site); each neuron fires
+  at the first input where its running weighted sum reaches the threshold,
+  and column WTA keeps the earliest crossing per column, the lowest map on
+  ties. One scan finds these crossings for inference and for training's
+  single column alike. With non-negative weights it first drops every
+  neuron whose total input, one matrix product widened by a margin larger
+  than the rounding of any summation order, stays below its threshold:
+  such a neuron can never fire, and the bound never decides a fire. The
+  remaining neurons walk their sorted inputs in blocks of doubling size
+  and leave at their first crossing (under column WTA, a column leaves at
+  its first). Each block's cumulative sum starts from the running sum the
+  block before ended with, so every partial sum is the same sequence of
+  float additions a single cumulative sum would make, and the outputs are
+  bitwise those of delivering the events one by one.
 - the event engine, when a fire lowers its competitors' potentials (soft
   inhibition with ``v_inh > 0``, either scope) or the competition spans the
   whole layer (winner-take-all at layer scope): it delivers the events one
@@ -51,9 +61,10 @@ __all__ = [
     "ColumnResult",
 ]
 
-_BIG = np.iinfo(np.int64).max
-# cap on elements of one (maps, positions, window) contribution block
+# cap on elements of one (maps, positions, window) block of the crossing scan
 _CHUNK_ELEMS = 4_000_000
+_BLOCK0 = 16  # first block of the crossing scan; each next block doubles
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -252,68 +263,100 @@ def _pool_times(times_in: np.ndarray, plan: _Plan) -> np.ndarray:
     return out.reshape((times_in.shape[0],) + (plan.out_shape.height, plan.out_shape.width))
 
 
-def _first_crossings(st: np.ndarray, contrib: np.ndarray, thresholds: np.ndarray,
-                     monotone: bool = True):
-    """First index where each neuron's running input sum reaches its threshold.
+def _event_ranks(flat: np.ndarray):
+    """Rank of every finite site in the (time, site) event order, +inf if silent.
 
-    st: (P, K) window times sorted ascending; contrib: (D, P, K) weighted
-    contributions in the same order (zero for silent sites). Returns
-    (kk, fire_time, valid): window index, timestamp and reachability of the
-    first crossing, all shaped (D, P). ``monotone`` marks non-negative
-    contributions, letting reachability be read off the final sum.
+    Returns the ranks and the times in rank order.
     """
-    v = np.cumsum(contrib, axis=2)
-    crossed = v >= thresholds[:, None, None]
-    if monotone:
-        valid = crossed[:, :, -1]
+    sites = np.nonzero(np.isfinite(flat))[0]
+    sites = sites[np.argsort(flat[sites], kind="stable")]
+    rank = np.full(flat.size, np.inf)
+    rank[sites] = np.arange(sites.size)
+    return rank, flat[sites]
+
+
+def _first_crossings(wr: np.ndarray, ranked_t: np.ndarray, w2: np.ndarray,
+                     thresholds: np.ndarray, wta: bool) -> np.ndarray:
+    """Every neuron's first threshold crossing over its window's inputs.
+
+    wr: (P, K) event ranks of the window slots of P positions and
+    ranked_t the times in rank order (``_event_ranks``); w2: (D, K)
+    weights in window order. Each (map, position) row adds its weights in
+    rank order and fires at the first input where the running sum reaches
+    its threshold. With ``wta`` only a position's earliest crossing fires,
+    the lowest map on ties. Returns the (D, P) fire times, +inf if silent.
+    """
+    d_out, window = w2.shape
+    out = np.full((d_out, wr.shape[0]), np.inf)
+    finite = np.isfinite(wr)
+    count = finite.sum(axis=1)
+    live = count > 0
+    if w2.min() >= 0.0:
+        # a row's total input bounds its running sum; widened past the
+        # rounding of any summation order, it only drops rows that cannot fire
+        bound = (w2 @ finite.T.astype(np.float64)) * (1.0 + 4 * window * _EPS)
+        live = ~(bound < thresholds[:, None]) & live
     else:
-        valid = crossed.any(axis=2)
-    kk = np.argmax(crossed, axis=2)
-    p_idx = np.arange(st.shape[0])[None, :]
-    fire_time = st[p_idx, kk]
-    valid = valid & np.isfinite(fire_time)
-    return kk, np.where(valid, fire_time, np.inf), valid
+        live = np.broadcast_to(live, out.shape)
+    pos = np.nonzero(live.any(axis=0))[0]
+    if pos.size == 0:
+        return out
+    rd, rp = np.nonzero(live[:, pos])  # (map, position) order
+    count = count[pos]
+    kmax = int(count.max())
+    wr = wr[pos]
+    # finite ranks are distinct, so any sort gives the one event order
+    order = np.argsort(wr, axis=1)[:, :kmax]
+
+    w_flat = w2.ravel()
+    base, th_r, carry = rd * window, thresholds[rd], None
+    k0, size = 0, _BLOCK0
+    while True:
+        k1 = min(k0 + size, kmax)
+        c = w_flat[base[:, None] + order[rp, k0:k1]]
+        if carry is not None:
+            c[:, 0] += carry  # the addition one cumsum over all slots makes here
+        v = np.cumsum(c, axis=1)
+        crossed = v >= th_r[:, None]
+        n = count[rp]
+        done = n <= k1
+        if done.any():  # slots past a row's last input hold no input of its own
+            crossed &= np.arange(k0, k1) < n[:, None]
+        kk = crossed.argmax(axis=1)
+        hit = crossed[np.arange(kk.size), kk]
+        if hit.any():
+            hd, hp, kk = rd[hit], rp[hit], k0 + kk[hit]
+            if wta:
+                o = np.lexsort((hd, kk, hp))
+                first = np.ones(o.size, dtype=bool)
+                first[1:] = hp[o[1:]] != hp[o[:-1]]
+                hd, hp, kk = hd[o[first]], hp[o[first]], kk[o[first]]
+                won = np.zeros(pos.size, dtype=bool)
+                won[hp] = True
+                done |= won[rp]
+            else:
+                done |= hit
+            out[hd, pos[hp]] = ranked_t[wr[hp, order[hp, kk]].astype(np.int64)]
+        if done.all():
+            return out
+        keep = ~done
+        rd, rp, base, th_r = rd[keep], rp[keep], base[keep], th_r[keep]
+        carry = v[keep, -1]
+        k0, size = k1, 2 * size
 
 
 def _conv_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
     """Crossing engine: no inhibition, or winner-take-all over each column."""
     d_out = weights.shape[0]
-    oh, ow = plan.out_shape.height, plan.out_shape.width
-    p_total = plan.positions
-
-    padded_flat = plan.pad_times(times_in).ravel()
+    rank, ranked_t = _event_ranks(plan.pad_times(times_in).ravel())
     w2 = weights.reshape(d_out, -1)
-    # phantom zero-weight column: silent window slots gather a 0.0 term,
-    # keeping partial sums bitwise equal to event-by-event delivery
-    w2z = np.concatenate([w2, np.zeros((d_out, 1))], axis=1)
-    monotone = weights.min() >= 0.0
-    out = np.full((d_out, p_total), np.inf)
-
-    occ_count = np.isfinite(padded_flat[plan.win_index]).sum(axis=1)
-    active = np.nonzero(occ_count > 0)[0]
-    if active.size == 0:
-        return out.reshape(d_out, oh, ow)
-
+    out = np.empty((d_out, plan.positions))
     chunk = max(1, _CHUNK_ELEMS // max(1, d_out * plan.window))
-    for lo in range(0, active.size, chunk):
-        pos = active[lo:lo + chunk]
-        wt = padded_flat[plan.win_index[pos]]
-        kmax = int(occ_count[pos].max())
-        order = np.argsort(wt, axis=1, kind="stable")[:, :kmax]
-        st = np.take_along_axis(wt, order, axis=1)
-        gidx = np.where(np.isfinite(st), order, w2.shape[1])
-        contrib = w2z[:, gidx]
-        kk, ft, valid = _first_crossings(st, contrib, thresholds, monotone)
-
-        if policy.mode == "wta":
-            key = np.where(valid, kk, _BIG)
-            win = np.argmin(key, axis=0)  # first minimum -> lowest map
-            cols = np.arange(pos.size)
-            ok = key[win, cols] < _BIG
-            out[win[ok], pos[cols[ok]]] = ft[win[ok], cols[ok]]
-        else:
-            out[:, pos] = ft
-    return out.reshape(d_out, oh, ow)
+    for lo in range(0, plan.positions, chunk):
+        out[:, lo:lo + chunk] = _first_crossings(
+            rank[plan.win_index[lo:lo + chunk]], ranked_t, w2, thresholds,
+            policy.mode == "wta")
+    return out.reshape(d_out, plan.out_shape.height, plan.out_shape.width)
 
 
 def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
@@ -482,20 +525,10 @@ def column_response(
     ``weights`` is (maps, in_maps, F_h, F_w). The winner is the earliest
     crossing, ties resolved by lowest map index.
     """
-    flat = patch_times.ravel()
-    occ = int(np.isfinite(flat).sum())
-    if occ == 0:
+    rank, ranked_t = _event_ranks(patch_times.ravel())
+    t = _first_crossings(rank[None, :], ranked_t, weights.reshape(weights.shape[0], -1),
+                         np.asarray(thresholds, dtype=np.float64), wta=True)[:, 0]
+    win = int(np.argmin(t))  # the column's one fire, if any
+    if t[win] == np.inf:
         return ColumnResult(None, None)
-    order = np.argsort(flat, kind="stable")[:occ]
-    st = flat[order][None, :]
-    w2 = weights.reshape(weights.shape[0], -1)
-    contrib = w2[:, order][:, None, :]
-    monotone = weights.min() >= 0.0
-    kk, ft, valid = _first_crossings(
-        st, contrib, np.asarray(thresholds, dtype=np.float64), monotone
-    )
-    key = np.where(valid, kk, _BIG)[:, 0]
-    win = int(np.argmin(key))
-    if key[win] == _BIG:
-        return ColumnResult(None, None)
-    return ColumnResult(win, float(ft[win, 0]))
+    return ColumnResult(win, float(t[win]))

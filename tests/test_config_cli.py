@@ -121,6 +121,14 @@ def toy(tmp_path):
     return {"cfg": str(cfg), "train": (ti, tl), "test": (vi, vl), "dir": tmp_path}
 
 
+def _check_numeric_fields(lines):
+    """Every rate and sparsity field, aggregates split at the ±, is a float."""
+    for line in lines[1:]:
+        for field in line.split(",")[2:]:
+            for part in field.split("±"):
+                float(part)
+
+
 def _train(toy, out, seed=1):
     return main([
         "train", "--config", toy["cfg"], "--seed", str(seed), "--out", str(out),
@@ -206,6 +214,7 @@ class TestCliEval:
         assert len(lines) == 4
         assert lines[-1].split(",")[1] == "aggregate"
         assert "±" in lines[-1]
+        _check_numeric_fields(lines)
 
     def test_each_split_encoded_once(self, toy, monkeypatch):
         import spikeconv.cli
@@ -261,6 +270,19 @@ class TestCliSweep:
         assert lines[0] == "policy,seed,recognition_rate,sparsity"
         # one row per value plus one aggregate per value
         assert len(lines) == 1 + 3 * 2
+
+    def test_runs_aggregate_fields_are_plain_floats(self, toy, capsys):
+        rc = main([
+            "sweep", "--config", toy["cfg"], "--axis", "t_target",
+            "--values", "0.6", "--runs", "2", "--seed", "3",
+            "--train-images", toy["train"][0], "--train-labels", toy["train"][1],
+            "--test-images", toy["test"][0], "--test-labels", toy["test"][1],
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 2 + 1
+        assert lines[-1].startswith("0.6,mean±std,")
+        _check_numeric_fields(lines)
 
     def test_empty_values_rejected(self, toy, capsys):
         rc = main([

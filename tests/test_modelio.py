@@ -82,6 +82,13 @@ class TestNetworkContainer:
         with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
             network_from_bytes(blob)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_ttarget_rejected(self, value):
+        line = f"layer conv 2 2 1 1 0 ttarget {value}"
+        blob = f"SPIKECONV MODEL 1\ninput 1 2 2\n{line}\nend\n".encode()
+        with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
+            network_from_bytes(blob)
+
     def test_unready_network_rejected(self):
         spec = NetworkSpec(Shape3(1, 2, 2), [LayerSpec("conv", 2, 2, 1, 1, 0)])
         with pytest.raises(ValueError, match="uninitialized"):
@@ -109,6 +116,15 @@ class TestFeatureContainer:
         data = p.read_bytes()
         p.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_features(p)
+
+    @pytest.mark.parametrize("header", ["SPIKECONV FEATURES 3",
+                                        "SPIKECONV FEATURES 3 4",
+                                        "SPIKECONV FEATURES 3 x 0"])
+    def test_short_or_non_integer_header_rejected(self, tmp_path, header):
+        p = tmp_path / "f.spkfeat"
+        p.write_bytes(header.encode() + b"\n" + bytes(96))
+        with pytest.raises(ValueError, match=re.escape(repr(header))):
             load_features(p)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikeconv import (
     InhibitionPolicy,
@@ -240,6 +241,26 @@ class TestOracleEquivalence:
             for policy in policies:
                 _compare_with_oracle(net, events, policy)
 
+    def test_signed_weights_crossing_engine(self):
+        # signed weights skip the crossing engine's bound pre-filter, so the
+        # block scan alone decides every fire
+        rng = np.random.default_rng(4321)
+        policies = [
+            InhibitionPolicy("none"),
+            InhibitionPolicy("soft", v_inh=0.0),
+            InhibitionPolicy("wta"),
+            InhibitionPolicy("none", layers="output"),
+            InhibitionPolicy("soft", v_inh=0.0, layers="output"),
+            InhibitionPolicy("wta", layers="output"),
+        ]
+        for trial in range(30):
+            net = random_network(rng, w_low=-0.5)
+            n = int(rng.integers(5, net.spec.input_shape.size + 1))
+            events = random_events(rng, net.spec.input_shape, n,
+                                   tie_heavy=bool(trial % 3 == 0))
+            for policy in policies:
+                _compare_with_oracle(net, events, policy)
+
     def test_derived_three_layer_case(self):
         rng = np.random.default_rng(77)
         spec = NetworkSpec(Shape3(2, 6, 6), [
@@ -277,6 +298,137 @@ class TestColumnResponse:
         patch = np.zeros((1, 1, 1))
         res = column_response(patch, np.ones((4, 1, 1, 1)), np.ones(4))
         assert res.winner == 0
+
+
+def _one_layer(times, weights, thresholds, kind="conv"):
+    d_in, h, w = times.shape
+    _, _, fh, fw = weights.shape
+    net = Network(NetworkSpec(Shape3(d_in, h, w),
+                              [LayerSpec(kind, fh, fw, weights.shape[0], 1, 0)]))
+    net.weights[0] = weights
+    net.thresholds[0] = thresholds
+    return net
+
+
+def _cumsum_reference(times, weights, thresholds, wta):
+    """First crossings from one np.cumsum per neuron over its sorted window."""
+    d_out, _, fh, fw = weights.shape
+    _, h, w = times.shape
+    out = np.full((d_out, h - fh + 1, w - fw + 1), np.inf)
+    for y in range(h - fh + 1):
+        for x in range(w - fw + 1):
+            win = times[:, y:y + fh, x:x + fw].ravel()
+            slots = np.nonzero(np.isfinite(win))[0]
+            slots = slots[np.argsort(win[slots], kind="stable")]
+            first = [np.nonzero(np.cumsum(weights[d].ravel()[slots]) >= thresholds[d])[0]
+                     for d in range(d_out)]
+            crossings = [(k[0], d) for d, k in enumerate(first) if k.size]
+            if wta and crossings:
+                crossings = [min(crossings)]  # earliest input, then lowest map
+            for k, d in crossings:
+                out[d, y, x] = win[slots[k]]
+    return out
+
+
+@st.composite
+def _scan_cases(draw):
+    d_in = draw(st.integers(1, 4))
+    fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    h, w = fh + draw(st.integers(0, 2)), fw + draw(st.integers(0, 2))
+    maps = draw(st.integers(1, 6))
+    signed = draw(st.booleans())
+    silent = draw(st.floats(0.0, 0.9))
+    levels = draw(st.integers(1, 64))  # few time levels: many ties
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    times = np.where(rng.random((d_in, h, w)) < silent, np.inf,
+                     rng.integers(0, levels, (d_in, h, w)) / levels)
+    weights = rng.uniform(-0.5 if signed else 0.0, 1.0, (maps, d_in, fh, fw))
+    thresholds = rng.uniform(0.1, 0.3 * d_in * fh * fw + 0.1, maps)
+    # thresholds equal to an exact sequential partial sum (often the whole
+    # window's) of one window: the pre-filter's margin must keep them
+    for d in range(maps):
+        if rng.random() < 0.6:
+            y, x = int(rng.integers(h - fh + 1)), int(rng.integers(w - fw + 1))
+            win = times[:, y:y + fh, x:x + fw].ravel()
+            slots = np.nonzero(np.isfinite(win))[0]
+            if slots.size:
+                slots = slots[np.argsort(win[slots], kind="stable")]
+                sums = np.cumsum(weights[d].ravel()[slots])
+                k = slots.size - 1 if rng.random() < 0.5 else int(rng.integers(slots.size))
+                thresholds[d] = sums[k]
+    return times, weights, thresholds
+
+
+class TestCrossingScan:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_scan_cases())
+    def test_block_scan_matches_one_cumsum(self, case):
+        times, weights, thresholds = case
+        net = _one_layer(times, weights, thresholds)
+        for policy, wta in ((NO_INHIBITION, False), (InhibitionPolicy("wta"), True)):
+            got = forward_layer(net, 0, times, policy)
+            want = _cumsum_reference(times, weights, thresholds, wta)
+            assert np.array_equal(got, want)
+
+    def test_threshold_at_exact_sequential_sum_fires(self):
+        # in time order (slot 2, 1, 0) the running sum rounds up twice and
+        # lands exactly on the threshold; summed in window order it rounds
+        # to one ulp less, so a bound without its margin would drop the neuron
+        small = 2.0 ** -53 + 2.0 ** -60
+        w = np.array([small, small, 1.0])
+        th = 1.0 + 2.0 ** -51
+        assert np.cumsum(w[::-1])[-1] == th
+        assert np.sum(w) < th
+        weights = np.stack([w, w]).reshape(2, 1, 1, 3)
+        thresholds = np.array([th, np.nextafter(th, np.inf)])
+        times = np.array([[[0.3, 0.2, 0.1]]])
+        net = _one_layer(times, weights, thresholds, kind="fc")
+        for policy in (NO_INHIBITION, InhibitionPolicy("wta")):
+            out = forward_layer(net, 0, times, policy)
+            assert out[:, 0, 0].tolist() == [0.3, np.inf]
+        res = column_response(times, weights, thresholds)
+        assert (res.winner, res.fire_time) == (0, 0.3)
+
+    def test_non_finite_input_times_are_silent_in_every_engine(self):
+        weights, thresholds = np.ones((1, 1, 1, 3)), np.array([2.0])
+        for bad in (-np.inf, np.nan):
+            times = np.array([[[bad, 0.2, 0.5]]])
+            net = _one_layer(times, weights, thresholds, kind="fc")
+            for policy in (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft")):
+                assert forward_layer(net, 0, times, policy).ravel().tolist() == [0.5]
+            res = column_response(times, weights, thresholds)
+            assert (res.winner, res.fire_time) == (0, 0.5)
+
+    def test_column_response_matches_forward_layer(self):
+        rng = np.random.default_rng(99)
+        seen = set()
+        for trial in range(200):
+            d_in, fh, fw = (int(v) for v in rng.integers(1, 5, 3))
+            maps = int(rng.integers(2, 7))
+            times = np.where(rng.random((d_in, fh, fw)) < 0.4, np.inf,
+                             rng.integers(0, 6, (d_in, fh, fw)) / 8)
+            weights = rng.uniform(-0.4 if trial % 2 else 0.0, 1.0,
+                                  (maps, d_in, fh, fw))
+            thresholds = rng.uniform(0.2, 0.4 * d_in * fh * fw + 0.2, maps)
+            if trial % 3 == 0:  # two maps cross on the same input
+                weights[maps - 1] = weights[0]
+                thresholds[maps - 1] = thresholds[0]
+            net = _one_layer(times, weights, thresholds, kind="fc")
+            out = forward_layer(net, 0, times, InhibitionPolicy("wta"))[:, 0, 0]
+            res = column_response(times, weights, thresholds)
+            fired = np.nonzero(np.isfinite(out))[0].tolist()
+            if res.winner is None:
+                assert fired == [] and res.fire_time is None
+                seen.add("no winner")
+            else:
+                assert fired == [res.winner] and out[res.winner] == res.fire_time
+                free = forward_layer(net, 0, times)[:, 0, 0]
+                if trial % 3 == 0 and free[0] == free[maps - 1] < np.inf:
+                    seen.add("tie")
+                    assert res.winner != maps - 1
+                else:
+                    seen.add("winner")
+        assert seen == {"no winner", "winner", "tie"}
 
 
 class TestForwardValidation:

@@ -9,8 +9,13 @@ from spikeconv import LayerSpec, Network, NetworkSpec, Shape3, SpikeEvent
 from oracles import TICK
 
 
-def random_network(rng: np.random.Generator, max_neurons: int = 64) -> Network:
-    """A random 1-3 layer conv/pool/fc stack with modest thresholds."""
+def random_network(rng: np.random.Generator, max_neurons: int = 64,
+                   w_low: float = 0.0) -> Network:
+    """A random 1-3 layer conv/pool/fc stack with modest thresholds.
+
+    Weights are drawn from [w_low, 1); a negative ``w_low`` gives signed
+    weights, which the crossing engine scans without its bound pre-filter.
+    """
     depth = int(rng.integers(1, 3))
     h = int(rng.integers(5, 10))
     w = int(rng.integers(5, 10))
@@ -53,7 +58,7 @@ def random_network(rng: np.random.Generator, max_neurons: int = 64) -> Network:
 
     net = Network(NetworkSpec(in_shape, layers))
     for i in net.spec.trainable_indices():
-        net.weights[i] = rng.uniform(0.0, 1.0, net.spec.weight_shape(i))
+        net.weights[i] = rng.uniform(w_low, 1.0, net.spec.weight_shape(i))
         # low thresholds so small nets actually spike
         net.thresholds[i] = rng.uniform(0.5, 3.0, net.spec.layers[i].maps)
     return net
