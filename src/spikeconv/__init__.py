@@ -3,14 +3,13 @@ target-timestamp threshold adaptation: encoder, simulator, trainer,
 readout, linear-SVM evaluation and a CLI.
 """
 
-from .core import RngStreams, Shape3, SpikeEvent, sort_events, sort_key, total_order
+from .core import RngStreams, Shape3, SpikeEvent
 from .encoding import (
     CodingWindow,
     DoGParams,
     dog_filter,
     encode_image,
     encode_image_grid,
-    encode_latency,
     gaussian_kernel,
     split_channels,
 )
@@ -23,10 +22,8 @@ from .plasticity import (
     adapt_threshold_target,
     adapt_threshold_wta,
     apply_stdp,
-    stdp_delta,
 )
 from .readout import (
-    decode,
     decode_grid,
     extract_features,
     mean_sparsity,
@@ -37,12 +34,8 @@ from .readout import (
 from .simulate import (
     NO_INHIBITION,
     InhibitionPolicy,
-    NeuronState,
     column_response,
     forward_times,
-    integrate,
-    pool_forward,
-    reset_sample,
     run_sample,
 )
 from .svm import LinearModel, accuracy, fit, predict

@@ -16,9 +16,7 @@ __all__ = [
     "SpikeEvent",
     "Shape3",
     "RngStreams",
-    "sort_key",
-    "total_order",
-    "sort_events",
+    "times_to_events",
 ]
 
 
@@ -45,20 +43,13 @@ class SpikeEvent:
             raise ValueError(f"spike time must be finite, got {self.time}")
 
 
-def sort_key(event: SpikeEvent) -> tuple:
-    """Deterministic lexicographic key: (time, layer, map, y, x)."""
-    return (event.time, event.layer, event.map, event.y, event.x)
-
-
-def total_order(a: SpikeEvent, b: SpikeEvent) -> int:
-    """Compare two events under the total order; returns -1, 0 or +1."""
-    ka, kb = sort_key(a), sort_key(b)
-    return (ka > kb) - (ka < kb)
-
-
-def sort_events(events) -> list:
-    """Sort an event iterable deterministically (permutation-independent)."""
-    return sorted(events, key=sort_key)
+def times_to_events(times: np.ndarray, layer: int) -> list[SpikeEvent]:
+    """Unpack a (maps, H, W) fire-time grid (+inf = silent) into sorted events."""
+    events = []
+    for m, y, x in zip(*np.nonzero(np.isfinite(times))):
+        events.append(SpikeEvent(float(times[m, y, x]), layer, int(m), int(y), int(x)))
+    events.sort()
+    return events
 
 
 @dataclass(frozen=True)

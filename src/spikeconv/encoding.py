@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpikeEvent
+from .core import SpikeEvent, times_to_events
 
 __all__ = [
     "DoGParams",
@@ -22,7 +22,6 @@ __all__ = [
     "dog_kernel",
     "dog_filter",
     "split_channels",
-    "encode_latency",
     "encode_image",
     "encode_image_grid",
 ]
@@ -112,18 +111,6 @@ def split_channels(dog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(0.0, dog), np.maximum(0.0, -dog)
 
 
-def encode_latency(value: float, window: CodingWindow = CodingWindow()):
-    """Spike time for a value in [0, 1]; None for zero (no spike).
-
-    Larger values spike earlier: t = t_start + (1 - value) * span.
-    """
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"value must be in [0, 1], got {value}")
-    if value == 0.0:
-        return None
-    return window.t_start + (1.0 - value) * window.span
-
-
 def encode_image_grid(
     image: np.ndarray,
     params: DoGParams = DoGParams(),
@@ -153,9 +140,4 @@ def encode_image(
     window: CodingWindow = CodingWindow(),
 ) -> list[SpikeEvent]:
     """Encode an image into sorted layer-0 spike events over on/off maps."""
-    times = encode_image_grid(image, params, window)
-    events = []
-    for m, y, x in zip(*np.nonzero(np.isfinite(times))):
-        events.append(SpikeEvent(time=float(times[m, y, x]), layer=0, map=int(m), y=int(y), x=int(x)))
-    events.sort()
-    return events
+    return times_to_events(encode_image_grid(image, params, window), 0)

@@ -157,19 +157,28 @@ def save_features(path, features: np.ndarray, has_labels: bool = False) -> None:
 def load_features(path):
     with open(path, "rb") as f:
         header = f.readline().decode().split()
-        if header[:2] != _FEATURES_MAGIC.split():
-            raise ValueError(f"{path}: bad feature-container magic")
-        try:
-            rows, cols, has_labels = (int(v) for v in header[2:5])
-        except ValueError:
-            raise ValueError(
-                f"{path}: feature header needs integer rows, cols and labels "
-                f"fields, got {' '.join(header)!r}"
-            ) from None
-        raw = f.read(rows * cols * 8)
-        if len(raw) < rows * cols * 8:
-            raise ValueError(f"{path}: truncated feature data")
-        feats = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        data = f.read()
+    if header[:2] != _FEATURES_MAGIC.split():
+        raise ValueError(f"{path}: bad feature-container magic")
+    shown = " ".join(header)
+    try:
+        rows, cols, has_labels = (int(v) for v in header[2:])
+        if rows < 0 or cols < 0 or has_labels not in (0, 1):
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"{path}: feature header needs non-negative integer rows and cols "
+            f"and a 0/1 labels flag, got {shown!r}"
+        ) from None
+    size = rows * cols * 8
+    if len(data) < size:
+        raise ValueError(f"{path}: truncated feature data for header {shown!r}")
+    if len(data) > size:
+        raise ValueError(
+            f"{path}: {len(data) - size} trailing bytes after the feature data "
+            f"of header {shown!r}"
+        )
+    feats = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
     return feats, bool(has_labels)
 
 
@@ -201,21 +210,36 @@ def save_svm(path, model: LinearModel) -> None:
 
 def load_svm(path) -> LinearModel:
     with open(path, "rb") as f:
-        buf = io.BytesIO(f.read())
+        data = f.read()
+    buf = io.BytesIO(data)
     lines = _read_header_lines(buf, _SVM_MAGIC)
     dim = None
     classes, counts = [], []
     for line in lines:
         fields = line.split()
-        if fields[0] == "dim":
-            dim = int(fields[1])
-        elif fields[0] == "class":
-            classes.append(int(fields[1]))
-            counts.append(int(fields[2]))
-        else:
+        key = fields[0] if fields else ""
+        if key not in ("dim", "class"):
             raise ValueError(f"unknown header line {line!r}")
+        try:
+            values = [int(v) for v in fields[1:]]
+        except ValueError:
+            values = []
+        # dim: the feature width; class: a label and its non-negative count
+        if len(values) != (1 if key == "dim" else 2) or values[-1] < 0:
+            raise ValueError(f"malformed header line {line!r}")
+        if key == "dim":
+            dim = values[0]
+        else:
+            classes.append(values[0])
+            counts.append(values[1])
     if dim is None or not classes:
         raise ValueError("classifier header is missing dim/class lines")
+    size = len(classes) * (dim + 1) * 8
+    rest = len(data) - buf.tell()
+    if rest < size:
+        raise ValueError("truncated classifier arrays")
+    if rest > size:
+        raise ValueError(f"{rest - size} trailing bytes after classifier arrays")
     weights = _read_array(buf, (len(classes), dim))
     bias = _read_array(buf, (len(classes),))
     return LinearModel(np.array(classes), weights, bias, np.array(counts))

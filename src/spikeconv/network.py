@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStreams, Shape3
+from .core import Shape3
 
 __all__ = ["LayerSpec", "NetworkSpec", "Network", "CONV", "POOL", "FC"]
 
@@ -130,20 +130,6 @@ class Network:
         self.thresholds: list = [None] * len(spec.layers)
         self.t_targets: list = [None] * len(spec.layers)
 
-    def initialize(
-        self,
-        streams: RngStreams,
-        threshold_mean: float = 5.0,
-        threshold_std: float = 1.0,
-    ) -> "Network":
-        """Draw W ~ U(w_min, w_max) and V_th ~ N(mean, std) per trainable layer."""
-        for i in self.spec.trainable_indices():
-            wrng = streams.stream("weights", i)
-            trng = streams.stream("thresholds", i)
-            self.weights[i] = wrng.uniform(self.w_min, self.w_max, self.spec.weight_shape(i))
-            self.thresholds[i] = trng.normal(threshold_mean, threshold_std, self.spec.layers[i].maps)
-        return self
-
     def install_column(self, index: int, weights: np.ndarray, thresholds: np.ndarray,
                        t_target: float | None = None) -> None:
         """Broadcast one trained column onto every position of layer ``index``.
@@ -175,10 +161,3 @@ class Network:
         for i in self.spec.trainable_indices():
             if self.weights[i] is None or self.thresholds[i] is None:
                 raise ValueError(f"layer {i} has uninitialized parameters")
-
-    def copy(self) -> "Network":
-        dup = Network(self.spec, self.w_min, self.w_max)
-        dup.weights = [None if w is None else w.copy() for w in self.weights]
-        dup.thresholds = [None if t is None else t.copy() for t in self.thresholds]
-        dup.t_targets = list(self.t_targets)
-        return dup

@@ -19,7 +19,6 @@ __all__ = [
     "MultiplicativeStdp",
     "BiologicalStdp",
     "ThresholdParams",
-    "stdp_delta",
     "stdp_delta_array",
     "apply_stdp",
     "adapt_threshold_target",
@@ -102,33 +101,13 @@ class ThresholdParams:
         return dataclasses.replace(self, eta_th=self.eta_th * factor)
 
 
-def stdp_delta(rule, t_pre, t_post: float, w: float,
-               w_min: float = 0.0, w_max: float = 1.0) -> float:
-    """Raw weight change for one synapse, before clipping.
-
-    ``t_pre`` is None when the input stayed silent this sample, which always
-    lands in the depression branch.
-    """
-    pot = t_pre is not None and t_pre <= t_post
-    if isinstance(rule, AdditiveStdp):
-        return rule.eta_w if pot else -rule.eta_w
-    if isinstance(rule, MultiplicativeStdp):
-        span = w_max - w_min
-        if pot:
-            return rule.eta_w * np.exp(-rule.beta * (w - w_min) / span)
-        return -rule.eta_w * np.exp(-rule.beta * (w_max - w) / span)
-    if isinstance(rule, BiologicalStdp):
-        tp = rule.t_end if t_pre is None else t_pre
-        gap = abs(t_post - tp)
-        sign_exp = -1.0 if rule.decay_with_delay else 1.0
-        mag = rule.eta_w * np.exp(sign_exp * gap / rule.tau)
-        return mag if pot else -mag
-    raise TypeError(f"unknown STDP rule {rule!r}")
-
-
 def stdp_delta_array(rule, pre_times: np.ndarray, t_post: float, w: np.ndarray,
                      w_min: float = 0.0, w_max: float = 1.0) -> np.ndarray:
-    """Vectorized :func:`stdp_delta`; +inf marks silent inputs."""
+    """Raw weight change of every synapse, before clipping.
+
+    ``pre_times`` holds each input's spike time, +inf when it stayed silent
+    this sample; a silent input always lands in the depression branch.
+    """
     pot = np.isfinite(pre_times) & (pre_times <= t_post)
     if isinstance(rule, AdditiveStdp):
         return np.where(pot, rule.eta_w, -rule.eta_w)

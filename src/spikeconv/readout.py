@@ -17,7 +17,6 @@ from .network import Network, POOL
 from .simulate import InhibitionPolicy, NO_INHIBITION, forward_times
 
 __all__ = [
-    "decode",
     "decode_grid",
     "sum_pool",
     "sparsity",
@@ -28,23 +27,12 @@ __all__ = [
 ]
 
 
-def decode(t, t_target: float, t_end: float) -> float:
-    """Inverse latency code in [0, 1]; ``t`` may be None / +inf (no spike).
+def decode_grid(times: np.ndarray, t_target: float, t_end: float) -> np.ndarray:
+    """Inverse latency code in [0, 1] of a fire-time grid (+inf = no spike).
 
     With t_target == t_end (a clipped target), the limit convention applies:
     any spike decodes to 1, no spike to 0.
     """
-    if t_target > t_end:
-        raise ValueError(f"t_target must be <= t_end, got {t_target} > {t_end}")
-    if t is None or not np.isfinite(t):
-        return 0.0
-    if t_target == t_end:
-        return 1.0
-    return min(1.0, max(0.0, 1.0 - (t - t_target) / (t_end - t_target)))
-
-
-def decode_grid(times: np.ndarray, t_target: float, t_end: float) -> np.ndarray:
-    """Vectorized :func:`decode` over a fire-time grid (+inf = no spike)."""
     if t_target > t_end:
         raise ValueError(f"t_target must be <= t_end, got {t_target} > {t_end}")
     finite = np.isfinite(times)

@@ -41,21 +41,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import SpikeEvent, Shape3
+from .core import SpikeEvent, Shape3, times_to_events
 from .network import Network, LayerSpec, POOL
 
 __all__ = [
     "InhibitionPolicy",
     "NO_INHIBITION",
-    "NeuronState",
-    "integrate",
-    "reset_sample",
-    "pool_forward",
-    "PoolState",
     "forward_layer",
     "forward_times",
     "run_sample",
-    "times_to_events",
     "events_to_times",
     "column_response",
     "ColumnResult",
@@ -95,90 +89,6 @@ class InhibitionPolicy:
 
 
 NO_INHIBITION = InhibitionPolicy("none")
-
-
-# ---------------------------------------------------------------------------
-# scalar reference semantics (unit contracts; the engine vectorizes these)
-
-
-@dataclass
-class NeuronState:
-    """Membrane potential, firing threshold and refractory flag of one IF unit."""
-
-    potential: float = 0.0
-    threshold: float = 1.0
-    fired: bool = False
-
-
-def integrate(state: NeuronState, voltage: float, time: float):
-    """Accumulate one weighted spike; returns the fire time on crossing.
-
-    A fired neuron is refractory until the end of the sample and ignores
-    further input. On crossing, the potential resets to zero.
-    """
-    if state.fired:
-        return None
-    state.potential += voltage
-    if state.potential >= state.threshold:
-        state.potential = 0.0
-        state.fired = True
-        return time
-    return None
-
-
-def reset_sample(states) -> None:
-    """Zero potentials and clear refractory flags; thresholds are untouched."""
-    for s in states:
-        s.potential = 0.0
-        s.fired = False
-
-
-class PoolState:
-    """At-most-once bookkeeping for one pooling layer during a sample."""
-
-    def __init__(self, layer: LayerSpec, in_shape: Shape3):
-        self.layer = layer
-        self.in_shape = in_shape
-        self.out_shape = layer.out_shape(in_shape)
-        self._fired: set = set()
-
-    def reset(self) -> None:
-        self._fired.clear()
-
-
-def pool_forward(event: SpikeEvent, state: PoolState) -> list[SpikeEvent]:
-    """Fan an input spike into the pooling neurons covering its site.
-
-    Each covering neuron (same map) fires immediately at the event's
-    timestamp the first time any spike lands in its receptive field, and
-    absorbs everything afterwards.
-    """
-    lay, shp = state.layer, state.out_shape
-    out = []
-    for oy, ox in _covering_positions(
-        event.y, event.x, lay.filter_h, lay.filter_w, lay.stride, lay.padding,
-        shp.height, shp.width,
-    ):
-        key = (event.map, oy, ox)
-        if key not in state._fired:
-            state._fired.add(key)
-            out.append(SpikeEvent(event.time, event.layer + 1, event.map, oy, ox))
-    return out
-
-
-def _covering_positions(y, x, fh, fw, stride, pad, out_h, out_w):
-    ys = y + pad
-    xs = x + pad
-    oy_lo = max(0, -(-(ys - fh + 1) // stride))  # ceil((ys-fh+1)/stride)
-    oy_hi = min(out_h - 1, ys // stride)
-    ox_lo = max(0, -(-(xs - fw + 1) // stride))
-    ox_hi = min(out_w - 1, xs // stride)
-    for oy in range(oy_lo, oy_hi + 1):
-        if not (0 <= ys - oy * stride < fh):
-            continue
-        for ox in range(ox_lo, ox_hi + 1):
-            if 0 <= xs - ox * stride < fw:
-                yield oy, ox
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +395,6 @@ def events_to_times(events, shape: Shape3, layer: int = 0) -> np.ndarray:
             raise ValueError(f"duplicate spike at site (map={e.map}, y={e.y}, x={e.x})")
         times[e.map, e.y, e.x] = e.time
     return times
-
-
-def times_to_events(times: np.ndarray, layer: int) -> list[SpikeEvent]:
-    events = []
-    for m, y, x in zip(*np.nonzero(np.isfinite(times))):
-        events.append(SpikeEvent(float(times[m, y, x]), layer, int(m), int(y), int(x)))
-    events.sort()
-    return events
 
 
 def run_sample(

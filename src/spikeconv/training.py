@@ -67,10 +67,6 @@ class TrainConfig:
     # drags the timing rule's equilibrium early by roughly
     # (no-winner rate / winner rate) of the window, so "share" is the default
     no_winner: str = "share"
-    # balance the homeostasis cycle (losers give back exactly what the
-    # winner gains) so the timing rule's stationary point is the target
-    # itself instead of target + eta_th/N
-    homeostasis_balance: bool = True
     # inhibition the frozen prefix runs with while producing the trained
     # layer's inputs: "none" calibrates thresholds to inference-style
     # traffic, "wta" to competition-filtered traffic
@@ -219,10 +215,10 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
         rule = cfg.rule.scaled(decay)
         params = ThresholdParams(t_target, cfg.eta_th * decay, cfg.th_min)
         nw_step = params.eta_th if cfg.no_winner == "step" else params.eta_th / d_out
-
-        loser_step = None
-        if cfg.homeostasis_balance and d_out > 1:
-            loser_step = params.eta_th / (d_out - 1)
+        # balanced homeostasis cycle: the losers give back exactly what the
+        # winner gains, so the timing rule's stationary point is the target
+        # itself instead of target + eta_th/N
+        loser_step = params.eta_th / (d_out - 1) if d_out > 1 else None
 
         order = order_rng.permutation(n) if cfg.shuffle else range(n)
         wins = np.zeros(d_out, dtype=np.int64)

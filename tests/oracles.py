@@ -167,6 +167,47 @@ class DenseSimulator:
         return fires
 
 
+def stdp_delta(rule, t_pre, t_post: float, w: float,
+               w_min: float = 0.0, w_max: float = 1.0) -> float:
+    """Raw weight change for one synapse, before clipping.
+
+    ``t_pre`` is None when the input stayed silent this sample, which always
+    lands in the depression branch.
+    """
+    from spikeconv.plasticity import AdditiveStdp, BiologicalStdp, MultiplicativeStdp
+
+    pot = t_pre is not None and t_pre <= t_post
+    if isinstance(rule, AdditiveStdp):
+        return rule.eta_w if pot else -rule.eta_w
+    if isinstance(rule, MultiplicativeStdp):
+        span = w_max - w_min
+        if pot:
+            return rule.eta_w * np.exp(-rule.beta * (w - w_min) / span)
+        return -rule.eta_w * np.exp(-rule.beta * (w_max - w) / span)
+    if isinstance(rule, BiologicalStdp):
+        tp = rule.t_end if t_pre is None else t_pre
+        gap = abs(t_post - tp)
+        sign_exp = -1.0 if rule.decay_with_delay else 1.0
+        mag = rule.eta_w * np.exp(sign_exp * gap / rule.tau)
+        return mag if pot else -mag
+    raise TypeError(f"unknown STDP rule {rule!r}")
+
+
+def decode(t, t_target: float, t_end: float) -> float:
+    """Inverse latency code in [0, 1]; ``t`` may be None / +inf (no spike).
+
+    With t_target == t_end (a clipped target), the limit convention applies:
+    any spike decodes to 1, no spike to 0.
+    """
+    if t_target > t_end:
+        raise ValueError(f"t_target must be <= t_end, got {t_target} > {t_end}")
+    if t is None or not np.isfinite(t):
+        return 0.0
+    if t_target == t_end:
+        return 1.0
+    return min(1.0, max(0.0, 1.0 - (t - t_target) / (t_end - t_target)))
+
+
 def subgradient_svm(x, y_pm, c=1.0, steps=20000, lr0=0.5):
     """Plain averaged subgradient descent on 1/2 w.w + C sum hinge(1 - y w.x)."""
     n, d = x.shape

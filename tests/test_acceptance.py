@@ -29,7 +29,7 @@ from spikeconv import (
     adapt_threshold_target,
     adapt_threshold_wta,
     apply_stdp,
-    decode,
+    decode_grid,
     extract_features,
     fit,
     accuracy,
@@ -346,11 +346,10 @@ class TestCriterion7MetricIdentities:
             y = rng.random(int(rng.integers(2, 64)))
             scale = float(rng.uniform(1e-3, 1e3))
             worst = max(worst, abs(sparsity(scale * y) - sparsity(y)))
-        decode_ok = (
-            decode(0.7, 0.7, 1.0) == 1.0
-            and decode(1.0, 0.7, 1.0) == 0.0
-            and decode(None, 0.7, 1.0) == 0.0
-            and decode(0.3, 0.7, 1.0) == 1.0
+        # target time, window end, silence and an early spike
+        decode_ok = np.array_equal(
+            decode_grid(np.array([0.7, 1.0, np.inf, 0.3]), 0.7, 1.0),
+            [1.0, 0.0, 0.0, 1.0],
         )
         ok = (a == pytest.approx(1.0) and b == pytest.approx(0.0, abs=1e-12)
               and c == 0.0 and worst < 1e-12 and decode_ok)

@@ -1,25 +1,25 @@
 import numpy as np
 import pytest
 
-from spikeconv import RngStreams, Shape3, SpikeEvent, sort_events, total_order
+from spikeconv import RngStreams, Shape3, SpikeEvent
 
 
 class TestEventOrder:
     def test_time_dominates(self):
         a = SpikeEvent(0.2, 0, 0, 0, 0)
         b = SpikeEvent(0.3, 0, 0, 0, 0)
-        assert total_order(a, b) == -1
-        assert a < b
+        assert a < b and not b < a
+        assert sorted([b, a]) == [a, b]
 
     def test_map_tiebreak_at_equal_time(self):
         a = SpikeEvent(0.5, 1, 0, 3, 3)
         b = SpikeEvent(0.5, 1, 1, 0, 0)
-        assert total_order(a, b) == -1
+        assert a < b and not b < a
 
     def test_identical_tuples_equal(self):
         a = SpikeEvent(0.5, 1, 2, 3, 4)
         b = SpikeEvent(0.5, 1, 2, 3, 4, voltage=0.25)  # voltage not ordered
-        assert total_order(a, b) == 0
+        assert not a < b and not b < a
         assert a == b
 
     def test_sorting_is_permutation_independent(self):
@@ -29,10 +29,12 @@ class TestEventOrder:
                        int(rng.integers(3)), int(rng.integers(3)), int(rng.integers(3)))
             for _ in range(200)
         ]
-        ref = sort_events(events)
+        ref = sorted(events)
+        keys = [(e.time, e.layer, e.map, e.y, e.x) for e in ref]
+        assert keys == sorted(keys)  # the order is (time, layer, map, y, x)
         for _ in range(5):
             perm = [events[i] for i in rng.permutation(len(events))]
-            assert sort_events(perm) == ref
+            assert sorted(perm) == ref
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,10 @@ import pytest
 from spikeconv import (
     CodingWindow,
     DoGParams,
-    decode,
+    decode_grid,
     dog_filter,
     encode_image,
     encode_image_grid,
-    encode_latency,
     gaussian_kernel,
     split_channels,
 )
@@ -97,32 +96,66 @@ class TestSplitChannels:
 
 
 class TestEncodeLatency:
+    """The latency code t = t_start + (1 - value) * span, seen through the grid."""
+
+    W = CodingWindow(0.2, 0.9)
+
+    def _values(self, image):
+        """Normalized on/off contrasts, the values the latency code receives."""
+        dog = dog_filter(image)
+        return np.stack(split_channels(dog / np.max(np.abs(dog))))
+
     def test_max_value_spikes_at_start(self):
-        assert encode_latency(1.0) == 0.0
+        image = np.random.default_rng(13).random((12, 12))
+        grid = encode_image_grid(image, window=self.W)
+        assert grid.min() == self.W.t_start
+        assert np.array_equal(grid == self.W.t_start, self._values(image) == 1.0)
 
     def test_quarter_value(self):
-        assert encode_latency(0.25) == pytest.approx(0.75)
+        # impulses of height 1 and 1/4 whose DoG footprints do not overlap
+        image = np.zeros((15, 15))
+        image[3, 3], image[11, 11] = 1.0, 0.25
+        grid = encode_image_grid(image)
+        assert grid[0, 3, 3] == 0.0
+        assert grid[0, 11, 11] == pytest.approx(0.75)
 
     def test_zero_emits_nothing(self):
-        assert encode_latency(0.0) is None
+        assert np.all(np.isinf(encode_image_grid(np.zeros((9, 9)))))
+        image = np.zeros((15, 15))
+        image[7, 7] = 1.0
+        grid = encode_image_grid(image)
+        # zero contrast stays silent in both channels
+        assert np.array_equal(np.isinf(grid), self._values(image) == 0.0)
+        assert np.all(np.isinf(grid[:, :4, :])) and np.all(np.isinf(grid[:, 11:, :]))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            encode_latency(1.5)
-        with pytest.raises(ValueError):
-            encode_latency(-0.1)
+        # non-finite pixels are refused; any finite image, however large or
+        # negative, is normalized so every spike lands inside the window
+        for bad in (np.nan, np.inf, -np.inf):
+            image = np.zeros((7, 7))
+            image[3, 3] = bad
+            with pytest.raises(ValueError):
+                encode_image_grid(image)
+        image = np.random.default_rng(14).normal(scale=1e6, size=(12, 12))
+        times = encode_image_grid(image, window=self.W)
+        finite = times[np.isfinite(times)]
+        assert finite.size and np.all((finite >= self.W.t_start) & (finite <= self.W.t_end))
 
     def test_monotone(self):
-        w = CodingWindow(0.0, 1.0)
-        vals = np.linspace(0.01, 1.0, 50)
-        times = [encode_latency(v, w) for v in vals]
-        assert all(t1 > t2 for t1, t2 in zip(times, times[1:]))
+        image = np.random.default_rng(15).random((12, 12))
+        grid = encode_image_grid(image, window=self.W)
+        values = self._values(image)
+        active = values > 0
+        order = np.argsort(values[active], kind="stable")
+        v, t = values[active][order], grid[active][order]
+        assert np.all(np.diff(v) > 0)  # distinct contrasts
+        assert np.all(np.diff(t) < 0)  # larger values spike earlier
 
     def test_decode_inverts_encoding(self):
-        w = CodingWindow(0.0, 1.0)
-        for v in np.linspace(0.001, 1.0, 97):
-            t = encode_latency(float(v), w)
-            assert abs(decode(t, w.t_start, w.t_end) - v) < 1e-12
+        image = np.random.default_rng(16).random((12, 12))
+        grid = encode_image_grid(image, window=self.W)
+        back = decode_grid(grid, self.W.t_start, self.W.t_end)
+        assert np.max(np.abs(back - self._values(image))) < 1e-12
 
 
 class TestEncodeImage:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from spikeconv import LayerSpec, Network, NetworkSpec, RngStreams, Shape3, fit
+from spikeconv import LayerSpec, Network, NetworkSpec, Shape3, fit
 from spikeconv.modelio import (
     load_features,
     load_labels,
@@ -24,7 +24,11 @@ def _net():
         LayerSpec("pool", 2, 2, 4, 2, 0),
         LayerSpec("fc", 4, 4, 6, 1, 0),
     ])
-    net = Network(spec).initialize(RngStreams(3))
+    net = Network(spec)
+    rng = np.random.default_rng(3)
+    for i in spec.trainable_indices():
+        net.install_column(i, rng.uniform(0.0, 1.0, spec.weight_shape(i)),
+                           rng.normal(5.0, 1.0, spec.layers[i].maps))
     net.t_targets[0] = 0.75
     net.t_targets[2] = 0.8
     return net
@@ -127,17 +131,56 @@ class TestFeatureContainer:
         with pytest.raises(ValueError, match=re.escape(repr(header))):
             load_features(p)
 
+    @pytest.mark.parametrize("header", ["SPIKECONV FEATURES 2 3 0 9",
+                                        "SPIKECONV FEATURES 2 3 7",
+                                        "SPIKECONV FEATURES -2 3 0",
+                                        "SPIKECONV FEATURES 2 -3 0"])
+    def test_extra_negative_or_bad_flag_header_rejected(self, tmp_path, header):
+        p = tmp_path / "f.spkfeat"
+        p.write_bytes(header.encode() + b"\n" + bytes(48))
+        with pytest.raises(ValueError, match=re.escape(repr(header))):
+            load_features(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "f.spkfeat"
+        save_features(p, np.ones((2, 3)))
+        p.write_bytes(p.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="8 trailing bytes"):
+            load_features(p)
+
+
+def _svm_file(tmp_path):
+    rng = np.random.default_rng(5)
+    model = fit(rng.random((60, 6)), rng.integers(0, 3, 60), seed=1)
+    p = tmp_path / "svm.spkmod"
+    save_svm(p, model)
+    return p, model
+
 
 class TestSvmContainer:
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        x = rng.random((60, 6))
-        y = rng.integers(0, 3, 60)
-        model = fit(x, y, seed=1)
-        p = tmp_path / "svm.spkmod"
-        save_svm(p, model)
+        p, model = _svm_file(tmp_path)
         back = load_svm(p)
         assert np.array_equal(back.classes, model.classes)
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.bias, model.bias)
         assert np.array_equal(back.class_counts, model.class_counts)
+
+    @pytest.mark.parametrize("line", ["", "class 1 ", "class 1 2 3", "class x 2",
+                                      "class 1 -2", "dim", "dim 6 6", "dim -1"])
+    def test_malformed_header_line_rejected(self, tmp_path, line):
+        p = tmp_path / "svm.spkmod"
+        p.write_bytes(f"SPIKECONV SVM 1\ndim 2\n{line}\nclass 0 4\nend\n".encode()
+                      + bytes(24))
+        with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
+            load_svm(p)
+
+    def test_truncated_or_trailing_arrays_rejected(self, tmp_path):
+        p, _ = _svm_file(tmp_path)
+        blob = p.read_bytes()
+        p.write_bytes(blob[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            load_svm(p)
+        p.write_bytes(blob + b"xx")
+        with pytest.raises(ValueError, match="2 trailing bytes"):
+            load_svm(p)

@@ -9,43 +9,48 @@ from spikeconv import (
     adapt_threshold_target,
     adapt_threshold_wta,
     apply_stdp,
-    stdp_delta,
 )
 from spikeconv.plasticity import stdp_delta_array
+
+from oracles import stdp_delta
+
+SILENT = np.inf
+
+
+def _delta(rule, pre, t_post, w):
+    """stdp_delta_array over scalars or lists; SILENT marks a silent input."""
+    return stdp_delta_array(rule, np.asarray(pre, dtype=float), t_post,
+                            np.asarray(w, dtype=float))
 
 
 class TestStdpDelta:
     def test_additive_potentiation(self):
-        assert stdp_delta(AdditiveStdp(0.1), 0.2, 0.5, 0.5) == pytest.approx(0.1)
+        assert _delta(AdditiveStdp(0.1), 0.2, 0.5, 0.5) == pytest.approx(0.1)
 
     def test_additive_depression_on_silent_input(self):
-        assert stdp_delta(AdditiveStdp(0.1), None, 0.5, 0.5) == pytest.approx(-0.1)
+        assert _delta(AdditiveStdp(0.1), SILENT, 0.5, 0.5) == pytest.approx(-0.1)
 
     def test_multiplicative_boundary(self):
         # at W == W_min the potentiation exponential is exp(0) == 1
-        d = stdp_delta(MultiplicativeStdp(0.1, 1.0), 0.2, 0.5, 0.0)
+        d = _delta(MultiplicativeStdp(0.1, 1.0), 0.2, 0.5, 0.0)
         assert d == pytest.approx(0.1)
 
     def test_biological_zero_delay(self):
-        d = stdp_delta(BiologicalStdp(0.1, 0.1), 0.5, 0.5, 0.5)
+        d = _delta(BiologicalStdp(0.1, 0.1), 0.5, 0.5, 0.5)
         assert d == pytest.approx(0.1)
 
     def test_biological_growth_with_delay_as_published(self):
-        rule = BiologicalStdp(0.1, 0.1)
-        near = stdp_delta(rule, 0.45, 0.5, 0.5)
-        far = stdp_delta(rule, 0.1, 0.5, 0.5)
+        near, far = _delta(BiologicalStdp(0.1, 0.1), [0.45, 0.1], 0.5, 0.5)
         assert far > near > 0
 
     def test_biological_decay_variant(self):
         rule = BiologicalStdp(0.1, 0.1, decay_with_delay=True)
-        near = stdp_delta(rule, 0.45, 0.5, 0.5)
-        far = stdp_delta(rule, 0.1, 0.5, 0.5)
+        near, far = _delta(rule, [0.45, 0.1], 0.5, 0.5)
         assert 0 < far < near
 
     def test_biological_silent_input_uses_latest_time(self):
         rule = BiologicalStdp(0.1, 0.1, t_end=1.0)
-        silent = stdp_delta(rule, None, 0.7, 0.5)
-        late = stdp_delta(rule, 1.0, 0.7, 0.5)
+        silent, late = _delta(rule, [SILENT, 1.0], 0.7, 0.5)
         assert silent == pytest.approx(late)
         assert silent < 0
 
@@ -53,7 +58,7 @@ class TestStdpDelta:
         # a silent line must not slip into the potentiation branch when the
         # neuron fires exactly at the end of the window
         rule = BiologicalStdp(0.1, 0.1, t_end=1.0)
-        assert stdp_delta(rule, None, 1.0, 0.5) < 0
+        assert _delta(rule, SILENT, 1.0, 0.5) < 0
 
     def test_scalar_and_array_agree(self):
         rng = np.random.default_rng(5)
@@ -167,10 +172,10 @@ class TestBoundsProperties:
         # potentiation shrinks as W grows; depression shrinks as W falls
         rule = MultiplicativeStdp(0.1, 2.0)
         ws = np.linspace(0, 1, 11)
-        pots = [stdp_delta(rule, 0.1, 0.5, w) for w in ws]
-        deps = [abs(stdp_delta(rule, 0.9, 0.5, w)) for w in ws]
-        assert all(a > b for a, b in zip(pots, pots[1:]))
-        assert all(a < b for a, b in zip(deps, deps[1:]))
+        pots = _delta(rule, np.full(ws.size, 0.1), 0.5, ws)
+        deps = np.abs(_delta(rule, np.full(ws.size, 0.9), 0.5, ws))
+        assert np.all(np.diff(pots) < 0)
+        assert np.all(np.diff(deps) > 0)
 
 
 class TestValidation:

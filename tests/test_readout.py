@@ -7,7 +7,6 @@ from spikeconv import (
     Network,
     NetworkSpec,
     Shape3,
-    decode,
     decode_grid,
     extract_features,
     mean_sparsity,
@@ -16,47 +15,46 @@ from spikeconv import (
     sum_pool,
 )
 
+from oracles import decode
+
 
 class TestDecode:
     def test_target_time_decodes_to_one(self):
-        assert decode(0.7, 0.7, 1.0) == 1.0
+        assert decode_grid(np.array([0.7]), 0.7, 1.0)[0] == 1.0
 
     def test_end_time_and_silence_decode_to_zero(self):
-        assert decode(1.0, 0.7, 1.0) == 0.0
-        assert decode(None, 0.7, 1.0) == 0.0
-        assert decode(np.inf, 0.7, 1.0) == 0.0
+        assert np.array_equal(decode_grid(np.array([1.0, np.inf]), 0.7, 1.0), [0.0, 0.0])
 
     def test_early_spike_clamps_to_one(self):
-        assert decode(0.3, 0.7, 1.0) == 1.0
+        assert decode_grid(np.array([0.3]), 0.7, 1.0)[0] == 1.0
 
     def test_midpoint(self):
-        assert decode(0.85, 0.7, 1.0) == pytest.approx(0.5)
+        assert decode_grid(np.array([0.85]), 0.7, 1.0)[0] == pytest.approx(0.5)
 
     def test_non_increasing_and_bounded(self):
-        ts = np.linspace(0.0, 1.0, 101)
-        vals = [decode(float(t), 0.6, 1.0) for t in ts]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert all(0.0 <= v <= 1.0 for v in vals)
+        vals = decode_grid(np.linspace(0.0, 1.0, 101), 0.6, 1.0)
+        assert np.all(np.diff(vals) <= 0)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_clipped_target_limit_convention(self):
         # targets clipped to the window end decode any spike as 1
-        assert decode(0.2, 1.0, 1.0) == 1.0
-        assert decode(None, 1.0, 1.0) == 0.0
+        assert np.array_equal(decode_grid(np.array([0.2, np.inf]), 1.0, 1.0), [1.0, 0.0])
 
     def test_target_beyond_end_rejected(self):
         with pytest.raises(ValueError):
-            decode(0.5, 1.2, 1.0)
+            decode_grid(np.array([0.5]), 1.2, 1.0)
 
     def test_grid_matches_scalar(self):
         rng = np.random.default_rng(0)
         times = np.where(rng.random((3, 4, 4)) < 0.7, rng.random((3, 4, 4)), np.inf)
-        grid = decode_grid(times, 0.6, 1.0)
-        for m in range(3):
-            for y in range(4):
-                for x in range(4):
-                    assert grid[m, y, x] == pytest.approx(
-                        decode(float(times[m, y, x]), 0.6, 1.0)
-                    )
+        for t_target in (0.6, 1.0):
+            grid = decode_grid(times, t_target, 1.0)
+            for m in range(3):
+                for y in range(4):
+                    for x in range(4):
+                        assert grid[m, y, x] == pytest.approx(
+                            decode(float(times[m, y, x]), t_target, 1.0)
+                        )
 
 
 class TestSumPool:

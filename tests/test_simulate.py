@@ -7,84 +7,104 @@ from spikeconv import (
     LayerSpec,
     Network,
     NetworkSpec,
-    NeuronState,
     NO_INHIBITION,
     Shape3,
     SpikeEvent,
     column_response,
-    integrate,
-    pool_forward,
-    reset_sample,
     run_sample,
 )
-from spikeconv.simulate import PoolState, forward_layer, forward_times
+from spikeconv.simulate import forward_layer, forward_times
 
 from oracles import DenseSimulator
 from util import random_events, random_network
 
+INF = np.inf
+# a lone neuron has no competitor, so each policy gives the same output: the
+# first runs the crossing engine, the other two the event engine
+ONE_NEURON_POLICIES = [NO_INHIBITION, InhibitionPolicy("soft", v_inh=0.5),
+                       InhibitionPolicy("wta", scope="layer")]
+
+
+def _one_neuron(weights, threshold):
+    """One IF neuron at one position over a (1, 1, n) input row."""
+    n = len(weights)
+    spec = NetworkSpec(Shape3(1, 1, n), [LayerSpec("fc", 1, n, 1, 1, 0)])
+    net = Network(spec)
+    net.weights[0] = np.asarray(weights, dtype=float).reshape(1, 1, 1, n)
+    net.thresholds[0] = np.array([float(threshold)])
+    return net
+
+
+def _fire_time(net, times, policy=NO_INHIBITION):
+    return forward_layer(net, 0, np.array(times, dtype=float).reshape(1, 1, -1), policy)[0, 0, 0]
+
 
 class TestIntegrate:
     def test_threshold_crossing_on_third_spike(self):
-        s = NeuronState(threshold=1.0)
-        times = [0.1, 0.2, 0.3]
-        fires = [integrate(s, 0.4, t) for t in times]
-        assert fires == [None, None, 0.3]
-        assert s.potential == 0.0 and s.fired
+        net = _one_neuron([0.4, 0.4, 0.4], 1.0)
+        for policy in ONE_NEURON_POLICIES:
+            assert _fire_time(net, [0.1, 0.2, 0.3], policy) == 0.3
+            # the inputs are summed in time order, not in site order
+            assert _fire_time(net, [0.3, 0.1, 0.2], policy) == 0.3
 
     def test_below_threshold_accumulates(self):
-        s = NeuronState(threshold=5.0)
-        for t in (0.1, 0.2, 0.3, 0.4):
-            assert integrate(s, 1.0, t) is None
-        assert s.potential == pytest.approx(4.0)
-        assert not s.fired
+        times = [0.1, 0.2, 0.3, 0.4]
+        for policy in ONE_NEURON_POLICIES:
+            assert _fire_time(_one_neuron([1.0] * 4, 5.0), times, policy) == INF
+            # the same inputs reach a threshold of exactly their sum
+            assert _fire_time(_one_neuron([1.0] * 4, 4.0), times, policy) == 0.4
 
     def test_refractory_ignores_input(self):
-        s = NeuronState(threshold=1.0)
-        integrate(s, 2.0, 0.1)
-        before = (s.potential, s.threshold, s.fired)
-        assert integrate(s, 5.0, 0.2) is None
-        assert (s.potential, s.threshold, s.fired) == before
+        net = _one_neuron([2.0, 5.0], 1.0)
+        events = [SpikeEvent(0.1, 0, 0, 0, 0), SpikeEvent(0.2, 0, 0, 0, 1)]
+        for policy in ONE_NEURON_POLICIES:
+            out = run_sample(net, events, policy)[0]
+            assert [(e.time, e.map, e.y, e.x) for e in out] == [(0.1, 0, 0, 0)]
 
 
 class TestResetSample:
     def test_reset_zeroes_potential_and_flags(self):
-        states = [NeuronState(potential=0.7, threshold=2.0, fired=True),
-                  NeuronState(potential=0.2, threshold=3.5)]
-        reset_sample(states)
-        assert all(s.potential == 0.0 for s in states)
-        assert all(not s.fired for s in states)
-        # thresholds untouched
-        assert [s.threshold for s in states] == [2.0, 3.5]
+        net = _one_neuron([0.7, 0.7], 1.0)
+        before = net.thresholds[0].copy()
+        for policy in ONE_NEURON_POLICIES:
+            for _ in range(2):
+                # a 0.7 left over from the sample before would make each fire
+                assert _fire_time(net, [0.1, INF], policy) == INF
+                assert _fire_time(net, [INF, 0.5], policy) == INF
+                # a fire in one sample does not silence the next
+                assert _fire_time(net, [0.1, 0.5], policy) == 0.5
+        assert np.array_equal(net.thresholds[0], before)  # thresholds untouched
 
 
 class TestPoolForward:
-    def _state(self):
-        layer = LayerSpec("pool", 2, 2, 1, 2, 0)
-        return PoolState(layer, Shape3(1, 4, 4))
+    def _pool(self, times, f=2, stride=2, size=4):
+        spec = NetworkSpec(Shape3(1, size, size), [LayerSpec("pool", f, f, 1, stride, 0)])
+        grid = np.full((1, size, size), INF)
+        for (y, x), t in times.items():
+            grid[0, y, x] = t
+        return forward_layer(Network(spec), 0, grid)[0]
 
     def test_first_spike_passes_through(self):
-        st = self._state()
-        out = pool_forward(SpikeEvent(0.4, 0, 0, 0, 1), st)
-        assert [(e.time, e.map, e.y, e.x) for e in out] == [(0.4, 0, 0, 0)]
+        out = self._pool({(0, 1): 0.4})
+        assert out[0, 0] == 0.4
+        assert np.isinf(out).sum() == 3
 
     def test_second_spike_same_field_absorbed(self):
-        st = self._state()
-        pool_forward(SpikeEvent(0.4, 0, 0, 0, 1), st)
-        assert pool_forward(SpikeEvent(0.6, 0, 0, 1, 0), st) == []
+        out = self._pool({(0, 1): 0.4, (1, 0): 0.6})
+        assert out[0, 0] == 0.4
+        assert np.isinf(out).sum() == 3
+        # the earliest input wins whatever its site
+        assert self._pool({(0, 1): 0.6, (1, 0): 0.4})[0, 0] == 0.4
 
     def test_disjoint_fields_independent(self):
-        st = self._state()
-        a = pool_forward(SpikeEvent(0.4, 0, 0, 0, 0), st)
-        b = pool_forward(SpikeEvent(0.5, 0, 0, 3, 3), st)
-        assert len(a) == len(b) == 1
-        assert (a[0].y, a[0].x) == (0, 0)
-        assert (b[0].y, b[0].x) == (1, 1)
+        out = self._pool({(0, 0): 0.4, (3, 3): 0.5})
+        assert out[0, 0] == 0.4 and out[1, 1] == 0.5
+        assert np.isinf(out[0, 1]) and np.isinf(out[1, 0])
 
     def test_overlapping_pooling_fans_out(self):
-        layer = LayerSpec("pool", 3, 3, 1, 1, 0)
-        st = PoolState(layer, Shape3(1, 5, 5))
-        out = pool_forward(SpikeEvent(0.2, 0, 0, 2, 2), st)
-        assert len(out) == 9  # all 3x3 windows containing the center
+        out = self._pool({(2, 2): 0.2}, f=3, stride=1, size=5)
+        assert out.shape == (3, 3)
+        assert np.all(out == 0.2)  # all 3x3 windows containing the center
 
 
 class TestRunSample:
