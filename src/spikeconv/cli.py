@@ -111,14 +111,15 @@ def _member_path(out: Path, index: int) -> Path:
 
 def _encode(cfg: ExperimentConfig, ds):
     """A split's (encoded spike grids, labels)."""
-    return encode_dataset(ds.images, cfg.dog(), cfg.window()), ds.labels
+    tc = cfg.train_config()
+    return encode_dataset(ds.images, tc.dog, tc.window), ds.labels
 
 
 def _evaluate(cfg, networks, train, test, svm_seed: int = 0, svm_out=None):
     """Recognition rate and test sparsity; ``train``/``test`` come from ``_encode``."""
-    policy = cfg.inference_policy()
-    f_train = extract_features(networks, train[0], cfg.t_end, policy)
-    f_test = extract_features(networks, test[0], cfg.t_end, policy)
+    t_end, policy = cfg.train_config().window.t_end, cfg.inference_policy()
+    f_train = extract_features(networks, train[0], t_end, policy)
+    f_test = extract_features(networks, test[0], t_end, policy)
     model = fit(f_train, train[1], c=1.0, seed=svm_seed)
     if svm_out:
         save_svm(svm_out, model)
@@ -160,24 +161,20 @@ def _mean_std(values) -> str:
 
 
 def _sweep_value_config(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
-    cfg = dataclasses.replace(cfg)
+    """``cfg`` with the settings one sweep value overrides; a rule axis picks its rule."""
     if axis == "policy":
         if value not in ("none", "soft", "wta"):
             raise ValueError(f"unknown policy {value!r}")
-        cfg.inference_inhibition = value
-    elif axis == "t_target":
-        cfg.t_target = float(value)
-    elif axis == "delta_t":
-        cfg.delta_t = float(value)
+        override = {"mode": value}
+    elif axis in ("t_target", "delta_t"):
+        override = {axis: float(value)}
     elif axis == "beta":
-        cfg.beta = float(value)
-        cfg.rule_name = "multiplicative"
+        override = {"beta": float(value), "rule_name": "multiplicative"}
     elif axis == "tau":
-        cfg.tau = float(value)
-        cfg.rule_name = "biological"
+        override = {"tau": float(value), "rule_name": "biological"}
     else:
         raise ValueError(f"unknown sweep axis {axis!r} (one of {SWEEP_AXES})")
-    return cfg.validate()
+    return dataclasses.replace(cfg, settings={**cfg.settings, **override}).validate()
 
 
 def cmd_sweep(args) -> int:
@@ -242,7 +239,8 @@ def cmd_features(args) -> int:
     ds = _load_split(args, "train", args.limit_train)
     nets = [load_network(m) for m in args.models]
     grids, _ = _encode(cfg, ds)
-    feats = extract_features(nets, grids, cfg.t_end, cfg.inference_policy())
+    feats = extract_features(nets, grids, cfg.train_config().window.t_end,
+                             cfg.inference_policy())
     save_features(args.out, feats, has_labels=bool(args.labels_out))
     if args.labels_out:
         save_labels(args.labels_out, ds.labels)

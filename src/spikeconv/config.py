@@ -1,15 +1,18 @@
-"""Experiment configuration: defaults, INI-style files, validation.
+"""Experiment configuration: INI-style files, validation.
 
 The file format is plain sectioned key=value text (configparser syntax).
-Every key has a default matching the package's standard parameter set, so
-an empty file is a valid experiment; unknown sections or keys are rejected
-with the offending name in the message.
+Each key sets one field of the object that owns it (``TrainConfig``, the
+STDP rule, ``DoGParams``, ``CodingWindow`` or ``InhibitionPolicy``); a key
+left out keeps that object's own default, so an empty file is a valid
+experiment. Unknown sections or keys are rejected with the offending name
+in the message.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 from .core import Shape3
 from .encoding import CodingWindow, DoGParams
@@ -32,87 +35,30 @@ DEFAULT_ARCHITECTURE = (
 
 @dataclass
 class ExperimentConfig:
-    """All tunables of one experiment, with standard defaults."""
+    """One experiment: its name, the settings its file gave, the layers.
+
+    ``settings`` maps the name of the dataclass field each setting owns to
+    its value (see ``_KEYS``); ``train_config`` and ``inference_policy``
+    build their objects from it and everything unset keeps that dataclass's
+    own default, so an empty file is the package's standard parameter set.
+    """
 
     name: str = "default"
-    # learning
-    n_epoch: int = 100
-    anneal: float = 0.95
-    # stdp
-    rule_name: str = "biological"
-    eta_w: float = 0.1
-    beta: float = 1.0
-    tau: float = 0.1
-    bio_delay_decay: bool = False
-    w_min: float = 0.0
-    w_max: float = 1.0
-    # coding
-    t_start: float = 0.0
-    t_end: float = 1.0
-    # threshold adaptation
-    t_target: float = 0.7
-    delta_t: float = 0.0
-    t_targets: tuple | None = None
-    eta_th: float = 1.0
-    th_min: float = 1.0
-    v_th_mean: float = 5.0
-    v_th_std: float = 1.0
-    v_inh: float = 1.0
-    # pre-processing
-    dog_size: int = 7
-    dog_center: float = 1.0
-    dog_surround: float = 4.0
-    # simulation
-    inference_inhibition: str = "none"
-    inhibition_scope: str = "column"
-    inhibition_layers: str = "all"
-    # training protocol
-    shuffle: bool = False
-    no_winner: str = "share"
-    prefix_policy: str = "none"
-    # architecture + optional multi-target ensemble
-    architecture: tuple = field(default_factory=lambda: DEFAULT_ARCHITECTURE)
-    ensemble: tuple = ()
-
-    def rule(self):
-        if self.rule_name == "additive":
-            return AdditiveStdp(self.eta_w)
-        if self.rule_name == "multiplicative":
-            return MultiplicativeStdp(self.eta_w, self.beta)
-        if self.rule_name == "biological":
-            return BiologicalStdp(self.eta_w, self.tau, self.bio_delay_decay, self.t_end)
-        raise ValueError(f"unknown STDP rule {self.rule_name!r}")
-
-    def window(self) -> CodingWindow:
-        return CodingWindow(self.t_start, self.t_end)
-
-    def dog(self) -> DoGParams:
-        return DoGParams(self.dog_size, self.dog_center, self.dog_surround)
+    settings: dict = field(default_factory=dict)
+    architecture: tuple = DEFAULT_ARCHITECTURE
+    ensemble: tuple = ()  # (t_target, output_maps) per member; empty = one network
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            n_epoch=self.n_epoch,
-            anneal=self.anneal,
-            rule=self.rule(),
-            t_target=self.t_target,
-            delta_t=self.delta_t,
-            t_targets=self.t_targets,
-            eta_th=self.eta_th,
-            th_min=self.th_min,
-            v_th_mean=self.v_th_mean,
-            v_th_std=self.v_th_std,
-            w_min=self.w_min,
-            w_max=self.w_max,
-            dog=self.dog(),
-            window=self.window(),
-            shuffle=self.shuffle,
-            no_winner=self.no_winner,
-            prefix_policy=self.prefix_policy,
-        )
+        s = self.settings
+        name = s.get("rule_name")
+        if name is not None and name not in _RULES:
+            raise ValueError(f"unknown STDP rule {name!r}")
+        rule = _RULES[name] if name else type(TrainConfig().rule)
+        return _build(TrainConfig, s, rule=_build(rule, s), window=_build(CodingWindow, s),
+                      dog=_build(DoGParams, s))
 
     def inference_policy(self) -> InhibitionPolicy:
-        return InhibitionPolicy(self.inference_inhibition, self.v_inh,
-                                self.inhibition_scope, self.inhibition_layers)
+        return _build(InhibitionPolicy, self.settings)
 
     def network_spec(self, input_shape: Shape3) -> NetworkSpec:
         return NetworkSpec(input_shape, self.architecture)
@@ -121,21 +67,31 @@ class ExperimentConfig:
         return [EnsembleMember(t, n) for t, n in self.ensemble]
 
     def validate(self) -> "ExperimentConfig":
-        self.rule()
-        self.window()
-        self.dog()
         self.train_config()
         self.inference_policy()
         if not self.architecture:
             raise ValueError("architecture has no layers")
-        if self.t_targets is not None and self.delta_t != 0.0:
-            raise ValueError("give either explicit t_targets or delta_t, not both")
-        for t, n in self.ensemble:
-            EnsembleMember(t, n)
+        self.ensemble_members()
         return self
 
 
-_PARSERS = {
+def _build(cls, settings: dict, **fixed):
+    """``cls`` from the settings that name its fields, plus ``fixed``."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in settings.items() if k in names}, **fixed)
+
+
+def _bool(value: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+
+
+_RULES = {"additive": AdditiveStdp, "multiplicative": MultiplicativeStdp,
+          "biological": BiologicalStdp}
+
+# (section, key) -> (the owning dataclass field, converter). Owners:
+# TrainConfig, the STDP rules, DoGParams, CodingWindow, InhibitionPolicy;
+# "rule_name" picks the rule class and "name" is the experiment's own
+_KEYS = {
     ("meta", "name"): ("name", str),
     ("learning", "lambda"): ("anneal", float),
     ("learning", "n_epoch"): ("n_epoch", int),
@@ -143,26 +99,26 @@ _PARSERS = {
     ("stdp", "eta_w"): ("eta_w", float),
     ("stdp", "beta"): ("beta", float),
     ("stdp", "tau"): ("tau", float),
-    ("stdp", "bio_delay_decay"): ("bio_delay_decay", None),
+    ("stdp", "bio_delay_decay"): ("decay_with_delay", _bool),
     ("stdp", "w_min"): ("w_min", float),
     ("stdp", "w_max"): ("w_max", float),
     ("coding", "t_start"): ("t_start", float),
     ("coding", "t_end"): ("t_end", float),
     ("threshold", "t_target"): ("t_target", float),
     ("threshold", "delta_t"): ("delta_t", float),
-    ("threshold", "t_targets"): ("t_targets", "floats"),
+    ("threshold", "t_targets"): ("t_targets", lambda v: tuple(float(x) for x in v.split())),
     ("threshold", "eta_th"): ("eta_th", float),
     ("threshold", "th_min"): ("th_min", float),
     ("threshold", "v_th_mean"): ("v_th_mean", float),
     ("threshold", "v_th_std"): ("v_th_std", float),
     ("threshold", "v_inh"): ("v_inh", float),
-    ("preprocess", "dog_size"): ("dog_size", int),
-    ("preprocess", "dog_center"): ("dog_center", float),
-    ("preprocess", "dog_surround"): ("dog_surround", float),
-    ("simulation", "inference_inhibition"): ("inference_inhibition", str),
-    ("simulation", "inhibition_scope"): ("inhibition_scope", str),
-    ("simulation", "inhibition_layers"): ("inhibition_layers", str),
-    ("training", "shuffle"): ("shuffle", None),
+    ("preprocess", "dog_size"): ("size", int),
+    ("preprocess", "dog_center"): ("center", float),
+    ("preprocess", "dog_surround"): ("surround", float),
+    ("simulation", "inference_inhibition"): ("mode", str),
+    ("simulation", "inhibition_scope"): ("scope", str),
+    ("simulation", "inhibition_layers"): ("layers", str),
+    ("training", "shuffle"): ("shuffle", _bool),
     ("training", "no_winner"): ("no_winner", str),
     ("training", "prefix_policy"): ("prefix_policy", str),
 }
@@ -176,31 +132,26 @@ def parse_config(text: str, name: str = "config") -> ExperimentConfig:
     except configparser.Error as exc:
         raise ValueError(f"{name}: {exc}") from None
 
-    cfg = ExperimentConfig(name=name)
+    settings, architecture, ensemble = {}, DEFAULT_ARCHITECTURE, ()
     for section in parser.sections():
         if section == "architecture":
-            cfg.architecture = _parse_architecture(parser[section], name)
+            architecture = _parse_architecture(parser[section], name)
             continue
         if section == "ensemble":
-            cfg.ensemble = _parse_ensemble(parser[section], name)
+            ensemble = _parse_ensemble(parser[section], name)
             continue
         for key, value in parser[section].items():
-            spec = _PARSERS.get((section, key))
-            if spec is None:
+            entry = _KEYS.get((section, key))
+            if entry is None:
                 raise ValueError(f"{name}: unknown option [{section}] {key}")
-            attr, conv = spec
+            owner, conv = entry
             try:
-                if conv is None:  # boolean
-                    parsed = parser[section].getboolean(key)
-                elif conv == "floats":
-                    parsed = tuple(float(v) for v in value.split())
-                else:
-                    parsed = conv(value)
-            except ValueError:
+                settings[owner] = conv(value)
+            except (KeyError, ValueError):  # KeyError: not a boolean word
                 raise ValueError(
                     f"{name}: bad value for [{section}] {key}: {value!r}"
                 ) from None
-            setattr(cfg, attr, parsed)
+    cfg = ExperimentConfig(settings.pop("name", name), settings, architecture, ensemble)
     try:
         cfg.validate()
     except ValueError as exc:
@@ -242,8 +193,4 @@ def _parse_ensemble(section, name):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        text = f.read()
-    from pathlib import Path
-
-    return parse_config(text, name=Path(path).stem)
+    return parse_config(Path(path).read_text(), name=Path(path).stem)

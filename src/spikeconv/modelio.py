@@ -36,6 +36,7 @@ _FEATURES_MAGIC = "SPIKECONV FEATURES"
 _VERSION = 1
 # field count of each fixed-length model header line, keyword included
 _HEADER_FIELDS = {"input": 4, "bounds": 3}
+_INT64 = np.iinfo(np.int64)
 
 
 def network_bytes(network: Network) -> bytes:
@@ -86,7 +87,7 @@ def network_from_bytes(data: bytes) -> Network:
     lines = _read_header_lines(buf, _MODEL_MAGIC)
     input_shape = None
     w_min, w_max = 0.0, 1.0
-    layers, targets = [], []
+    layers, targets, layer_lines = [], [], []
     for line in lines:
         fields = line.split()
         key = fields[0] if fields else ""
@@ -96,7 +97,10 @@ def network_from_bytes(data: bytes) -> Network:
             input_shape = Shape3(int(fields[1]), int(fields[2]), int(fields[3]))
         elif key == "bounds":
             w_min, w_max = float(fields[1]), float(fields[2])
+            if not (math.isfinite(w_min) and math.isfinite(w_max) and w_min < w_max):
+                raise ValueError(f"need finite w_min < w_max in header line {line!r}")
         elif key == "layer":
+            layer_lines.append(line)
             if "ttarget" in fields:
                 k = fields.index("ttarget")
                 if k != len(fields) - 2:
@@ -117,21 +121,31 @@ def network_from_bytes(data: bytes) -> Network:
     spec = NetworkSpec(input_shape, layers)
     net = Network(spec, w_min, w_max)
     net.t_targets = targets
+    # every layer's arrays must fit in the bytes left before any is read
+    rest = len(data) - buf.tell()
     for i in spec.trainable_indices():
-        wshape = spec.weight_shape(i)
-        net.weights[i] = _read_array(buf, wshape)
-        net.thresholds[i] = _read_array(buf, (spec.layers[i].maps,))
-    rest = buf.read()
+        size = 8 * (math.prod(spec.weight_shape(i)) + spec.layers[i].maps)
+        if size > rest:
+            raise ValueError(f"truncated parameter arrays: header line "
+                             f"{layer_lines[i]!r} needs {size} bytes, {rest} left")
+        rest -= size
     if rest:
-        raise ValueError(f"{len(rest)} trailing bytes after parameter arrays")
+        raise ValueError(f"{rest} trailing bytes after parameter arrays")
+    for i in spec.trainable_indices():
+        weights = _read_array(buf, spec.weight_shape(i))
+        thresholds = _read_array(buf, (spec.layers[i].maps,))
+        if not np.all((weights >= w_min) & (weights <= w_max)):  # NaN fails too
+            raise ValueError(f"layer {i} weights are NaN or outside the bounds "
+                             f"[{w_min!r}, {w_max!r}]")
+        if not np.all(np.isfinite(thresholds) & (thresholds > 0)):
+            raise ValueError(f"layer {i} thresholds must be finite and > 0")
+        net.weights[i], net.thresholds[i] = weights, thresholds
     return net
 
 
 def _read_array(buf, shape) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = buf.read(count * 8)
-    if len(raw) < count * 8:
-        raise ValueError("truncated parameter arrays")
+    """The next array of ``shape``; callers check the bytes are there."""
+    raw = buf.read(8 * math.prod(shape))
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -224,8 +238,9 @@ def load_svm(path) -> LinearModel:
             values = [int(v) for v in fields[1:]]
         except ValueError:
             values = []
-        # dim: the feature width; class: a label and its non-negative count
-        if len(values) != (1 if key == "dim" else 2) or values[-1] < 0:
+        # dim: the feature width; class: an int64 label and its non-negative count
+        if (len(values) != (1 if key == "dim" else 2) or values[-1] < 0
+                or not all(_INT64.min <= v <= _INT64.max for v in values)):
             raise ValueError(f"malformed header line {line!r}")
         if key == "dim":
             dim = values[0]

@@ -65,13 +65,13 @@ class BiologicalStdp:
     exponent is the negation of the classical leaky form); weight clipping
     keeps it bounded. Set ``decay_with_delay=True`` for the classical
     variant whose steps shrink with the delay. Silent inputs evaluate the
-    exponential at ``t_end``, the latest physically possible spike time.
+    exponential at the coding window's end, the latest physically possible
+    spike time.
     """
 
     eta_w: float = 0.1
     tau: float = 0.1
     decay_with_delay: bool = False
-    t_end: float = 1.0
 
     def __post_init__(self):
         if self.eta_w <= 0:
@@ -97,16 +97,15 @@ class ThresholdParams:
         if self.th_min <= 0:
             raise ValueError("th_min must be positive")
 
-    def scaled(self, factor: float) -> "ThresholdParams":
-        return dataclasses.replace(self, eta_th=self.eta_th * factor)
-
 
 def stdp_delta_array(rule, pre_times: np.ndarray, t_post: float, w: np.ndarray,
-                     w_min: float = 0.0, w_max: float = 1.0) -> np.ndarray:
+                     w_min: float = 0.0, w_max: float = 1.0, *,
+                     t_end: float) -> np.ndarray:
     """Raw weight change of every synapse, before clipping.
 
     ``pre_times`` holds each input's spike time, +inf when it stayed silent
-    this sample; a silent input always lands in the depression branch.
+    this sample; a silent input always lands in the depression branch, and
+    the biological rule times it at the coding window's end ``t_end``.
     """
     pot = np.isfinite(pre_times) & (pre_times <= t_post)
     if isinstance(rule, AdditiveStdp):
@@ -117,7 +116,7 @@ def stdp_delta_array(rule, pre_times: np.ndarray, t_post: float, w: np.ndarray,
         down = rule.eta_w * np.exp(-rule.beta * (w_max - w) / span)
         return np.where(pot, up, -down)
     if isinstance(rule, BiologicalStdp):
-        tp = np.where(np.isfinite(pre_times), pre_times, rule.t_end)
+        tp = np.where(np.isfinite(pre_times), pre_times, t_end)
         gap = np.abs(t_post - tp)
         sign_exp = -1.0 if rule.decay_with_delay else 1.0
         mag = rule.eta_w * np.exp(sign_exp * gap / rule.tau)
@@ -126,14 +125,16 @@ def stdp_delta_array(rule, pre_times: np.ndarray, t_post: float, w: np.ndarray,
 
 
 def apply_stdp(weights: np.ndarray, winner: int, pre_times: np.ndarray,
-               t_post: float, rule, w_min: float = 0.0, w_max: float = 1.0) -> None:
+               t_post: float, rule, w_min: float = 0.0, w_max: float = 1.0, *,
+               t_end: float) -> None:
     """Update the winner's synapses in place and clip into [w_min, w_max].
 
     ``weights`` is the column's (maps, in_maps, F_h, F_w) tensor; only row
-    ``winner`` changes. ``pre_times`` matches one row's shape, +inf = silent.
+    ``winner`` changes. ``pre_times`` matches one row's shape, +inf = silent;
+    ``t_end`` is the coding window's end.
     """
     w = weights[winner]
-    delta = stdp_delta_array(rule, pre_times, t_post, w, w_min, w_max)
+    delta = stdp_delta_array(rule, pre_times, t_post, w, w_min, w_max, t_end=t_end)
     np.clip(w + delta, w_min, w_max, out=w)
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "decode_grid",
     "sum_pool",
     "sparsity",
-    "network_features",
     "extract_features",
     "mean_sparsity",
     "reconstruct_filter",
@@ -68,51 +67,33 @@ def sparsity(y: np.ndarray) -> float:
     return float((rn - np.sum(np.abs(y)) / l2) / (rn - 1.0))
 
 
-def network_features(
-    network: Network,
-    grid: np.ndarray,
-    t_end: float,
-    policy: InhibitionPolicy = NO_INHIBITION,
-    t_target: float | None = None,
-) -> np.ndarray:
-    """Feature vector of one sample: run, decode the last layer, sum-pool."""
-    out_times = forward_times(network, grid, policy)[-1]
-    if t_target is None:
-        t_target = network.output_t_target
-        if t_target is None:
-            raise ValueError("network has no firing target; pass t_target explicitly")
-    return sum_pool(decode_grid(out_times, t_target, t_end))
-
-
 def extract_features(
     networks,
     grids,
     t_end: float = 1.0,
     policy: InhibitionPolicy = NO_INHIBITION,
-    t_targets=None,
 ) -> np.ndarray:
     """Feature matrix of a dataset: per-network features concatenated.
 
     ``networks`` is one network or a list (ensemble members, concatenated in
-    order); ``grids`` the encoded samples. Per-network decode targets default
-    to each network's own output target.
+    order); ``grids`` the encoded samples. Each sample runs through every
+    network, whose last layer is decoded against that network's own output
+    firing target and sum-pooled.
     """
     if isinstance(networks, Network):
         networks = [networks]
     networks = list(networks)
-    if t_targets is None:
-        t_targets = [None] * len(networks)
-    if len(t_targets) != len(networks):
-        raise ValueError(
-            f"got {len(t_targets)} t_targets for {len(networks)} networks"
-        )
+    targets = [net.output_t_target for net in networks]
+    if None in targets:
+        raise ValueError("network has no firing target to decode its output against")
     widths = [n.spec.out_shape.depth for n in networks]
     total = int(np.sum(widths))
     feats = np.zeros((len(grids), total))
     for si, grid in enumerate(grids):
         col = 0
-        for net, tt, w in zip(networks, t_targets, widths):
-            feats[si, col:col + w] = network_features(net, grid, t_end, policy, tt)
+        for net, t_target, w in zip(networks, targets, widths):
+            out_times = forward_times(net, grid, policy)[-1]
+            feats[si, col:col + w] = sum_pool(decode_grid(out_times, t_target, t_end))
             col += w
     return feats
 

@@ -83,6 +83,8 @@ class TrainConfig:
             raise ValueError(
                 f"prefix_policy must be 'none' or 'wta', got {self.prefix_policy!r}"
             )
+        if self.t_targets is not None and self.delta_t != 0.0:
+            raise ValueError("give either explicit t_targets or delta_t, not both")
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
                 thresholds = np.maximum(cfg.th_min, thresholds - nw_step)
                 continue
             apply_stdp(weights, res.winner, patch, res.fire_time, rule,
-                       cfg.w_min, cfg.w_max)
+                       cfg.w_min, cfg.w_max, t_end=cfg.window.t_end)
             thresholds[res.winner] = adapt_threshold_target(
                 thresholds[res.winner], res.fire_time, params
             )

@@ -168,11 +168,12 @@ class DenseSimulator:
 
 
 def stdp_delta(rule, t_pre, t_post: float, w: float,
-               w_min: float = 0.0, w_max: float = 1.0) -> float:
+               w_min: float = 0.0, w_max: float = 1.0, *, t_end: float) -> float:
     """Raw weight change for one synapse, before clipping.
 
     ``t_pre`` is None when the input stayed silent this sample, which always
-    lands in the depression branch.
+    lands in the depression branch; the biological rule times it at the
+    coding window's end ``t_end``.
     """
     from spikeconv.plasticity import AdditiveStdp, BiologicalStdp, MultiplicativeStdp
 
@@ -185,7 +186,7 @@ def stdp_delta(rule, t_pre, t_post: float, w: float,
             return rule.eta_w * np.exp(-rule.beta * (w - w_min) / span)
         return -rule.eta_w * np.exp(-rule.beta * (w_max - w) / span)
     if isinstance(rule, BiologicalStdp):
-        tp = rule.t_end if t_pre is None else t_pre
+        tp = t_end if t_pre is None else t_pre
         gap = abs(t_post - tp)
         sign_exp = -1.0 if rule.decay_with_delay else 1.0
         mag = rule.eta_w * np.exp(sign_exp * gap / rule.tau)

@@ -303,7 +303,7 @@ class TestCriterion6PlasticityBounds:
             shape = (1, batch)
             w = rng.uniform(0, 1, (2,) + shape)
             pre = np.where(rng.random(shape) < 0.3, np.inf, rng.random(shape))
-            apply_stdp(w, 0, pre, float(rng.random()), rule)
+            apply_stdp(w, 0, pre, float(rng.random()), rule, t_end=1.0)
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
             checked += batch
         _report("criterion 6a", True,

@@ -1,29 +1,37 @@
+import configparser
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spikeconv.cli import main
-from spikeconv.config import DEFAULT_ARCHITECTURE, ExperimentConfig, parse_config
+from spikeconv.config import _KEYS, DEFAULT_ARCHITECTURE, ExperimentConfig, parse_config
 from spikeconv.modelio import load_features, load_labels, load_network
-from spikeconv.plasticity import BiologicalStdp
+from spikeconv.plasticity import BiologicalStdp, MultiplicativeStdp
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfigDefaults:
     def test_standard_parameter_set(self):
         cfg = ExperimentConfig().validate()
-        assert cfg.anneal == 0.95 and cfg.n_epoch == 100
-        assert cfg.w_min == 0.0 and cfg.w_max == 1.0 and cfg.eta_w == 0.1
-        assert cfg.beta == 1.0 and cfg.tau == 0.1
-        assert cfg.t_start == 0.0 and cfg.t_end == 1.0
-        assert cfg.t_target == 0.7 and cfg.eta_th == 1.0 and cfg.th_min == 1.0
-        assert cfg.v_th_mean == 5.0 and cfg.v_th_std == 1.0 and cfg.v_inh == 1.0
-        assert cfg.dog_size == 7 and cfg.dog_center == 1.0 and cfg.dog_surround == 4.0
+        tc, pol = cfg.train_config(), cfg.inference_policy()
+        assert tc.anneal == 0.95 and tc.n_epoch == 100
+        assert tc.w_min == 0.0 and tc.w_max == 1.0 and tc.rule.eta_w == 0.1
+        assert tc.rule == BiologicalStdp(0.1, 0.1, decay_with_delay=False)
+        assert MultiplicativeStdp().beta == 1.0
+        assert tc.window.t_start == 0.0 and tc.window.t_end == 1.0
+        assert tc.t_target == 0.7 and tc.eta_th == 1.0 and tc.th_min == 1.0
+        assert tc.v_th_mean == 5.0 and tc.v_th_std == 1.0 and pol.v_inh == 1.0
+        assert (tc.dog.size, tc.dog.center, tc.dog.surround) == (7, 1.0, 4.0)
+        assert pol.mode == "none" and pol.scope == "column" and pol.layers == "all"
         assert cfg.architecture == DEFAULT_ARCHITECTURE
 
     def test_empty_file_is_valid(self):
         cfg = parse_config("")
-        assert isinstance(cfg.rule(), BiologicalStdp)
+        assert isinstance(cfg.train_config().rule, BiologicalStdp)
 
     def test_round_trip_of_sections(self):
         text = """
@@ -42,9 +50,10 @@ layer2 = pool 2 2 4 2 0
 layer3 = fc 3 3 8 1 0
 """
         cfg = parse_config(text)
-        assert cfg.anneal == 0.9 and cfg.n_epoch == 3
-        assert cfg.rule().beta == 2.5
-        assert cfg.t_target == 0.75 and cfg.delta_t == -0.05
+        tc = cfg.train_config()
+        assert tc.anneal == 0.9 and tc.n_epoch == 3
+        assert tc.rule.beta == 2.5
+        assert tc.t_target == 0.75 and tc.delta_t == -0.05
         assert len(cfg.architecture) == 3
         assert cfg.architecture[0].maps == 4
 
@@ -73,8 +82,86 @@ layer3 = fc 3 3 8 1 0
             "[stdp]\nrule = multiplicative  ; saturation-aware\n"
             "[architecture]\nlayer1 = conv 3 3 4 1 0  # first stage\n"
         )
-        assert cfg.rule_name == "multiplicative"
+        assert isinstance(cfg.train_config().rule, MultiplicativeStdp)
         assert cfg.architecture[0].maps == 4
+
+    def test_explicit_targets_and_offset_rejected_together(self):
+        with pytest.raises(ValueError, match="not both"):
+            parse_config("[threshold]\nt_targets = 0.6 0.7\ndelta_t = 0.1\n")
+
+    def test_every_key_reaches_its_object(self):
+        # every key set to a non-default value; a key whose owning field is
+        # misnamed in the table would be dropped and its default kept
+        text = """
+[meta]
+name = everything
+[learning]
+lambda = 0.9
+n_epoch = 3
+[stdp]
+rule = biological
+eta_w = 0.2
+beta = 2.5
+tau = 0.3
+bio_delay_decay = true
+w_min = -0.5
+w_max = 2.0
+[coding]
+t_start = 0.1
+t_end = 1.5
+[threshold]
+t_target = 0.8
+t_targets = 0.6 0.65 0.7
+eta_th = 0.5
+th_min = 0.25
+v_th_mean = 6.0
+v_th_std = 0.5
+v_inh = 0.75
+[preprocess]
+dog_size = 5
+dog_center = 0.5
+dog_surround = 3.0
+[simulation]
+inference_inhibition = soft
+inhibition_scope = layer
+inhibition_layers = output
+[training]
+shuffle = yes
+no_winner = step
+prefix_policy = wta
+"""
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        keys = {(section, key) for section in parser.sections() for key in parser[section]}
+        assert keys | {("threshold", "delta_t")} == set(_KEYS)
+
+        cfg = parse_config(text)
+        tc, pol = cfg.train_config(), cfg.inference_policy()
+        assert cfg.name == "everything"
+        assert (tc.anneal, tc.n_epoch) == (0.9, 3)
+        assert tc.rule == BiologicalStdp(0.2, 0.3, decay_with_delay=True)
+        assert (tc.w_min, tc.w_max) == (-0.5, 2.0)
+        assert (tc.window.t_start, tc.window.t_end) == (0.1, 1.5)
+        assert (tc.t_target, tc.t_targets) == (0.8, (0.6, 0.65, 0.7))
+        assert (tc.eta_th, tc.th_min, tc.v_th_mean, tc.v_th_std) == (0.5, 0.25, 6.0, 0.5)
+        assert (tc.dog.size, tc.dog.center, tc.dog.surround) == (5, 0.5, 3.0)
+        assert (pol.mode, pol.v_inh, pol.scope, pol.layers) == ("soft", 0.75, "layer", "output")
+        assert tc.shuffle is True
+        assert (tc.no_winner, tc.prefix_policy) == ("step", "wta")
+        # the rule-specific and mutually exclusive keys, each in its own file
+        multi = parse_config(text.replace("rule = biological", "rule = multiplicative"))
+        assert multi.train_config().rule == MultiplicativeStdp(0.2, 2.5)
+        offset = parse_config(text.replace("t_targets = 0.6 0.65 0.7", "delta_t = -0.05"))
+        assert offset.train_config().delta_t == -0.05
+
+    @pytest.mark.parametrize("ensemble", [False, True])
+    def test_readme_example_parses(self, ensemble):
+        text = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        if ensemble:
+            text = re.sub(r"^;(\[ensemble\]|member)", r"\1", text, flags=re.M)
+        cfg = parse_config(text)
+        assert cfg.train_config().n_epoch == 20 and len(cfg.architecture) == 5
+        assert cfg.ensemble == (((0.65, 128), (0.70, 128)) if ensemble else ())
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +389,30 @@ class TestCliSweep:
     def test_every_axis_maps_onto_config(self):
         from spikeconv.cli import _sweep_value_config
 
-        base = ExperimentConfig().validate()
-        assert _sweep_value_config(base, "t_target", "0.65").t_target == 0.65
-        assert _sweep_value_config(base, "delta_t", "-0.05").delta_t == -0.05
-        beta = _sweep_value_config(base, "beta", "2.5")
-        assert beta.beta == 2.5 and beta.rule_name == "multiplicative"
-        tau = _sweep_value_config(base, "tau", "0.5")
-        assert tau.tau == 0.5 and tau.rule_name == "biological"
-        pol = _sweep_value_config(base, "policy", "soft")
-        assert pol.inference_inhibition == "soft"
+        def built(axis, value, base=ExperimentConfig().validate()):
+            return _sweep_value_config(base, axis, value).train_config()
+
+        assert built("t_target", "0.65").t_target == 0.65
+        assert built("delta_t", "-0.05").delta_t == -0.05
+        assert built("beta", "2.5").rule == MultiplicativeStdp(0.1, 2.5)
+        assert built("tau", "0.5").rule == BiologicalStdp(0.1, 0.5)
+        pol = _sweep_value_config(ExperimentConfig(), "policy", "soft")
+        assert pol.inference_policy().mode == "soft"
         with pytest.raises(ValueError):
-            _sweep_value_config(base, "policy", "hard")
+            _sweep_value_config(ExperimentConfig(), "policy", "hard")
+
+    def test_sweep_keeps_settings_of_other_rules(self):
+        from spikeconv.cli import _sweep_value_config
+
+        # the biological rule a tau sweep builds keeps the file's delay
+        # variant, set while another rule was selected
+        cfg = parse_config("[stdp]\nrule = multiplicative\nbio_delay_decay = true\n")
+        tau = _sweep_value_config(cfg, "tau", "0.5").train_config().rule
+        assert tau == BiologicalStdp(0.1, 0.5, decay_with_delay=True)
+        assert cfg.settings["rule_name"] == "multiplicative"  # copied, not mutated
+        # beta under the biological rule is accepted and ignored
+        base = parse_config("[stdp]\nrule = biological\nbeta = 3.0\n")
+        assert base.train_config().rule == BiologicalStdp()
 
 
 class TestCliExportFilters:

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spikeconv import LayerSpec, Network, NetworkSpec, Shape3, fit
 from spikeconv.modelio import (
@@ -93,6 +94,49 @@ class TestNetworkContainer:
         with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
             network_from_bytes(blob)
 
+    def test_oversized_layer_rejected_before_reading(self):
+        line = "layer fc 3 3 99999999999999999999 1 0"
+        blob = f"SPIKECONV MODEL 1\ninput 2 3 3\n{line}\nend\n".encode() + bytes(64)
+        with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
+            network_from_bytes(blob)
+
+    @pytest.mark.parametrize("line", ["bounds 0.0 inf", "bounds nan 1.0",
+                                      "bounds 1.0 1.0", "bounds 1.0 0.0"])
+    def test_bad_bounds_rejected(self, line):
+        blob = network_bytes(_net()).replace(b"bounds 0.0 1.0", line.encode())
+        with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
+            network_from_bytes(blob)
+
+    @pytest.mark.parametrize("array, value", [
+        ("weights", np.nan), ("weights", 5.0), ("weights", -0.25),
+        ("thresholds", np.nan), ("thresholds", np.inf), ("thresholds", 0.0),
+        ("thresholds", -3.0),
+    ])
+    def test_bad_parameter_value_rejected(self, array, value):
+        net = _net()
+        getattr(net, array)[2].flat[1] = value
+        with pytest.raises(ValueError, match=f"layer 2 {array}"):
+            network_from_bytes(network_bytes(net))
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_mutated_model_loads_or_raises_value_error(self, data):
+        blob = bytearray(network_bytes(_net()))
+        # half the edits land in the header, where a byte changes the layout
+        header = blob.index(b"end\n") + 4
+        pos = data.draw(st.one_of(st.integers(0, header - 1),
+                                  st.integers(0, len(blob) - 1)))
+        blob[pos] = data.draw(st.integers(0, 255))
+        try:
+            net = network_from_bytes(bytes(blob))
+        except ValueError:
+            return
+        # what loads is a usable model: weights inside the bounds, thresholds > 0
+        for i in net.spec.trainable_indices():
+            assert np.all((net.weights[i] >= net.w_min) & (net.weights[i] <= net.w_max))
+            assert np.all(np.isfinite(net.thresholds[i]) & (net.thresholds[i] > 0))
+
     def test_unready_network_rejected(self):
         spec = NetworkSpec(Shape3(1, 2, 2), [LayerSpec("conv", 2, 2, 1, 1, 0)])
         with pytest.raises(ValueError, match="uninitialized"):
@@ -167,7 +211,10 @@ class TestSvmContainer:
         assert np.array_equal(back.class_counts, model.class_counts)
 
     @pytest.mark.parametrize("line", ["", "class 1 ", "class 1 2 3", "class x 2",
-                                      "class 1 -2", "dim", "dim 6 6", "dim -1"])
+                                      "class 1 -2", "dim", "dim 6 6", "dim -1",
+                                      "class 100000000000000000000000 3",
+                                      "class -9223372036854775809 3",
+                                      "class 1 9223372036854775808"])
     def test_malformed_header_line_rejected(self, tmp_path, line):
         p = tmp_path / "svm.spkmod"
         p.write_bytes(f"SPIKECONV SVM 1\ndim 2\n{line}\nclass 0 4\nend\n".encode()

@@ -17,10 +17,10 @@ from oracles import stdp_delta
 SILENT = np.inf
 
 
-def _delta(rule, pre, t_post, w):
+def _delta(rule, pre, t_post, w, t_end=1.0):
     """stdp_delta_array over scalars or lists; SILENT marks a silent input."""
     return stdp_delta_array(rule, np.asarray(pre, dtype=float), t_post,
-                            np.asarray(w, dtype=float))
+                            np.asarray(w, dtype=float), t_end=t_end)
 
 
 class TestStdpDelta:
@@ -49,16 +49,18 @@ class TestStdpDelta:
         assert 0 < far < near
 
     def test_biological_silent_input_uses_latest_time(self):
-        rule = BiologicalStdp(0.1, 0.1, t_end=1.0)
+        rule = BiologicalStdp(0.1, 0.1)
         silent, late = _delta(rule, [SILENT, 1.0], 0.7, 0.5)
         assert silent == pytest.approx(late)
         assert silent < 0
+        # the latest time is the end of the window the caller codes in
+        silent, late = _delta(rule, [SILENT, 2.0], 0.7, 0.5, t_end=2.0)
+        assert silent == pytest.approx(late)
 
     def test_silent_input_depresses_even_at_t_end(self):
         # a silent line must not slip into the potentiation branch when the
         # neuron fires exactly at the end of the window
-        rule = BiologicalStdp(0.1, 0.1, t_end=1.0)
-        assert _delta(rule, SILENT, 1.0, 0.5) < 0
+        assert _delta(BiologicalStdp(0.1, 0.1), SILENT, 1.0, 0.5) < 0
 
     def test_scalar_and_array_agree(self):
         rng = np.random.default_rng(5)
@@ -66,24 +68,26 @@ class TestStdpDelta:
         w = rng.random(64)
         for rule in (AdditiveStdp(0.07), MultiplicativeStdp(0.1, 2.3),
                      BiologicalStdp(0.1, 0.2), BiologicalStdp(0.1, 0.2, True)):
-            arr = stdp_delta_array(rule, pre, 0.6, w)
-            ref = [stdp_delta(rule, None if not np.isfinite(p) else float(p), 0.6, float(ww))
-                   for p, ww in zip(pre, w)]
-            assert np.allclose(arr, ref, atol=1e-15)
+            for t_end in (1.0, 1.5):
+                arr = stdp_delta_array(rule, pre, 0.6, w, t_end=t_end)
+                ref = [stdp_delta(rule, None if not np.isfinite(p) else float(p), 0.6,
+                                  float(ww), t_end=t_end)
+                       for p, ww in zip(pre, w)]
+                assert np.allclose(arr, ref, atol=1e-15)
 
 
 class TestApplyStdp:
     def test_additive_moves_toward_max_when_all_inputs_early(self):
         w = np.full((2, 1, 2, 2), 0.5)
         pre = np.full((1, 2, 2), 0.1)
-        apply_stdp(w, 0, pre, 0.5, AdditiveStdp(0.1))
+        apply_stdp(w, 0, pre, 0.5, AdditiveStdp(0.1), t_end=1.0)
         assert np.allclose(w[0], 0.6)
         assert np.allclose(w[1], 0.5)  # non-winner untouched
 
     def test_additive_moves_toward_min_when_silent(self):
         w = np.full((1, 1, 2, 2), 0.05)
         pre = np.full((1, 2, 2), np.inf)
-        apply_stdp(w, 0, pre, 0.5, AdditiveStdp(0.1))
+        apply_stdp(w, 0, pre, 0.5, AdditiveStdp(0.1), t_end=1.0)
         assert np.allclose(w[0], 0.0)  # clipped at the bound
 
     def test_multiplicative_reference_grid(self):
@@ -95,7 +99,7 @@ class TestApplyStdp:
         pre = np.array([[[0.1, 0.5, np.inf],
                          [0.7, 0.2, 0.9],
                          [np.inf, 0.65, 0.3]]])
-        apply_stdp(w, 0, pre, 0.6, MultiplicativeStdp(0.1, 2.0))
+        apply_stdp(w, 0, pre, 0.6, MultiplicativeStdp(0.1, 2.0), t_end=1.0)
         expected = np.array([[[0.80101361, 0.63952302, 0.65401016],
                               [0.07379742, 0.6583654, 0.88392106],
                               [0.38865138, 0.09313619, 0.9746607]]])
@@ -150,7 +154,7 @@ class TestBoundsProperties:
             rule = rules[int(rng.integers(len(rules)))]
             w = rng.uniform(0, 1, (3, 2, 2, 2))
             pre = np.where(rng.random((2, 2, 2)) < 0.3, np.inf, rng.random((2, 2, 2)))
-            apply_stdp(w, int(rng.integers(3)), pre, float(rng.random()), rule)
+            apply_stdp(w, int(rng.integers(3)), pre, float(rng.random()), rule, t_end=1.0)
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
     def test_thresholds_never_below_floor(self):

@@ -141,10 +141,11 @@ class TestExtractFeatures:
         solo = extract_features(nets[1], grids)
         assert np.allclose(feats[:, 2:], solo)
 
-    def test_t_target_count_validated(self):
-        net = _feature_net()
-        with pytest.raises(ValueError):
-            extract_features([net], [np.full((2, 4, 4), np.inf)], t_targets=[0.5, 0.6])
+    def test_network_without_firing_target_rejected(self):
+        untargeted = _feature_net()
+        untargeted.t_targets = [None] * len(untargeted.t_targets)
+        with pytest.raises(ValueError, match="no firing target"):
+            extract_features([_feature_net(), untargeted], [np.full((2, 4, 4), np.inf)])
 
     def test_sum_pool_applied_for_multi_column_output(self):
         spec = NetworkSpec(Shape3(1, 4, 4), [LayerSpec("conv", 2, 2, 3, 2, 0)])

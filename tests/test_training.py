@@ -3,6 +3,8 @@ import pytest
 
 from spikeconv import (
     AdditiveStdp,
+    BiologicalStdp,
+    CodingWindow,
     EnsembleMember,
     LayerSpec,
     MultiplicativeStdp,
@@ -127,6 +129,22 @@ class TestTrainLayer:
         _, th = train_layer(spec, 0, [grid], cfg, RngStreams(2), 0.7)
         assert np.allclose(th, 50.0 - 1.0 / 4.0)
 
+    def test_silent_inputs_timed_at_the_window_end(self):
+        # the biological rule times a silent input at the end of the coding
+        # window the layer trains in: 2.0 here
+        spec = NetworkSpec(Shape3(1, 2, 2), [LayerSpec("conv", 2, 2, 1, 1, 0)])
+        grid = np.array([[[0.1, 0.2], [np.inf, np.inf]]])
+        cfg = TrainConfig(n_epoch=1, rule=BiologicalStdp(0.01, 1.0),
+                          window=CodingWindow(0.0, 2.0),
+                          v_th_mean=0.01, v_th_std=0.0, th_min=0.01)
+        w0 = RngStreams(4).stream("weights", 0).uniform(0, 1, (1, 1, 2, 2))
+        w, _ = train_layer(spec, 0, [grid], cfg, RngStreams(4), 0.7)
+        assert w0[0, 0, 0, 0] >= 0.01  # the first input alone fires the neuron
+        t_post = 0.1
+        for y, x in ((1, 0), (1, 1)):
+            want = max(0.0, w0[0, 0, y, x] - 0.01 * np.exp(2.0 - t_post))
+            assert w[0, 0, y, x] == pytest.approx(want, abs=1e-15)
+
 
 class TestTrainNetwork:
     def test_trains_every_trainable_layer(self):
@@ -203,6 +221,10 @@ class TestTTargets:
         assert layer_t_targets(spec, cfg) == pytest.approx([0.3, 0.9])
         with pytest.raises(ValueError):
             layer_t_targets(spec, TrainConfig(t_targets=(0.3,)))
+
+    def test_explicit_targets_and_offset_rejected_together(self):
+        with pytest.raises(ValueError, match="not both"):
+            TrainConfig(t_targets=(0.3, 0.9), delta_t=0.05)
 
 
 class TestEnsemble:
