@@ -3,12 +3,11 @@ target-timestamp threshold adaptation: encoder, simulator, trainer,
 readout, linear-SVM evaluation and a CLI.
 """
 
-from .core import RngStreams, Shape3, SpikeEvent
+from .core import RngStreams, Shape3
 from .encoding import (
     CodingWindow,
     DoGParams,
     dog_filter,
-    encode_image,
     encode_image_grid,
     gaussian_kernel,
     split_channels,
@@ -36,7 +35,6 @@ from .simulate import (
     InhibitionPolicy,
     column_response,
     forward_times,
-    run_sample,
 )
 from .svm import LinearModel, accuracy, fit, predict
 from .training import (

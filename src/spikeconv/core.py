@@ -1,55 +1,18 @@
-"""Shared primitive types: spike events, shapes, seeded random streams.
+"""Shared primitive types: shapes and seeded random streams.
 
-Spikes are Dirac impulses carrying a timestamp and a voltage. Every module
-in the package exchanges them either as :class:`SpikeEvent` lists (API
-boundary) or as dense fire-time grids (internal hot paths).
+Every module in the package exchanges spikes as fire-time grids: a
+(maps, H, W) float array holding each site's one spike time per sample,
++inf where the site stays silent.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SpikeEvent",
-    "Shape3",
-    "RngStreams",
-    "times_to_events",
-]
-
-
-@dataclass(frozen=True, order=True)
-class SpikeEvent:
-    """A timestamped impulse at a (layer, map, x, y) site.
-
-    Field order defines the total event order: (time, layer, map, y, x).
-    ``voltage`` is the pre-synaptic amplitude (1.0 for raw spikes); it does
-    not participate in ordering.
-    """
-
-    time: float
-    layer: int
-    map: int
-    y: int
-    x: int
-    voltage: float = field(default=1.0, compare=False)
-
-    def __post_init__(self):
-        if not np.isfinite(self.voltage):
-            raise ValueError(f"spike voltage must be finite, got {self.voltage}")
-        if not np.isfinite(self.time):
-            raise ValueError(f"spike time must be finite, got {self.time}")
-
-
-def times_to_events(times: np.ndarray, layer: int) -> list[SpikeEvent]:
-    """Unpack a (maps, H, W) fire-time grid (+inf = silent) into sorted events."""
-    events = []
-    for m, y, x in zip(*np.nonzero(np.isfinite(times))):
-        events.append(SpikeEvent(float(times[m, y, x]), layer, int(m), int(y), int(x)))
-    events.sort()
-    return events
+__all__ = ["Shape3", "RngStreams"]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpikeEvent, times_to_events
-
 __all__ = [
     "DoGParams",
     "CodingWindow",
@@ -22,7 +20,6 @@ __all__ = [
     "dog_kernel",
     "dog_filter",
     "split_channels",
-    "encode_image",
     "encode_image_grid",
 ]
 
@@ -42,9 +39,9 @@ class DoGParams:
     def __post_init__(self):
         if self.size < 1 or self.size % 2 == 0:
             raise ValueError(f"DoG size must be odd and >= 1, got {self.size}")
-        if not (0 < self.center < self.surround):
+        if not (0 < self.center < self.surround < np.inf):
             raise ValueError(
-                f"need 0 < center < surround, got {self.center}, {self.surround}"
+                f"need 0 < center < surround < inf, got {self.center}, {self.surround}"
             )
 
 
@@ -56,8 +53,8 @@ class CodingWindow:
     t_end: float = 1.0
 
     def __post_init__(self):
-        if not self.t_start < self.t_end:
-            raise ValueError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
+        if not -np.inf < self.t_start < self.t_end < np.inf:
+            raise ValueError(f"need finite t_start < t_end, got {self.t_start}, {self.t_end}")
 
     @property
     def span(self) -> float:
@@ -133,11 +130,3 @@ def encode_image_grid(
     times[active] = window.t_start + (1.0 - values[active]) * window.span
     return times
 
-
-def encode_image(
-    image: np.ndarray,
-    params: DoGParams = DoGParams(),
-    window: CodingWindow = CodingWindow(),
-) -> list[SpikeEvent]:
-    """Encode an image into sorted layer-0 spike events over on/off maps."""
-    return times_to_events(encode_image_grid(image, params, window), 0)

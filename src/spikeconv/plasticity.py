@@ -33,8 +33,8 @@ class AdditiveStdp:
     eta_w: float = 0.1
 
     def __post_init__(self):
-        if self.eta_w <= 0:
-            raise ValueError("eta_w must be positive")
+        if not 0 < self.eta_w < np.inf:
+            raise ValueError(f"eta_w must be positive and finite, got {self.eta_w}")
 
     def scaled(self, factor: float) -> "AdditiveStdp":
         return dataclasses.replace(self, eta_w=self.eta_w * factor)
@@ -48,10 +48,10 @@ class MultiplicativeStdp:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.eta_w <= 0:
-            raise ValueError("eta_w must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.eta_w < np.inf:
+            raise ValueError(f"eta_w must be positive and finite, got {self.eta_w}")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     def scaled(self, factor: float) -> "MultiplicativeStdp":
         return dataclasses.replace(self, eta_w=self.eta_w * factor)
@@ -74,10 +74,10 @@ class BiologicalStdp:
     decay_with_delay: bool = False
 
     def __post_init__(self):
-        if self.eta_w <= 0:
-            raise ValueError("eta_w must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.eta_w < np.inf:
+            raise ValueError(f"eta_w must be positive and finite, got {self.eta_w}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     def scaled(self, factor: float) -> "BiologicalStdp":
         return dataclasses.replace(self, eta_w=self.eta_w * factor)
@@ -92,10 +92,12 @@ class ThresholdParams:
     th_min: float = 1.0
 
     def __post_init__(self):
-        if self.eta_th <= 0:
-            raise ValueError("eta_th must be positive")
-        if self.th_min <= 0:
-            raise ValueError("th_min must be positive")
+        if not np.isfinite(self.t_target):
+            raise ValueError(f"t_target must be finite, got {self.t_target}")
+        if not 0 < self.eta_th < np.inf:
+            raise ValueError(f"eta_th must be positive and finite, got {self.eta_th}")
+        if not 0 < self.th_min < np.inf:
+            raise ValueError(f"th_min must be positive and finite, got {self.th_min}")
 
 
 def stdp_delta_array(rule, pre_times: np.ndarray, t_post: float, w: np.ndarray,
@@ -144,24 +146,20 @@ def adapt_threshold_target(v_th: float, t_fire: float, params: ThresholdParams) 
 
 
 def adapt_threshold_wta(thresholds: np.ndarray, fire_times,
-                        eta_th: float, th_min: float,
-                        loser_step: float | None = None) -> np.ndarray:
+                        eta_th: float, th_min: float) -> np.ndarray:
     """Homeostasis step: raise the winner by eta, lower everyone else.
 
-    The winner is the earliest fire time, ties to the lowest index; the
-    losers drop by ``loser_step`` (default eta/N). At least one neuron must
-    have fired. Note the N-neuron cycle of this update injects a net
-    +eta/N of threshold per sample with the default step; callers that need
-    the timing rule's fixed point to sit exactly at its target can pass
-    ``loser_step=eta/(N-1)``, which makes the cycle sum to zero.
+    The winner is the earliest fire time, ties to the lowest index; the N-1
+    losers drop by eta/(N-1), so one cycle of the update sums to zero and
+    the timing rule's fixed point sits exactly at its target. At least one
+    neuron must have fired.
     """
     n = len(thresholds)
     keyed = [(t, i) for i, t in enumerate(fire_times) if t is not None]
     if not keyed:
         raise ValueError("adapt_threshold_wta needs at least one fired neuron")
     winner = min(keyed)[1]
-    if loser_step is None:
-        loser_step = eta_th / n
+    loser_step = eta_th / (n - 1) if n > 1 else 0.0  # a lone neuron has no loser
     out = np.asarray(thresholds, dtype=np.float64) - loser_step
     out[winner] = thresholds[winner] + eta_th
     return np.maximum(th_min, out)

@@ -70,13 +70,14 @@ def sparsity(y: np.ndarray) -> float:
 def extract_features(
     networks,
     grids,
-    t_end: float = 1.0,
+    t_end: float,
     policy: InhibitionPolicy = NO_INHIBITION,
 ) -> np.ndarray:
     """Feature matrix of a dataset: per-network features concatenated.
 
     ``networks`` is one network or a list (ensemble members, concatenated in
-    order); ``grids`` the encoded samples. Each sample runs through every
+    order); ``grids`` the encoded samples; ``t_end`` the end of the coding
+    window the networks were trained on. Each sample runs through every
     network, whose last layer is decoded against that network's own output
     firing target and sum-pooled.
     """

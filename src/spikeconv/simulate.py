@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import SpikeEvent, Shape3, times_to_events
+from .core import Shape3
 from .network import Network, LayerSpec, POOL
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "NO_INHIBITION",
     "forward_layer",
     "forward_times",
-    "run_sample",
-    "events_to_times",
     "column_response",
     "ColumnResult",
 ]
@@ -84,8 +82,8 @@ class InhibitionPolicy:
             raise ValueError(f"unknown inhibition scope {self.scope!r}")
         if self.layers not in ("all", "output"):
             raise ValueError(f"unknown inhibition layer selector {self.layers!r}")
-        if self.v_inh < 0:
-            raise ValueError(f"v_inh must be >= 0, got {self.v_inh}")
+        if not 0 <= self.v_inh < np.inf:
+            raise ValueError(f"v_inh must be finite and >= 0, got {self.v_inh}")
 
 
 NO_INHIBITION = InhibitionPolicy("none")
@@ -366,9 +364,13 @@ def forward_times(
     """Run one sample through every layer; returns per-layer fire-time grids.
 
     ``input_times`` is a (depth, H, W) array of spike timestamps with +inf
-    marking silent sites. Inhibition applies to trainable layers only;
-    pooling is a fixed passthrough.
+    marking silent sites; NaN or -inf input is rejected. Inhibition applies
+    to trainable layers only; pooling is a fixed passthrough.
     """
+    bad = ~(input_times > -np.inf)  # true at NaN and -inf
+    if bad.any():
+        kind = "NaN" if np.isnan(input_times[bad]).any() else "-inf"
+        raise ValueError(f"input spike times contain {kind}; +inf marks a silent site")
     network.require_ready()
     grids = []
     times = input_times
@@ -376,36 +378,6 @@ def forward_times(
         times = forward_layer(network, i, times, policy)
         grids.append(times)
     return grids
-
-
-def events_to_times(events, shape: Shape3, layer: int = 0) -> np.ndarray:
-    """Validate spike events and pack them into a fire-time grid."""
-    times = np.full(shape.astuple(), np.inf)
-    for e in events:
-        if e.layer != layer:
-            raise ValueError(f"event targets layer {e.layer}, expected {layer}: {e}")
-        if not (0 <= e.map < shape.depth and 0 <= e.y < shape.height and 0 <= e.x < shape.width):
-            raise ValueError(
-                f"event site (map={e.map}, y={e.y}, x={e.x}) outside field "
-                f"{shape.astuple()}: {e}"
-            )
-        if e.voltage != 1.0:
-            raise ValueError(f"input spikes are unit-voltage (synapses modulate): {e}")
-        if np.isfinite(times[e.map, e.y, e.x]):
-            raise ValueError(f"duplicate spike at site (map={e.map}, y={e.y}, x={e.x})")
-        times[e.map, e.y, e.x] = e.time
-    return times
-
-
-def run_sample(
-    network: Network,
-    events,
-    policy: InhibitionPolicy = NO_INHIBITION,
-) -> list[list[SpikeEvent]]:
-    """Simulate one sample; returns the spikes emitted by every layer."""
-    times = events_to_times(events, network.spec.input_shape, layer=0)
-    grids = forward_times(network, times, policy)
-    return [times_to_events(g, i + 1) for i, g in enumerate(grids)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each binary subproblem is solved by dual coordinate descent with a seeded
 coordinate order and a fixed pass budget, so fitting is exactly
-reproducible. Features are used raw; C defaults to 1 and is not tuned.
+reproducible. Features are used raw, the hyperplanes pass through the origin
+(bias 0), and C defaults to 1 and is not tuned.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class LinearModel:
 
 
 def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0, seed: int = 0,
-        max_passes: int = 40, tol: float = 1e-4, fit_intercept: bool = False) -> LinearModel:
+        max_passes: int = 40, tol: float = 1e-4) -> LinearModel:
     """Train one-vs-rest linear SVMs on a feature matrix.
 
     Deterministic given (data, seed): coordinate orders are drawn from the
@@ -46,8 +47,6 @@ def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0, seed: int = 0,
     if len(classes) < 2:
         raise ValueError("need at least two classes to fit a classifier")
 
-    if fit_intercept:
-        x = np.hstack([x, np.ones((x.shape[0], 1))])
     d = x.shape[1]
     sq = np.einsum("ij,ij->i", x, x)
 
@@ -57,12 +56,7 @@ def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0, seed: int = 0,
         yb = np.where(y == cls, 1.0, -1.0)
         weights[ci] = _dual_cd(x, yb, sq, c, rng, max_passes, tol)
 
-    if fit_intercept:
-        bias = weights[:, -1].copy()
-        weights = weights[:, :-1].copy()
-    else:
-        bias = np.zeros(len(classes))
-    return LinearModel(classes, weights, bias, counts)
+    return LinearModel(classes, weights, np.zeros(len(classes)), counts)
 
 
 def _dual_cd(x, y, sq, c, rng, max_passes, tol):

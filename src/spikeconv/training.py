@@ -85,6 +85,15 @@ class TrainConfig:
             )
         if self.t_targets is not None and self.delta_t != 0.0:
             raise ValueError("give either explicit t_targets or delta_t, not both")
+        ThresholdParams(self.t_target, self.eta_th, self.th_min)  # checks those three
+        for name in ("delta_t", "v_th_mean", "v_th_std", "w_min", "w_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (self.v_th_std >= 0 and self.w_min < self.w_max):
+            raise ValueError(f"need v_th_std >= 0 and w_min < w_max, got "
+                             f"{self.v_th_std}, {self.w_min}, {self.w_max}")
+        if self.t_targets is not None and not np.all(np.isfinite(self.t_targets)):
+            raise ValueError(f"t_targets must be finite, got {self.t_targets}")
 
 
 @dataclass(frozen=True)
@@ -217,10 +226,6 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
         rule = cfg.rule.scaled(decay)
         params = ThresholdParams(t_target, cfg.eta_th * decay, cfg.th_min)
         nw_step = params.eta_th if cfg.no_winner == "step" else params.eta_th / d_out
-        # balanced homeostasis cycle: the losers give back exactly what the
-        # winner gains, so the timing rule's stationary point is the target
-        # itself instead of target + eta_th/N
-        loser_step = params.eta_th / (d_out - 1) if d_out > 1 else None
 
         order = order_rng.permutation(n) if cfg.shuffle else range(n)
         wins = np.zeros(d_out, dtype=np.int64)
@@ -244,7 +249,7 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
             fire_times = [None] * d_out
             fire_times[res.winner] = res.fire_time
             thresholds = adapt_threshold_wta(
-                thresholds, fire_times, params.eta_th, params.th_min, loser_step
+                thresholds, fire_times, params.eta_th, params.th_min
             )
             wins[res.winner] += 1
             time_sum += res.fire_time

@@ -58,7 +58,8 @@ class DenseSimulator:
     a layer's events are delivered one at a time in (map, y, x) order, and
     after each delivery every neuron of the target layer is scanned for
     threshold crossings, which resolve in (map, y, x) order with inhibition
-    applied between firings.
+    applied between firings. It reads and returns fire-time grids (+inf =
+    silent) and builds its own per-tick delivery lists in between.
     """
 
     def __init__(self, network, policy=None):
@@ -69,7 +70,8 @@ class DenseSimulator:
         self.spec = network.spec
         self._no_policy = NO_INHIBITION
 
-    def simulate(self, events):
+    def simulate(self, grid):
+        """Per-layer output fire-time grids for one input grid."""
         spec = self.spec
         n_layers = len(spec.layers)
         v = []
@@ -83,12 +85,16 @@ class DenseSimulator:
                 suppressed.append(np.zeros(shp[1:], dtype=bool))
             else:
                 suppressed.append(np.zeros((1, 1), dtype=bool))
-        outputs = [[] for _ in range(n_layers)]
+        outputs = [np.full(spec.shapes[li + 1].astuple(), np.inf) for li in range(n_layers)]
 
         pending = {}
-        for e in events:
-            tick = int(round(e.time / TICK))
-            pending.setdefault(tick, {}).setdefault(0, []).append((e.map, e.y, e.x))
+        depth, height, width = grid.shape
+        for m in range(depth):
+            for y in range(height):
+                for x in range(width):
+                    if grid[m, y, x] < np.inf:
+                        tick = int(round(grid[m, y, x] / TICK))
+                        pending.setdefault(tick, {}).setdefault(0, []).append((m, y, x))
 
         for tick in sorted(pending):
             stages = pending[tick]
@@ -98,7 +104,7 @@ class DenseSimulator:
                 for site in sorted(stages[src]):
                     fires = self._deliver(src, site, v, fired, suppressed)
                     for out_site in fires:
-                        outputs[src].append((tick * TICK,) + out_site)
+                        outputs[src][out_site] = tick * TICK
                         if src + 1 < n_layers:
                             stages.setdefault(src + 1, []).append(out_site)
         return outputs

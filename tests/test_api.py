@@ -1,10 +1,14 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spikeconv
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(spikeconv.__path__))
 
 
@@ -21,3 +25,13 @@ def test_all_names_resolve_and_star_import_works(name):
     exec(f"from spikeconv.{name} import *", namespace)
     for n in getattr(module, "__all__", ()):
         assert namespace[n] is getattr(module, n)
+
+
+def test_readme_quick_tour_runs():
+    # the first Python block of the README, run as written on a few images
+    code = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    rng = np.random.default_rng(0)
+    namespace = {"images": rng.random((6, 28, 28)), "labels": np.arange(6) % 2}
+    exec(code, namespace)
+    assert namespace["feats"].shape == (6, 512)
+    assert len(namespace["layers"]) == 5

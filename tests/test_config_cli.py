@@ -65,6 +65,15 @@ layer3 = fc 3 3 8 1 0
         with pytest.raises(ValueError, match=r"\[learning\] n_epoch"):
             parse_config("[learning]\nn_epoch = many\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", [k for k, (_, conv) in _KEYS.items()
+                                             if conv is float])
+    def test_non_finite_value_rejected_with_field(self, section, key, value):
+        # beta is read only by the multiplicative rule
+        rule = "rule = multiplicative\n" if key == "beta" else ""
+        with pytest.raises(ValueError, match=_KEYS[(section, key)][0]):
+            parse_config(f"[{section}]\n{rule}{key} = {value}\n")
+
     def test_invalid_stride_rejected_before_training(self):
         with pytest.raises(ValueError, match="stride"):
             parse_config("[architecture]\nlayer1 = conv 3 3 4 0 0\n")

@@ -1,46 +1,7 @@
 import numpy as np
 import pytest
 
-from spikeconv import RngStreams, Shape3, SpikeEvent
-
-
-class TestEventOrder:
-    def test_time_dominates(self):
-        a = SpikeEvent(0.2, 0, 0, 0, 0)
-        b = SpikeEvent(0.3, 0, 0, 0, 0)
-        assert a < b and not b < a
-        assert sorted([b, a]) == [a, b]
-
-    def test_map_tiebreak_at_equal_time(self):
-        a = SpikeEvent(0.5, 1, 0, 3, 3)
-        b = SpikeEvent(0.5, 1, 1, 0, 0)
-        assert a < b and not b < a
-
-    def test_identical_tuples_equal(self):
-        a = SpikeEvent(0.5, 1, 2, 3, 4)
-        b = SpikeEvent(0.5, 1, 2, 3, 4, voltage=0.25)  # voltage not ordered
-        assert not a < b and not b < a
-        assert a == b
-
-    def test_sorting_is_permutation_independent(self):
-        rng = np.random.default_rng(7)
-        events = [
-            SpikeEvent(float(rng.integers(5)) / 4, int(rng.integers(2)),
-                       int(rng.integers(3)), int(rng.integers(3)), int(rng.integers(3)))
-            for _ in range(200)
-        ]
-        ref = sorted(events)
-        keys = [(e.time, e.layer, e.map, e.y, e.x) for e in ref]
-        assert keys == sorted(keys)  # the order is (time, layer, map, y, x)
-        for _ in range(5):
-            perm = [events[i] for i in rng.permutation(len(events))]
-            assert sorted(perm) == ref
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SpikeEvent(np.inf, 0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            SpikeEvent(0.5, 0, 0, 0, 0, voltage=np.nan)
+from spikeconv import RngStreams, Shape3
 
 
 class TestShape3:

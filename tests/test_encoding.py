@@ -6,7 +6,6 @@ from spikeconv import (
     DoGParams,
     decode_grid,
     dog_filter,
-    encode_image,
     encode_image_grid,
     gaussian_kernel,
     split_channels,
@@ -160,28 +159,20 @@ class TestEncodeLatency:
 
 class TestEncodeImage:
     def test_blank_image_is_silent(self):
-        assert encode_image(np.zeros((9, 9))) == []
+        assert np.all(encode_image_grid(np.zeros((9, 9))) == np.inf)
 
     def test_times_inside_window(self):
         rng = np.random.default_rng(11)
         w = CodingWindow(0.2, 0.9)
-        events = encode_image(rng.random((12, 12)), window=w)
-        assert events
-        assert all(w.t_start <= e.time <= w.t_end for e in events)
+        grid = encode_image_grid(rng.random((12, 12)), window=w)
+        times = grid[np.isfinite(grid)]
+        assert times.size
+        assert np.all((w.t_start <= times) & (times <= w.t_end))
 
     def test_channel_exclusivity(self):
         rng = np.random.default_rng(12)
-        events = encode_image(rng.random((10, 10)))
-        seen = {}
-        for e in events:
-            assert seen.setdefault((e.y, e.x), e.map) == e.map
-
-    def test_sorted_and_single_spike_per_site(self):
-        rng = np.random.default_rng(13)
-        events = encode_image(rng.random((8, 8)))
-        assert events == sorted(events)
-        sites = [(e.map, e.y, e.x) for e in events]
-        assert len(sites) == len(set(sites))
+        grid = encode_image_grid(rng.random((10, 10)))
+        assert np.all(np.isfinite(grid).sum(axis=0) <= 1)
 
     def test_fixed_image_matches_composition_oracle(self):
         # independent composition: nested-loop convolution, rectify,
@@ -189,37 +180,25 @@ class TestEncodeImage:
         img = (np.arange(64, dtype=float).reshape(8, 8) % 7) / 6.0
         dog = naive_conv2d_same(img, dog_kernel(DoGParams()))
         peak = np.abs(dog).max()
-        expected = []
+        want = {}
         for y in range(8):
             for x in range(8):
                 v = dog[y, x] / peak
                 if v > 0:
-                    expected.append((1.0 - v, 0, y, x))
+                    want[(0, y, x)] = 1.0 - v
                 elif v < 0:
-                    expected.append((1.0 + v, 1, y, x))
-        expected.sort()
+                    want[(1, y, x)] = 1.0 + v
 
-        events = encode_image(img)
-        assert len(events) == len(expected) == 64  # frozen
-        assert events == sorted(events)
-        got = {(e.map, e.y, e.x): e.time for e in events}
-        want = {(m, y, x): t for t, m, y, x in expected}
+        grid = encode_image_grid(img)
+        got = {site: grid[site] for site in zip(*np.nonzero(np.isfinite(grid)))}
+        assert len(got) == len(want) == 64  # frozen
         assert got.keys() == want.keys()
         for site, t in want.items():
             assert abs(got[site] - t) < 1e-12
-        assert (events[0].time, events[0].map, events[0].y, events[0].x) == (0.0, 0, 6, 6)
-        assert sum(e.time for e in events) == pytest.approx(
-            41.264039689891604, abs=1e-9
-        )
-
-    def test_grid_agrees_with_event_list(self):
-        rng = np.random.default_rng(14)
-        img = rng.random((10, 10))
-        grid = encode_image_grid(img)
-        events = encode_image(img)
-        assert len(events) == int(np.isfinite(grid).sum())
-        for e in events:
-            assert grid[e.map, e.y, e.x] == e.time
+        # the first spike in (time, map, y, x) order
+        assert grid.min() == 0.0
+        assert np.unravel_index(np.argmin(grid), grid.shape) == (0, 6, 6)
+        assert sum(got.values()) == pytest.approx(41.264039689891604, abs=1e-9)
 
 
 class TestDoGParams:

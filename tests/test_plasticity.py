@@ -125,7 +125,9 @@ class TestThresholdWta:
         th = np.array([5.0, 5.0, 5.0, 5.0])
         fires = [None, None, 0.4, None]
         out = adapt_threshold_wta(th, fires, 1.0, 1.0)
-        assert np.allclose(out, [4.75, 4.75, 6.0, 4.75])
+        # the three losers give back exactly the winner's gain
+        assert np.allclose(out, [5.0 - 1 / 3, 5.0 - 1 / 3, 6.0, 5.0 - 1 / 3])
+        assert out.sum() == pytest.approx(th.sum())
 
     def test_loser_floor(self):
         out = adapt_threshold_wta(np.array([2.0, 1.0]), [0.3, None], 1.0, 1.0)
@@ -138,7 +140,7 @@ class TestThresholdWta:
     def test_earliest_fire_wins_with_index_tiebreak(self):
         out = adapt_threshold_wta(np.array([4.0, 4.0, 4.0]), [0.5, 0.2, 0.2], 1.0, 1.0)
         assert out[1] == pytest.approx(5.0)
-        assert out[0] == out[2] == pytest.approx(4.0 - 1.0 / 3.0)
+        assert out[0] == out[2] == pytest.approx(4.0 - 1.0 / 2.0)
 
     def test_requires_a_winner(self):
         with pytest.raises(ValueError):

@@ -116,7 +116,7 @@ class TestExtractFeatures:
         net = _feature_net(th=1e9)
         rng = np.random.default_rng(3)
         grids = [np.where(rng.random((2, 4, 4)) < 0.5, 0.2, np.inf) for _ in range(5)]
-        feats = extract_features(net, grids)
+        feats = extract_features(net, grids, 1.0)
         assert feats.shape == (5, 4)
         assert np.all(feats == 0.0)
         assert mean_sparsity(feats) == 0.0
@@ -129,23 +129,37 @@ class TestExtractFeatures:
         grid = np.where(rng.random((2, 4, 4)) < 0.6, rng.random((2, 4, 4)), np.inf)
         out_times = forward_times(net, grid)[-1]
         want = decode_grid(out_times, 0.6, 1.0).ravel()
-        got = extract_features(net, [grid])[0]
+        got = extract_features(net, [grid], 1.0)[0]
         assert np.allclose(got, want, atol=1e-12)
+
+    def test_window_end_is_required(self):
+        # in a [0, 2] coding window a spike at 1.5 carries a value; decoded
+        # against an assumed end of 1.0 it would silently read 0
+        from spikeconv.simulate import forward_times
+
+        net = _feature_net()
+        grid = np.full((2, 4, 4), 1.5)
+        with pytest.raises(TypeError):
+            extract_features(net, [grid])
+        got = extract_features(net, [grid], 2.0)[0]
+        assert np.array_equal(got, decode_grid(forward_times(net, grid)[-1], 0.6, 2.0).ravel())
+        assert got.sum() > 0
 
     def test_ensemble_concatenates_widths(self):
         nets = [_feature_net(2, seed=5), _feature_net(3, seed=6)]
         rng = np.random.default_rng(7)
         grids = [np.where(rng.random((2, 4, 4)) < 0.6, 0.3, np.inf) for _ in range(4)]
-        feats = extract_features(nets, grids)
+        feats = extract_features(nets, grids, 1.0)
         assert feats.shape == (4, 5)
-        solo = extract_features(nets[1], grids)
+        solo = extract_features(nets[1], grids, 1.0)
         assert np.allclose(feats[:, 2:], solo)
 
     def test_network_without_firing_target_rejected(self):
         untargeted = _feature_net()
         untargeted.t_targets = [None] * len(untargeted.t_targets)
         with pytest.raises(ValueError, match="no firing target"):
-            extract_features([_feature_net(), untargeted], [np.full((2, 4, 4), np.inf)])
+            extract_features([_feature_net(), untargeted],
+                             [np.full((2, 4, 4), np.inf)], 1.0)
 
     def test_sum_pool_applied_for_multi_column_output(self):
         spec = NetworkSpec(Shape3(1, 4, 4), [LayerSpec("conv", 2, 2, 3, 2, 0)])
@@ -154,7 +168,7 @@ class TestExtractFeatures:
         net.thresholds[0] = np.full(3, 0.5)
         net.t_targets[0] = 0.0
         grid = np.zeros((1, 4, 4))  # everything spikes at t=0
-        feats = extract_features(net, [grid])
+        feats = extract_features(net, [grid], 1.0)
         # 2x2 output columns all fire at t=0 -> decode 1.0, sum 4 per map
         assert np.allclose(feats, [[4.0, 4.0, 4.0]])
 
@@ -163,8 +177,8 @@ class TestExtractFeatures:
         rng = np.random.default_rng(9)
         grids = [np.where(rng.random((2, 4, 4)) < 0.8, rng.random((2, 4, 4)), np.inf)
                  for _ in range(3)]
-        plain = extract_features(net, grids)
-        wta = extract_features(net, grids, policy=InhibitionPolicy("wta"))
+        plain = extract_features(net, grids, 1.0)
+        wta = extract_features(net, grids, 1.0, InhibitionPolicy("wta"))
         assert np.count_nonzero(wta) <= np.count_nonzero(plain)
         for row in wta:
             assert np.count_nonzero(row) <= 1  # single column: one-hot
@@ -260,6 +274,6 @@ class TestReconstruction:
         rng = np.random.default_rng(13)
         grids = [np.where(rng.random((2, 4, 4)) < 0.6, rng.random((2, 4, 4)), np.inf)
                  for _ in range(3)]
-        a = extract_features(net, grids)
-        b = extract_features(net, grids)
+        a = extract_features(net, grids, 1.0)
+        b = extract_features(net, grids, 1.0)
         assert np.array_equal(a, b)

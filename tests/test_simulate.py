@@ -9,20 +9,33 @@ from spikeconv import (
     NetworkSpec,
     NO_INHIBITION,
     Shape3,
-    SpikeEvent,
     column_response,
-    run_sample,
 )
 from spikeconv.simulate import forward_layer, forward_times
 
 from oracles import DenseSimulator
-from util import random_events, random_network
+from util import drawn_network, random_grid, random_network
 
 INF = np.inf
 # a lone neuron has no competitor, so each policy gives the same output: the
 # first runs the crossing engine, the other two the event engine
 ONE_NEURON_POLICIES = [NO_INHIBITION, InhibitionPolicy("soft", v_inh=0.5),
                        InhibitionPolicy("wta", scope="layer")]
+# every policy, so both engines (crossing: none, soft with v_inh=0, column
+# WTA; event: soft, layer WTA) meet the same strides, paddings, time ties
+# and one-position fc layers
+SWEEP_POLICIES = [
+    InhibitionPolicy("none"),
+    InhibitionPolicy("soft", v_inh=0.0),
+    InhibitionPolicy("soft", v_inh=0.4),
+    InhibitionPolicy("soft", v_inh=1.0),
+    InhibitionPolicy("wta"),
+    InhibitionPolicy("wta", scope="layer"),
+    InhibitionPolicy("soft", v_inh=0.7, scope="layer"),
+    InhibitionPolicy("wta", layers="output"),
+    InhibitionPolicy("wta", scope="layer", layers="output"),
+    InhibitionPolicy("soft", v_inh=1.0, layers="output"),
+]
 
 
 def _one_neuron(weights, threshold):
@@ -56,10 +69,9 @@ class TestIntegrate:
 
     def test_refractory_ignores_input(self):
         net = _one_neuron([2.0, 5.0], 1.0)
-        events = [SpikeEvent(0.1, 0, 0, 0, 0), SpikeEvent(0.2, 0, 0, 0, 1)]
         for policy in ONE_NEURON_POLICIES:
-            out = run_sample(net, events, policy)[0]
-            assert [(e.time, e.map, e.y, e.x) for e in out] == [(0.1, 0, 0, 0)]
+            out = forward_times(net, np.array([[[0.1, 0.2]]]), policy)[0]
+            assert out.tolist() == [[[0.1]]]  # one spike, at the first crossing
 
 
 class TestResetSample:
@@ -108,6 +120,8 @@ class TestPoolForward:
 
 
 class TestRunSample:
+    """One sample through ``forward_times``."""
+
     def _net(self):
         spec = NetworkSpec(Shape3(1, 3, 3), [LayerSpec("conv", 3, 3, 2, 1, 0)])
         net = Network(spec)
@@ -116,31 +130,19 @@ class TestRunSample:
         return net
 
     def test_empty_input_empty_output(self):
-        outs = run_sample(self._net(), [])
-        assert outs == [[]]
+        outs = forward_times(self._net(), np.full((1, 3, 3), INF))
+        assert len(outs) == 1 and outs[0].shape == (2, 1, 1)
+        assert np.all(outs[0] == INF)
 
     def test_wta_single_winner_map_tiebreak(self):
         # both maps cross on the same event; lowest map index wins
         net = self._net()
-        events = [SpikeEvent(0.1, 0, 0, 0, 0), SpikeEvent(0.3, 0, 0, 1, 1)]
-        outs = run_sample(net, events, InhibitionPolicy("wta"))
-        assert len(outs[0]) == 1
-        e = outs[0][0]
-        assert (e.time, e.map) == (0.3, 0)
+        grid = np.full((1, 3, 3), INF)
+        grid[0, 0, 0], grid[0, 1, 1] = 0.1, 0.3
+        outs = forward_times(net, grid, InhibitionPolicy("wta"))
+        assert outs[0].ravel().tolist() == [0.3, INF]
         # without inhibition both fire
-        outs2 = run_sample(net, events)
-        assert [(e.map, e.time) for e in outs2[0]] == [(0, 0.3), (1, 0.3)]
-
-    def test_rejects_out_of_range_site(self):
-        with pytest.raises(ValueError, match="outside"):
-            run_sample(self._net(), [SpikeEvent(0.1, 0, 0, 5, 0)])
-
-    def test_rejects_wrong_layer_and_duplicates(self):
-        with pytest.raises(ValueError, match="layer"):
-            run_sample(self._net(), [SpikeEvent(0.1, 1, 0, 0, 0)])
-        ev = SpikeEvent(0.1, 0, 0, 0, 0)
-        with pytest.raises(ValueError, match="duplicate"):
-            run_sample(self._net(), [ev, SpikeEvent(0.2, 0, 0, 0, 0)])
+        assert forward_times(net, grid)[0].ravel().tolist() == [0.3, 0.3]
 
     def test_soft_inhibition_delays_competitor(self):
         # map 0 fires first and knocks map 1 back below threshold
@@ -148,14 +150,14 @@ class TestRunSample:
         net = Network(spec)
         net.weights[0] = np.array([[[[1.0], [1.0]]], [[[0.6], [0.6]]]])
         net.thresholds[0] = np.array([1.0, 1.0])
-        events = [SpikeEvent(0.2, 0, 0, 0, 0), SpikeEvent(0.5, 0, 0, 1, 0)]
-        no_inh = run_sample(net, events)[0]
-        assert [(e.map, e.time) for e in no_inh] == [(0, 0.2), (1, 0.5)]
-        soft = run_sample(net, events, InhibitionPolicy("soft", v_inh=0.5))[0]
+        grid = np.array([[[0.2], [0.5]]])
+        no_inh = forward_times(net, grid)[0]
+        assert no_inh.ravel().tolist() == [0.2, 0.5]
+        soft = forward_times(net, grid, InhibitionPolicy("soft", v_inh=0.5))[0]
         # map 1 had 0.6 at t=0.2, inhibited to 0.1, reaches only 0.7 by 0.5
-        assert [(e.map, e.time) for e in soft] == [(0, 0.2)]
-        weak = run_sample(net, events, InhibitionPolicy("soft", v_inh=0.1))[0]
-        assert [(e.map, e.time) for e in weak] == [(0, 0.2), (1, 0.5)]
+        assert soft.ravel().tolist() == [0.2, INF]
+        weak = forward_times(net, grid, InhibitionPolicy("soft", v_inh=0.1))[0]
+        assert weak.ravel().tolist() == [0.2, 0.5]
 
 
 class TestProperties:
@@ -163,49 +165,33 @@ class TestProperties:
         rng = np.random.default_rng(42)
         for _ in range(20):
             net = random_network(rng)
-            events = random_events(rng, net.spec.input_shape, int(rng.integers(5, 25)))
-            if not events:
+            grid = random_grid(rng, net.spec.input_shape, int(rng.integers(5, 25)))
+            if not np.isfinite(grid).any():
                 continue
-            t0 = min(e.time for e in events)
+            t0 = grid.min()
             policy = InhibitionPolicy(str(rng.choice(["none", "soft", "wta"])))
-            outs = run_sample(net, events, policy)
-            for layer_events in outs:
-                sites = [(e.map, e.y, e.x) for e in layer_events]
-                assert len(sites) == len(set(sites))  # at most one spike
-                times = [e.time for e in layer_events]
-                assert times == sorted(times)
-                assert all(t >= t0 for t in times)
-
-    def test_equal_time_permutation_invariance_without_inhibition(self):
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            net = random_network(rng)
-            events = random_events(rng, net.spec.input_shape, 20, tie_heavy=True)
-            if not events:
-                continue
-            ref = run_sample(net, events)
-            shuffled = [events[i] for i in rng.permutation(len(events))]
-            assert run_sample(net, shuffled) == ref
+            for out in forward_times(net, grid, policy):
+                # no spike before the first input; a grid holds one per site
+                assert np.all(out[np.isfinite(out)] >= t0)
 
     def test_wta_one_spike_per_scope(self):
         rng = np.random.default_rng(44)
         for _ in range(10):
             net = random_network(rng)
-            events = random_events(rng, net.spec.input_shape, 20)
-            outs = run_sample(net, events, InhibitionPolicy("wta"))
-            for li, layer_events in enumerate(outs):
+            grid = random_grid(rng, net.spec.input_shape, 20)
+            outs = forward_times(net, grid, InhibitionPolicy("wta"))
+            for li, out in enumerate(outs):
                 if net.spec.layers[li].kind == "pool":
                     continue
-                scopes = [(e.y, e.x) for e in layer_events]
-                assert len(scopes) == len(set(scopes))
+                assert np.all(np.isfinite(out).sum(axis=0) <= 1)
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(45)
         net = random_network(rng)
-        events = random_events(rng, net.spec.input_shape, 15)
-        a = run_sample(net, events, InhibitionPolicy("soft"))
-        b = run_sample(net, events, InhibitionPolicy("soft"))
-        assert a == b
+        grid = random_grid(rng, net.spec.input_shape, 15)
+        a = forward_times(net, grid, InhibitionPolicy("soft"))
+        b = forward_times(net, grid, InhibitionPolicy("soft"))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_output_layer_policy_leaves_lower_layers_free(self):
         rng = np.random.default_rng(46)
@@ -213,53 +199,53 @@ class TestProperties:
             net = random_network(rng)
             if len(net.spec.layers) < 2:
                 continue
-            events = random_events(rng, net.spec.input_shape, 20)
-            free = run_sample(net, events)
-            gated = run_sample(net, events, InhibitionPolicy("wta", layers="output"))
-            assert gated[:-1] == free[:-1]  # cascade below the readout untouched
+            grid = random_grid(rng, net.spec.input_shape, 20)
+            free = forward_times(net, grid)
+            gated = forward_times(net, grid, InhibitionPolicy("wta", layers="output"))
+            # cascade below the readout untouched
+            assert all(np.array_equal(f, g) for f, g in zip(free[:-1], gated[:-1]))
             # the readout layer keeps at most one spike per scope
-            last_kind = net.spec.layers[-1].kind
-            if last_kind != "pool":
-                scopes = [(e.y, e.x) for e in gated[-1]]
-                assert len(scopes) == len(set(scopes))
+            if net.spec.layers[-1].kind != "pool":
+                assert np.all(np.isfinite(gated[-1]).sum(axis=0) <= 1)
 
 
-def _compare_with_oracle(net, events, policy):
-    got = run_sample(net, events, policy)
-    want = DenseSimulator(net, policy).simulate(events)
+def _compare_with_oracle(net, grid, policy):
+    got = forward_times(net, grid, policy)
+    want = DenseSimulator(net, policy).simulate(grid)
     for li, (g, w) in enumerate(zip(got, want)):
-        got_sites = {(e.map, e.y, e.x): e.time for e in g}
-        want_sites = {(m, y, x): t for (t, m, y, x) in w}
-        assert got_sites.keys() == want_sites.keys(), f"layer {li} sites differ"
-        for site, t in want_sites.items():
-            assert abs(got_sites[site] - t) < 1e-6, f"layer {li} time differs at {site}"
+        fired = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), fired), f"layer {li} sites differ"
+        assert np.all(np.abs(g[fired] - w[fired]) < 1e-6), f"layer {li} times differ"
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A ``random_network`` of drawn shape, a tie-heavy input grid, a policy."""
+    net = drawn_network(lambda lo, hi: draw(st.integers(lo, hi - 1)),
+                        lambda options: draw(st.sampled_from(options)),
+                        np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform)
+    shape = net.spec.input_shape
+    n = draw(st.integers(1, shape.size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = random_grid(rng, shape, n, tie_heavy=True)
+    return net, grid, draw(st.sampled_from(SWEEP_POLICIES))
 
 
 class TestOracleEquivalence:
     def test_small_randomized_sweep(self):
-        # every policy on every network, so both engines (crossing: none,
-        # soft with v_inh=0, column WTA; event: soft, layer WTA) meet the
-        # same strides, paddings, time ties and one-position fc layers
         rng = np.random.default_rng(1234)
-        policies = [
-            InhibitionPolicy("none"),
-            InhibitionPolicy("soft", v_inh=0.0),
-            InhibitionPolicy("soft", v_inh=0.4),
-            InhibitionPolicy("soft", v_inh=1.0),
-            InhibitionPolicy("wta"),
-            InhibitionPolicy("wta", scope="layer"),
-            InhibitionPolicy("soft", v_inh=0.7, scope="layer"),
-            InhibitionPolicy("wta", layers="output"),
-            InhibitionPolicy("wta", scope="layer", layers="output"),
-            InhibitionPolicy("soft", v_inh=1.0, layers="output"),
-        ]
         for trial in range(30):
             net = random_network(rng)
             n = int(rng.integers(5, net.spec.input_shape.size + 1))
-            events = random_events(rng, net.spec.input_shape, n,
-                                   tie_heavy=bool(trial % 3 == 0))
-            for policy in policies:
-                _compare_with_oracle(net, events, policy)
+            grid = random_grid(rng, net.spec.input_shape, n,
+                               tie_heavy=bool(trial % 3 == 0))
+            for policy in SWEEP_POLICIES:
+                _compare_with_oracle(net, grid, policy)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_oracle_cases())
+    def test_drawn_networks_match_dense_simulator(self, case):
+        _compare_with_oracle(*case)
 
     def test_signed_weights_crossing_engine(self):
         # signed weights skip the crossing engine's bound pre-filter, so the
@@ -276,10 +262,10 @@ class TestOracleEquivalence:
         for trial in range(30):
             net = random_network(rng, w_low=-0.5)
             n = int(rng.integers(5, net.spec.input_shape.size + 1))
-            events = random_events(rng, net.spec.input_shape, n,
-                                   tie_heavy=bool(trial % 3 == 0))
+            grid = random_grid(rng, net.spec.input_shape, n,
+                               tie_heavy=bool(trial % 3 == 0))
             for policy in policies:
-                _compare_with_oracle(net, events, policy)
+                _compare_with_oracle(net, grid, policy)
 
     def test_derived_three_layer_case(self):
         rng = np.random.default_rng(77)
@@ -292,9 +278,9 @@ class TestOracleEquivalence:
         for i in (0, 2):
             net.weights[i] = rng.uniform(0, 1, spec.weight_shape(i))
             net.thresholds[i] = rng.uniform(0.5, 2.5, spec.layers[i].maps)
-        events = random_events(rng, spec.input_shape, 20)
+        grid = random_grid(rng, spec.input_shape, 20)
         for policy in (NO_INHIBITION, InhibitionPolicy("soft"), InhibitionPolicy("wta")):
-            _compare_with_oracle(net, events, policy)
+            _compare_with_oracle(net, grid, policy)
 
 
 class TestColumnResponse:
@@ -458,6 +444,19 @@ class TestForwardValidation:
         net.thresholds[0] = np.ones(2)
         with pytest.raises(ValueError, match="input grid"):
             forward_times(net, np.full((2, 5, 5), np.inf))
+
+    def test_rejects_non_finite(self):
+        # +inf marks a silent site; NaN and -inf are no spike time at all
+        net = Network(NetworkSpec(Shape3(2, 4, 4), [LayerSpec("conv", 2, 2, 2, 1, 0)]))
+        net.weights[0] = np.ones((2, 2, 2, 2))
+        net.thresholds[0] = np.ones(2)
+        for bad, name in ((np.nan, "NaN"), (-np.inf, "-inf")):
+            grid = np.full((2, 4, 4), np.inf)
+            grid[1, 2, 3] = bad
+            with pytest.raises(ValueError, match=name):
+                forward_times(net, grid)
+        # the same grid with the site silent runs
+        assert forward_times(net, np.full((2, 4, 4), np.inf))[0].shape == (2, 3, 3)
 
     def test_unready_network_rejected(self):
         net = Network(NetworkSpec(Shape3(2, 4, 4), [LayerSpec("conv", 2, 2, 2, 1, 0)]))

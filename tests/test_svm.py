@@ -69,14 +69,6 @@ class TestFit:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
-    def test_intercept_variant(self):
-        # blobs on one side of the origin need the intercept
-        rng = np.random.default_rng(7)
-        x, y = _blobs(rng, [(4.0, 4.0), (7.0, 7.0)], 50, spread=0.3)
-        with_b = fit(x, y, seed=4, fit_intercept=True)
-        assert accuracy(with_b, x, y) == 1.0
-        assert np.any(with_b.bias != 0.0)
-
 
 class TestPredict:
     def test_zero_model_predicts_class_zero(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from spikeconv import LayerSpec, Network, NetworkSpec, Shape3, SpikeEvent
+from spikeconv import LayerSpec, Network, NetworkSpec, Shape3
 
 from oracles import TICK
 
@@ -16,32 +16,45 @@ def random_network(rng: np.random.Generator, max_neurons: int = 64,
     Weights are drawn from [w_low, 1); a negative ``w_low`` gives signed
     weights, which the crossing engine scans without its bound pre-filter.
     """
-    depth = int(rng.integers(1, 3))
-    h = int(rng.integers(5, 10))
-    w = int(rng.integers(5, 10))
+    return drawn_network(lambda lo, hi: int(rng.integers(lo, hi)),
+                         lambda options: str(rng.choice(options)),
+                         rng.uniform, max_neurons, w_low)
+
+
+def drawn_network(integer, choose, uniform, max_neurons: int = 64,
+                  w_low: float = 0.0) -> Network:
+    """``random_network`` from any source of choices.
+
+    ``integer(lo, hi)`` draws an int in [lo, hi), ``choose(options)`` one of
+    the options and ``uniform(lo, hi, shape)`` an array of floats, so a
+    Hypothesis strategy can make the same choices and shrink them.
+    """
+    depth = integer(1, 3)
+    h = integer(5, 10)
+    w = integer(5, 10)
     in_shape = Shape3(depth, h, w)
 
     layers = []
     shape = in_shape
-    n_layers = int(rng.integers(1, 4))
+    n_layers = integer(1, 4)
     for li in range(n_layers):
         kinds = ["conv"]
         if shape.height >= 4 and shape.width >= 4:
             kinds.append("pool")
         if li == n_layers - 1:
             kinds.append("fc")
-        kind = str(rng.choice(kinds))
+        kind = choose(kinds)
         if kind == "pool":
-            f = int(rng.integers(2, 4))
-            stride = int(rng.integers(1, f + 1))
-            pad = int(rng.integers(0, 2))
+            f = integer(2, 4)
+            stride = integer(1, f + 1)
+            pad = integer(0, 2)
             spec = LayerSpec("pool", f, f, shape.depth, stride, pad)
         else:
-            fh = int(rng.integers(1, min(4, shape.height) + 1))
-            fw = int(rng.integers(1, min(4, shape.width) + 1))
-            maps = int(rng.integers(2, 7))
-            stride = int(rng.integers(1, 3))
-            pad = int(rng.integers(0, 2))
+            fh = integer(1, min(4, shape.height) + 1)
+            fw = integer(1, min(4, shape.width) + 1)
+            maps = integer(2, 7)
+            stride = integer(1, 3)
+            pad = integer(0, 2)
             if kind == "fc":
                 fh, fw, stride, pad = shape.height, shape.width, 1, 0
             spec = LayerSpec(kind, fh, fw, maps, stride, pad)
@@ -58,9 +71,9 @@ def random_network(rng: np.random.Generator, max_neurons: int = 64,
 
     net = Network(NetworkSpec(in_shape, layers))
     for i in net.spec.trainable_indices():
-        net.weights[i] = rng.uniform(w_low, 1.0, net.spec.weight_shape(i))
+        net.weights[i] = uniform(w_low, 1.0, net.spec.weight_shape(i))
         # low thresholds so small nets actually spike
-        net.thresholds[i] = rng.uniform(0.5, 3.0, net.spec.layers[i].maps)
+        net.thresholds[i] = uniform(0.5, 3.0, net.spec.layers[i].maps)
     return net
 
 
@@ -92,18 +105,16 @@ def synthetic_convergence_run(t_target: float, seed: int = 0, n_epoch: int = 100
     return mean_time, float(share), int(last[5])
 
 
-def random_events(rng: np.random.Generator, shape: Shape3, n: int,
-                  tie_heavy: bool = False) -> list[SpikeEvent]:
-    """Input spikes on a binary-exact time grid; optionally many time ties."""
+def random_grid(rng: np.random.Generator, shape: Shape3, n: int,
+                tie_heavy: bool = False) -> np.ndarray:
+    """Fire-time grid with ``n`` spiking sites at binary-exact times, +inf
+    elsewhere; optionally many time ties."""
     sites = rng.choice(shape.size, size=min(n, shape.size), replace=False)
     if tie_heavy:
         pool = rng.integers(0, 2 ** 20, size=max(2, n // 4))
         ticks = rng.choice(pool, size=len(sites))
     else:
         ticks = rng.integers(0, 2 ** 20, size=len(sites))
-    events = []
-    for flat, tick in zip(sites, ticks):
-        m, rest = divmod(int(flat), shape.height * shape.width)
-        y, x = divmod(rest, shape.width)
-        events.append(SpikeEvent(float(tick * TICK), 0, m, y, x))
-    return sorted(events)
+    grid = np.full(shape.size, np.inf)
+    grid[sites] = ticks * TICK
+    return grid.reshape(shape.astuple())
