@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Shape3", "RngStreams"]
+__all__ = ["Shape3", "RngStreams", "check_fire_times"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,14 @@ class Shape3:
 
     def astuple(self) -> tuple[int, int, int]:
         return (self.depth, self.height, self.width)
+
+
+def check_fire_times(times: np.ndarray) -> None:
+    """Reject a fire-time grid holding NaN or -inf: neither is a spike time."""
+    bad = ~(times > -np.inf)  # true at NaN and -inf
+    if bad.any():
+        kind = "NaN" if np.isnan(times[bad]).any() else "-inf"
+        raise ValueError(f"input spike times contain {kind}; +inf marks a silent site")
 
 
 class RngStreams:

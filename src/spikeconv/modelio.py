@@ -193,6 +193,8 @@ def load_features(path):
             f"of header {shown!r}"
         )
     feats = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+    if not np.isfinite(feats).all():
+        raise ValueError(f"{path}: feature data holds NaN or infinite values")
     return feats, bool(has_labels)
 
 
@@ -244,6 +246,8 @@ def load_svm(path) -> LinearModel:
             raise ValueError(f"malformed header line {line!r}")
         if key == "dim":
             dim = values[0]
+        elif values[0] in classes:
+            raise ValueError(f"repeated class label in header line {line!r}")
         else:
             classes.append(values[0])
             counts.append(values[1])
@@ -257,4 +261,6 @@ def load_svm(path) -> LinearModel:
         raise ValueError(f"{rest - size} trailing bytes after classifier arrays")
     weights = _read_array(buf, (len(classes), dim))
     bias = _read_array(buf, (len(classes),))
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise ValueError("classifier weights or bias hold NaN or infinite values")
     return LinearModel(np.array(classes), weights, bias, np.array(counts))

@@ -7,7 +7,8 @@ resolve in neuron (map, y, x) order, with inhibition applied between
 candidate firings. Every neuron fires at most once per sample and membrane
 potentials start at zero for each sample.
 
-Two engines compute a conv/fc layer; the inhibition policy alone picks one:
+Three routes compute a conv/fc layer; the inhibition policy and the layer's
+shape pick one:
 
 - the crossing engine, when no fire changes another neuron's potential:
   no inhibition (or soft inhibition with ``v_inh == 0``, the same thing)
@@ -26,10 +27,25 @@ Two engines compute a conv/fc layer; the inhibition policy alone picks one:
   block before ended with, so every partial sum is the same sequence of
   float additions a single cumulative sum would make, and the outputs are
   bitwise those of delivering the events one by one.
-- the event engine, when a fire lowers its competitors' potentials (soft
-  inhibition with ``v_inh > 0``, either scope) or the competition spans the
-  whole layer (winner-take-all at layer scope): it delivers the events one
-  by one exactly as stated above.
+- rounds of the same scan, for soft inhibition (``v_inh > 0``) at column
+  scope in a layer of several positions. A fire changes potentials only
+  in its own column, and between two of a column's fires every map's
+  potential is a plain running sum. Each round scans the column's live
+  neurons on from the column's start slot and stops the column at its
+  earliest crossing; there the crossing maps fire in map order, each
+  lowering the whole column to ``max(v - v_inh, 0)`` before the next map
+  is rechecked against its threshold, and the column's next round starts
+  at the following slot with the potentials it was left with. That carry
+  is added to the first term of the next cumulative sum, the same float
+  addition delivering that input one by one makes, so the outputs are
+  bitwise the event engine's. The bound still drops neurons, since
+  inhibition only lowers a non-negative potential; signed weights skip it.
+- the event engine, when the competition spans the whole layer: soft
+  inhibition or winner-take-all at layer scope, and soft inhibition at
+  column scope in a one-position (fc) layer, whose one column is the
+  layer. It delivers the events one by one exactly as stated above. An fc
+  column fires dozens of times per sample, and in rounds each fire would
+  cost a scan of its own.
 
 A pooling neuron fires at the earliest input time in its window.
 """
@@ -41,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Shape3
+from .core import Shape3, check_fire_times
 from .network import Network, LayerSpec, POOL
 
 __all__ = [
@@ -183,96 +199,192 @@ def _event_ranks(flat: np.ndarray):
     return rank, flat[sites]
 
 
-def _first_crossings(wr: np.ndarray, ranked_t: np.ndarray, w2: np.ndarray,
-                     thresholds: np.ndarray, wta: bool) -> np.ndarray:
-    """Every neuron's first threshold crossing over its window's inputs.
+def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray):
+    """The (map, position) rows of P windows that can fire, and their event order.
 
-    wr: (P, K) event ranks of the window slots of P positions and
-    ranked_t the times in rank order (``_event_ranks``); w2: (D, K)
-    weights in window order. Each (map, position) row adds its weights in
-    rank order and fires at the first input where the running sum reaches
-    its threshold. With ``wta`` only a position's earliest crossing fires,
-    the lowest map on ties. Returns the (D, P) fire times, +inf if silent.
+    wr: (P, K) event ranks of the window slots (``_event_ranks``); w2: (D, K)
+    weights in window order. A position without input cannot fire. With
+    non-negative weights neither can a row whose total input, widened past
+    the rounding of any summation order, stays below its threshold:
+    inhibition only lowers a non-negative potential, so this bound never
+    decides a fire. Returns the positions ``pos`` holding a live row, their
+    window slots in event order (``order``, one row per kept position) and
+    input counts, and the rows ``rd``, ``rp`` in (map, position) order,
+    ``rp`` indexing ``pos``.
     """
-    d_out, window = w2.shape
-    out = np.full((d_out, wr.shape[0]), np.inf)
     finite = np.isfinite(wr)
     count = finite.sum(axis=1)
     live = count > 0
     if w2.min() >= 0.0:
-        # a row's total input bounds its running sum; widened past the
-        # rounding of any summation order, it only drops rows that cannot fire
-        bound = (w2 @ finite.T.astype(np.float64)) * (1.0 + 4 * window * _EPS)
+        bound = (w2 @ finite.T.astype(np.float64)) * (1.0 + 4 * w2.shape[1] * _EPS)
         live = ~(bound < thresholds[:, None]) & live
     else:
-        live = np.broadcast_to(live, out.shape)
+        live = np.broadcast_to(live, (w2.shape[0], wr.shape[0]))
     pos = np.nonzero(live.any(axis=0))[0]
-    if pos.size == 0:
-        return out
-    rd, rp = np.nonzero(live[:, pos])  # (map, position) order
+    rd, rp = np.nonzero(live[:, pos])
     count = count[pos]
-    kmax = int(count.max())
-    wr = wr[pos]
     # finite ranks are distinct, so any sort gives the one event order
-    order = np.argsort(wr, axis=1)[:, :kmax]
+    order = np.argsort(wr[pos], axis=1)[:, :int(count.max(initial=0))]
+    return pos, order, count, rd, rp
 
+
+def _first_crossings(order: np.ndarray, count: np.ndarray, w2: np.ndarray,
+                     rd: np.ndarray, rp: np.ndarray, th_r: np.ndarray, column: bool,
+                     start=None, carry=None):
+    """Each row's first threshold crossing over its position's inputs.
+
+    order, count: window slots in event order and input counts of the
+    positions ``rp`` indexes (``_live_rows``); w2: (D, K) weights. Row r adds
+    map ``rd[r]``'s weights in event order from slot ``start[r]`` on (0 by
+    default), its running sum starting from ``carry[r]`` (0), and stops at
+    the first slot where the sum reaches ``th_r[r]``. With ``column`` the
+    rows of a position move together and all stop at the position's
+    earliest crossing. Returns each row's stop slot (-1 if it never stops)
+    and, with ``column``, its potential there (-inf if it never stops).
+    """
+    window, width = w2.shape[1], order.shape[1]
     w_flat = w2.ravel()
-    base, th_r, carry = rd * window, thresholds[rd], None
+    shifted = start is not None
+    if shifted:
+        at = rp * width + start  # flat index of each row's first slot in order
+    n = count[rp] - start if shifted else count[rp]  # inputs left
+    slot = np.full(rp.size, -1)
+    v_stop = np.full(rp.size, -np.inf) if column else None
+    row, base = np.arange(rp.size), rd * window
+    kmax = int(n.max(initial=0))
     k0, size = 0, _BLOCK0
-    while True:
+    while k0 < kmax:
         k1 = min(k0 + size, kmax)
-        c = w_flat[base[:, None] + order[rp, k0:k1]]
+        if shifted:  # slots past a row's last input read on into the next row's
+            ws = order.take(at[:, None] + np.arange(k0, k1), mode="clip")
+        else:
+            ws = order[rp, k0:k1]
+        ws += base[:, None]
+        c = w_flat[ws]
         if carry is not None:
-            c[:, 0] += carry  # the addition one cumsum over all slots makes here
-        v = np.cumsum(c, axis=1)
+            c[:, 0] += carry  # the same addition delivering this input one by one makes
+        v = np.cumsum(c, axis=1, out=c)
         crossed = v >= th_r[:, None]
-        n = count[rp]
         done = n <= k1
         if done.any():  # slots past a row's last input hold no input of its own
             crossed &= np.arange(k0, k1) < n[:, None]
         kk = crossed.argmax(axis=1)
         hit = crossed[np.arange(kk.size), kk]
         if hit.any():
-            hd, hp, kk = rd[hit], rp[hit], k0 + kk[hit]
-            if wta:
-                o = np.lexsort((hd, kk, hp))
-                first = np.ones(o.size, dtype=bool)
-                first[1:] = hp[o[1:]] != hp[o[:-1]]
-                hd, hp, kk = hd[o[first]], hp[o[first]], kk[o[first]]
-                won = np.zeros(pos.size, dtype=bool)
-                won[hp] = True
-                done |= won[rp]
-            else:
-                done |= hit
-            out[hd, pos[hp]] = ranked_t[wr[hp, order[hp, kk]].astype(np.int64)]
-        if done.all():
-            return out
+            if column:  # every row of a position stops at its earliest crossing
+                first = np.full(order.shape[0], k1 - k0)
+                np.minimum.at(first, rp[hit], kk[hit])
+                kk = first[rp]
+                hit = kk < k1 - k0
+                v_stop[row[hit]] = v[hit, kk[hit]]
+            slot[row[hit]] = k0 + kk[hit]
+            done |= hit
         keep = ~done
-        rd, rp, base, th_r = rd[keep], rp[keep], base[keep], th_r[keep]
+        if not keep.any():
+            break
+        row, rp, base, th_r, n = row[keep], rp[keep], base[keep], th_r[keep], n[keep]
+        if shifted:
+            at = at[keep]
         carry = v[keep, -1]
         k0, size = k1, 2 * size
+    if shifted:
+        stopped = slot >= 0
+        slot[stopped] += start[stopped]
+    return slot, v_stop
+
+
+def _fire_times(ranked_t, wr, pos, order, rp, slot):
+    """Times of the inputs at ``slot`` of the kept positions ``rp`` (``_live_rows``)."""
+    return ranked_t[wr[pos[rp], order[rp, slot]].astype(np.int64)]
 
 
 def _conv_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
     """Crossing engine: no inhibition, or winner-take-all over each column."""
     d_out = weights.shape[0]
+    wta = policy.mode == "wta"
     rank, ranked_t = _event_ranks(plan.pad_times(times_in).ravel())
     w2 = weights.reshape(d_out, -1)
-    out = np.empty((d_out, plan.positions))
+    out = np.full((d_out, plan.positions), np.inf)
     chunk = max(1, _CHUNK_ELEMS // max(1, d_out * plan.window))
     for lo in range(0, plan.positions, chunk):
-        out[:, lo:lo + chunk] = _first_crossings(
-            rank[plan.win_index[lo:lo + chunk]], ranked_t, w2, thresholds,
-            policy.mode == "wta")
+        wr = rank[plan.win_index[lo:lo + chunk]]
+        pos, order, count, rd, rp = _live_rows(wr, w2, thresholds)
+        th_r = thresholds[rd]
+        slot, v = _first_crossings(order, count, w2, rd, rp, th_r, wta)
+        fire = slot >= 0
+        if wta:  # of the maps crossing at a column's stop, the lowest fires
+            fire &= v >= th_r
+            lowest = np.full(pos.size, d_out)
+            np.minimum.at(lowest, rp[fire], rd[fire])
+            fire &= rd == lowest[rp]
+        rd, rp = rd[fire], rp[fire]
+        out[rd, lo + pos[rp]] = _fire_times(ranked_t, wr, pos, order, rp, slot[fire])
+    return out.reshape(d_out, plan.out_shape.height, plan.out_shape.width)
+
+
+def _soft_column_times(times_in, weights, thresholds, v_inh: float, plan: _Plan):
+    """Soft inhibition over each column of a multi-position layer, in rounds.
+
+    Each round scans every live row on from its column's start slot,
+    carrying its potential, and stops each column at its earliest crossing;
+    there the crossing maps fire in map order, each lowering the whole
+    column to ``max(v - v_inh, 0)`` before the next is rechecked against
+    its threshold, exactly as one-by-one delivery resolves them. The
+    column's next round starts at the following slot.
+    """
+    d_out = weights.shape[0]
+    rank, ranked_t = _event_ranks(plan.pad_times(times_in).ravel())
+    w2 = weights.reshape(d_out, -1)
+    out = np.full((d_out, plan.positions), np.inf)
+    chunk = max(1, _CHUNK_ELEMS // max(1, d_out * plan.window))
+    for lo in range(0, plan.positions, chunk):
+        wr = rank[plan.win_index[lo:lo + chunk]]
+        pos, order, count, rd, rp = _live_rows(wr, w2, thresholds)
+        fired = out[:, lo + pos]
+        # per column: potentials, effective thresholds (+inf once fired or
+        # never live) and the slot the next round starts at
+        v = np.zeros((d_out, pos.size))
+        th = np.full((d_out, pos.size), np.inf)
+        th[rd, rp] = thresholds[rd]
+        start = np.zeros(pos.size, dtype=np.int64)
+        begin = carry = None  # the first round starts every column at rest
+        while rd.size:
+            slot, v_stop = _first_crossings(order, count, w2, rd, rp, th[rd, rp], True,
+                                            begin, carry)
+            stop = slot >= 0
+            v[rd[stop], rp[stop]] = v_stop[stop]
+            stop_at = np.full(pos.size, -1)
+            stop_at[rp[stop]] = slot[stop]
+            cols = np.nonzero(stop_at >= 0)[0]
+            t = _fire_times(ranked_t, wr, pos, order, cols, stop_at[cols])
+            vc, tc = v[:, cols], th[:, cols]
+            cand = vc >= tc
+            j = np.arange(cols.size)  # every stopped column has a crossing map
+            while j.size:
+                d = cand[:, j].argmax(axis=0)  # the lowest candidate fires
+                fired[d, cols[j]] = t[j]
+                tc[d, j] = np.inf
+                vj = np.maximum(vc[:, j] - v_inh, 0.0)
+                vc[:, j] = vj
+                cj = cand[:, j] & (vj >= tc[:, j])  # recheck the rest
+                cand[:, j] = cj
+                j = j[cj.any(axis=0)]
+            v[:, cols], th[:, cols] = vc, tc
+            start[cols] = stop_at[cols] + 1
+            cols = cols[start[cols] < count[cols]]
+            rd, rp = np.nonzero(np.isfinite(th[:, cols]))
+            rp = cols[rp]
+            begin, carry = start[rp], v[rd, rp]
+        out[:, lo + pos] = fired
     return out.reshape(d_out, plan.out_shape.height, plan.out_shape.width)
 
 
 def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
-    """Event engine: soft inhibition at either scope, or layer-wide winner-take-all.
+    """Event engine: competition across the whole layer, soft or winner-take-all.
 
     Delivers the input sites one at a time in (time, map, y, x) order; the
     crossings each delivery causes resolve in (map, y, x) order, every fire
-    inhibiting its competitors before the next crossing is checked.
+    inhibiting the layer before the next crossing is checked.
     """
     d_out = weights.shape[0]
     shape = (d_out, plan.out_shape.height, plan.out_shape.width)
@@ -290,7 +402,6 @@ def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: 
     th = np.repeat(thresholds[:, None], plan.positions, axis=1)
     out = np.full((d_out, plan.positions), np.inf)
     v_inh = policy.v_inh
-    column = policy.scope == "column"
 
     for s in sites:
         lo, hi = starts[s], starts[s + 1]
@@ -311,10 +422,7 @@ def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: 
             if policy.mode == "wta":
                 return out.reshape(shape)  # the layer's one spike
             th[d, p] = np.inf
-            if column:
-                v[:, p] = np.maximum(v[:, p] - v_inh, 0.0)
-            else:
-                np.maximum(v - v_inh, 0.0, out=v)
+            np.maximum(v - v_inh, 0.0, out=v)
     return out.reshape(shape)
 
 
@@ -350,8 +458,12 @@ def forward_layer(
         raise ValueError(f"layer {index} has uninitialized parameters")
     if policy.layers == "output" and index != len(spec.layers) - 1:
         policy = NO_INHIBITION
-    if (policy.mode == "soft" and policy.v_inh > 0.0) or (
-            policy.mode == "wta" and policy.scope == "layer"):
+    if policy.mode == "soft" and policy.v_inh > 0.0:
+        if policy.scope == "column" and plan.positions > 1:
+            return _soft_column_times(times, weights, thresholds, policy.v_inh, plan)
+        # one position: its column is the whole layer
+        return _event_times(times, weights, thresholds, policy, plan)
+    if policy.mode == "wta" and policy.scope == "layer":
         return _event_times(times, weights, thresholds, policy, plan)
     return _conv_times(times, weights, thresholds, policy, plan)
 
@@ -367,10 +479,7 @@ def forward_times(
     marking silent sites; NaN or -inf input is rejected. Inhibition applies
     to trainable layers only; pooling is a fixed passthrough.
     """
-    bad = ~(input_times > -np.inf)  # true at NaN and -inf
-    if bad.any():
-        kind = "NaN" if np.isnan(input_times[bad]).any() else "-inf"
-        raise ValueError(f"input spike times contain {kind}; +inf marks a silent site")
+    check_fire_times(input_times)
     network.require_ready()
     grids = []
     times = input_times
@@ -400,9 +509,12 @@ def column_response(
     crossing, ties resolved by lowest map index.
     """
     rank, ranked_t = _event_ranks(patch_times.ravel())
-    t = _first_crossings(rank[None, :], ranked_t, weights.reshape(weights.shape[0], -1),
-                         np.asarray(thresholds, dtype=np.float64), wta=True)[:, 0]
-    win = int(np.argmin(t))  # the column's one fire, if any
-    if t[win] == np.inf:
+    w2 = weights.reshape(weights.shape[0], -1)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    _, order, count, rd, rp = _live_rows(rank[None, :], w2, thresholds)
+    slot, v = _first_crossings(order, count, w2, rd, rp, thresholds[rd], True)
+    crossing = np.nonzero(v >= thresholds[rd])[0]
+    if crossing.size == 0:
         return ColumnResult(None, None)
-    return ColumnResult(win, float(t[win]))
+    r = crossing[0]  # rows run in map order: the lowest crossing map wins
+    return ColumnResult(int(rd[r]), float(ranked_t[int(rank[order[0, slot[r]]])]))

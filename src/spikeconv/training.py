@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStreams
+from .core import RngStreams, check_fire_times
 from .encoding import CodingWindow, DoGParams, encode_image_grid
 from .network import Network, NetworkSpec, POOL
 from .plasticity import (
@@ -274,7 +274,8 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
     """Full layer-wise protocol over a dataset of grayscale images.
 
     Pass ``encoded`` (list of (2, H, W) fire-time grids) to skip the DoG +
-    latency encoding step, e.g. when it is shared across runs.
+    latency encoding step, e.g. when it is shared across runs; a grid
+    holding NaN or -inf is rejected, as ``forward_times`` rejects it.
     """
     streams = RngStreams(seed)
     network = Network(spec, cfg.w_min, cfg.w_max)
@@ -282,6 +283,8 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
     grids = encoded if encoded is not None else encode_dataset(images, cfg.dog, cfg.window)
     if len(grids) == 0:
         raise ValueError("training dataset is empty")
+    for grid in grids:
+        check_fire_times(grid)
 
     prefix = (InhibitionPolicy("wta") if cfg.prefix_policy == "wta"
               else NO_INHIBITION)

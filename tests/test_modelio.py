@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -33,6 +34,19 @@ def _net():
     net.t_targets[0] = 0.75
     net.t_targets[2] = 0.8
     return net
+
+
+def _edit_one_byte(data, blob: bytearray, header_end: bytes) -> bytes:
+    """``blob`` with one byte replaced; half the edits land in the header.
+
+    Half the new bytes are header digits, which can repeat a label or
+    resize an array, or the 0x7f/0xff high bytes that make a float64 in
+    [1, 2) infinite or NaN.
+    """
+    header = blob.index(header_end) + len(header_end)
+    pos = data.draw(st.one_of(st.integers(0, header - 1), st.integers(0, len(blob) - 1)))
+    blob[pos] = data.draw(st.one_of(st.integers(0, 255), st.sampled_from(b"0123\x7f\xff")))
+    return bytes(blob)
 
 
 class TestNetworkContainer:
@@ -122,14 +136,10 @@ class TestNetworkContainer:
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_mutated_model_loads_or_raises_value_error(self, data):
-        blob = bytearray(network_bytes(_net()))
-        # half the edits land in the header, where a byte changes the layout
-        header = blob.index(b"end\n") + 4
-        pos = data.draw(st.one_of(st.integers(0, header - 1),
-                                  st.integers(0, len(blob) - 1)))
-        blob[pos] = data.draw(st.integers(0, 255))
+        # a header byte changes the layout, an array byte a parameter
+        blob = _edit_one_byte(data, bytearray(network_bytes(_net())), b"end\n")
         try:
-            net = network_from_bytes(bytes(blob))
+            net = network_from_bytes(blob)
         except ValueError:
             return
         # what loads is a usable model: weights inside the bounds, thresholds > 0
@@ -192,10 +202,40 @@ class TestFeatureContainer:
         with pytest.raises(ValueError, match="8 trailing bytes"):
             load_features(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, value):
+        feats = np.ones((2, 3))
+        feats[1, 2] = value
+        p = tmp_path / "f.spkfeat"
+        save_features(p, feats)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            load_features(p)
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mutated_features_load_or_raise_value_error(self, tmp_path, data):
+        p = tmp_path / "f.spkfeat"
+        save_features(p, np.random.default_rng(6).uniform(0.0, 2.0, (4, 3)), has_labels=True)
+        blob = _edit_one_byte(data, bytearray(p.read_bytes()), b"\n")
+        p.write_bytes(blob)
+        try:
+            feats, has_labels = load_features(p)
+        except ValueError:
+            return
+        # what loads is a usable matrix of finite values
+        assert feats.ndim == 2 and np.isfinite(feats).all()
+        assert isinstance(has_labels, bool)
+
+
+@functools.lru_cache(maxsize=1)
+def _svm_model():
+    rng = np.random.default_rng(5)
+    return fit(rng.random((60, 6)), rng.integers(0, 3, 60), seed=1)
+
 
 def _svm_file(tmp_path):
-    rng = np.random.default_rng(5)
-    model = fit(rng.random((60, 6)), rng.integers(0, 3, 60), seed=1)
+    model = _svm_model()
     p = tmp_path / "svm.spkmod"
     save_svm(p, model)
     return p, model
@@ -221,6 +261,41 @@ class TestSvmContainer:
                       + bytes(24))
         with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
             load_svm(p)
+
+    def test_repeated_class_rejected(self, tmp_path):
+        p = tmp_path / "svm.spkmod"
+        p.write_bytes(b"SPIKECONV SVM 1\ndim 2\nclass 3 4\nclass 3 5\nend\n" + bytes(48))
+        with pytest.raises(ValueError, match=re.escape("repeated class label in header "
+                                                       "line 'class 3 5'")):
+            load_svm(p)
+
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (5, np.inf), (-1, np.nan),
+                                              (-2, -np.inf)])
+    def test_non_finite_parameters_rejected(self, tmp_path, index, value):
+        # the bias follows the weights: index -1 and -2 are bias entries
+        p, model = _svm_file(tmp_path)
+        params = np.concatenate([model.weights.ravel(), model.bias])
+        params[index] = value
+        blob = p.read_bytes()
+        head = blob[:blob.index(b"end\n") + 4]
+        p.write_bytes(head + params.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            load_svm(p)
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mutated_svm_loads_or_raises_value_error(self, tmp_path, data):
+        p, _ = _svm_file(tmp_path)
+        p.write_bytes(_edit_one_byte(data, bytearray(p.read_bytes()), b"end\n"))
+        try:
+            model = load_svm(p)
+        except ValueError:
+            return
+        # what loads is a usable classifier: finite parameters, unique classes
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
+        assert len(np.unique(model.classes)) == len(model.classes)
+        assert model.weights.shape == (len(model.classes), model.weights.shape[1])
 
     def test_truncated_or_trailing_arrays_rejected(self, tmp_path):
         p, _ = _svm_file(tmp_path)

@@ -21,9 +21,10 @@ INF = np.inf
 # first runs the crossing engine, the other two the event engine
 ONE_NEURON_POLICIES = [NO_INHIBITION, InhibitionPolicy("soft", v_inh=0.5),
                        InhibitionPolicy("wta", scope="layer")]
-# every policy, so both engines (crossing: none, soft with v_inh=0, column
-# WTA; event: soft, layer WTA) meet the same strides, paddings, time ties
-# and one-position fc layers
+# every policy, so every route (crossing engine: none, soft with v_inh=0,
+# column WTA; rounds of its scan: soft over the columns of a conv layer;
+# event engine: layer scope, soft in a one-position fc layer) meets the same
+# strides, paddings, time ties and one-position fc layers
 SWEEP_POLICIES = [
     InhibitionPolicy("none"),
     InhibitionPolicy("soft", v_inh=0.0),
@@ -249,7 +250,8 @@ class TestOracleEquivalence:
 
     def test_signed_weights_crossing_engine(self):
         # signed weights skip the crossing engine's bound pre-filter, so the
-        # block scan alone decides every fire
+        # block scan alone decides every fire; under soft inhibition the
+        # floor at 0 can raise a negative potential
         rng = np.random.default_rng(4321)
         policies = [
             InhibitionPolicy("none"),
@@ -258,6 +260,10 @@ class TestOracleEquivalence:
             InhibitionPolicy("none", layers="output"),
             InhibitionPolicy("soft", v_inh=0.0, layers="output"),
             InhibitionPolicy("wta", layers="output"),
+            InhibitionPolicy("soft", v_inh=0.1),
+            InhibitionPolicy("soft", v_inh=0.6),
+            InhibitionPolicy("soft", v_inh=4.0),
+            InhibitionPolicy("soft", v_inh=0.6, layers="output"),
         ]
         for trial in range(30):
             net = random_network(rng, w_low=-0.5)
@@ -281,6 +287,82 @@ class TestOracleEquivalence:
         grid = random_grid(rng, spec.input_shape, 20)
         for policy in (NO_INHIBITION, InhibitionPolicy("soft"), InhibitionPolicy("wta")):
             _compare_with_oracle(net, grid, policy)
+
+
+@st.composite
+def _soft_column_cases(draw):
+    """A conv layer of several positions, a tie-heavy grid and a soft policy.
+
+    Weights are signed or non-negative; thresholds are low enough that a
+    column fires several times, and ``v_inh`` runs from a nudge that rarely
+    stops a competitor to a blow that floors the whole column at 0.
+    """
+    d_in, maps = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    fh, fw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    # at least two output rows: more than one position
+    h = fh + draw(st.integers(stride if pad == 0 else 0, stride + 3))
+    w = fw + draw(st.integers(0, 3))
+    signed = draw(st.booleans())
+    v_inh = draw(st.one_of(st.sampled_from([0.05, 0.5, 1.0, 5.0]), st.floats(0.001, 10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spec = NetworkSpec(Shape3(d_in, h, w), [LayerSpec("conv", fh, fw, maps, stride, pad)])
+    net = Network(spec)
+    net.weights[0] = rng.uniform(-0.6 if signed else 0.0, 1.0, spec.weight_shape(0))
+    net.thresholds[0] = rng.uniform(0.1, 0.3 * d_in * fh * fw + 0.2, maps)
+    n = draw(st.integers(1, spec.input_shape.size))
+    grid = random_grid(rng, spec.input_shape, n, tie_heavy=True)
+    return net, grid, InhibitionPolicy("soft", v_inh=v_inh)
+
+
+class TestSoftColumnRounds:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_soft_column_cases())
+    def test_rounds_match_dense_simulator(self, case):
+        net, grid, policy = case
+        assert net.spec.shapes[1].height * net.spec.shapes[1].width > 1
+        _compare_with_oracle(net, grid, policy)
+
+    def test_route_follows_policy_and_layer_shape(self, monkeypatch):
+        import spikeconv.simulate as sim
+
+        calls = []
+        for name in ("_conv_times", "_soft_column_times", "_event_times"):
+            real = getattr(sim, name)
+            monkeypatch.setattr(sim, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        conv = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 2, 2)), np.ones(2))
+        fc = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 3, 3)), np.ones(2), kind="fc")
+        soft = InhibitionPolicy("soft", v_inh=0.5)
+        cases = [
+            (conv, soft, "_soft_column_times"),
+            # one position: its column is the whole layer
+            (fc, soft, "_event_times"),
+            (conv, InhibitionPolicy("soft", v_inh=0.5, scope="layer"), "_event_times"),
+            (conv, InhibitionPolicy("wta", scope="layer"), "_event_times"),
+            (conv, InhibitionPolicy("soft", v_inh=0.0), "_conv_times"),
+            (fc, InhibitionPolicy("wta"), "_conv_times"),
+        ]
+        for net, policy, route in cases:
+            calls.clear()
+            forward_layer(net, 0, np.zeros((1, 3, 3)), policy)
+            assert calls == [route], (net.spec.layers[0], policy)
+
+    def test_floor_recheck_and_restart_by_hand(self):
+        # a 1x4 filter over five inputs 0.1 apart: two positions, the second
+        # seeing every input 0.1 later. At the first position map 0 and map 3
+        # cross on input 0.1; map 0 fires and floors the column at 0, so the
+        # recheck stops map 3, which fires on the next input alone and
+        # floors the rest again. Map 1 climbs back and fires on the fourth
+        # input; map 2, which would fire there without inhibition, never
+        # climbs back high enough.
+        per_tap = np.array([1.0, 0.6, 0.3, 1.2])
+        weights = np.repeat(per_tap, 4).reshape(4, 1, 1, 4)
+        times = np.array([[[0.1, 0.2, 0.3, 0.4, 0.5]]])
+        net = _one_layer(times, weights, np.array([1.0, 1.1, 1.0, 1.0]))
+        got = forward_layer(net, 0, times, InhibitionPolicy("soft", v_inh=5.0))
+        assert got[:, 0, :].tolist() == [[0.1, 0.2], [0.4, 0.5], [INF, INF], [0.2, 0.3]]
+        free = forward_layer(net, 0, times)
+        assert free[:, 0, :].tolist() == [[0.1, 0.2], [0.2, 0.3], [0.4, 0.5], [0.1, 0.2]]
 
 
 class TestColumnResponse:

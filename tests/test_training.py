@@ -13,6 +13,8 @@ from spikeconv import (
     Shape3,
     TrainConfig,
     TrainingLog,
+    encode_dataset,
+    extract_features,
     sample_patch,
     train_ensemble,
     train_network,
@@ -187,13 +189,26 @@ class TestTrainNetwork:
         images = _tiny_images()
         cfg = _quick_cfg()
         streams = RngStreams(5)
-        from spikeconv.training import encode_dataset
         grids = encode_dataset(images, cfg.dog, cfg.window)
         w0, th0 = train_layer(spec, 0, grids, cfg, streams, 0.7)
         sum_before = (w0.copy(), th0.copy())
         net = train_network(spec, images, cfg, seed=5)
         assert np.array_equal(net.weights[0], sum_before[0])
         assert np.array_equal(net.thresholds[0], sum_before[1])
+
+    def test_encoded_grids_with_nan_or_minus_inf_rejected(self):
+        # the training entry refuses the grids the inference entry refuses,
+        # with the same message
+        cfg = _quick_cfg()
+        net = train_network(_tiny_spec(), _tiny_images(), cfg, seed=3)
+        for bad, name in ((np.nan, "NaN"), (-np.inf, "-inf")):
+            grids = encode_dataset(_tiny_images(), cfg.dog, cfg.window)
+            grids[3][1, 4, 2] = bad
+            with pytest.raises(ValueError, match=f"input spike times contain {name}") as trained:
+                train_network(_tiny_spec(), None, cfg, seed=3, encoded=grids)
+            with pytest.raises(ValueError) as extracted:
+                extract_features(net, grids, cfg.window.t_end)
+            assert str(trained.value) == str(extracted.value)
 
     def test_broadcast_shares_one_filter_bank(self):
         net = train_network(_tiny_spec(), _tiny_images(), _quick_cfg(), seed=3)
