@@ -53,6 +53,9 @@ def load_idx(images_path, labels_path) -> LabeledImageSet:
             raise ValueError(
                 f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
             )
+        if min(count, rows, cols) < 0:
+            raise ValueError(f"{images_path}: negative size in IDX header "
+                             f"(count {count}, rows {rows}, cols {cols})")
         raw = f.read(count * rows * cols)
         if len(raw) < count * rows * cols:
             raise ValueError(f"{images_path}: truncated pixel data")
@@ -63,6 +66,8 @@ def load_idx(images_path, labels_path) -> LabeledImageSet:
             raise ValueError(
                 f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
             )
+        if lcount < 0:
+            raise ValueError(f"{labels_path}: negative count {lcount} in IDX header")
         raw = f.read(lcount)
         if len(raw) < lcount:
             raise ValueError(f"{labels_path}: truncated label data")

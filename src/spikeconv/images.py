@@ -41,6 +41,8 @@ def read_pnm(path) -> np.ndarray:
         raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
     (width_b, height_b, maxval_b), pos = _read_tokens(data, 3, 2)
     width, height, maxval = int(width_b), int(height_b), int(maxval_b)
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: width and height must be >= 1, got {width} x {height}")
     if maxval < 1 or maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     channels = 3 if magic in (b"P3", b"P6") else 1
@@ -54,6 +56,9 @@ def read_pnm(path) -> np.ndarray:
     else:
         tokens, _ = _read_tokens(data, count, pos)
         raw = np.array([int(t) for t in tokens], dtype=np.float64)
+    if not (raw.min() >= 0 and raw.max() <= maxval):
+        raise ValueError(f"{path}: sample values must lie in [0, {maxval}], "
+                         f"got {raw.min():g} to {raw.max():g}")
     img = raw.astype(np.float64).reshape(
         (height, width, 3) if channels == 3 else (height, width)
     )

@@ -86,7 +86,7 @@ def network_from_bytes(data: bytes) -> Network:
     buf = io.BytesIO(data)
     lines = _read_header_lines(buf, _MODEL_MAGIC)
     input_shape = None
-    w_min, w_max = 0.0, 1.0
+    w_min, w_max, bounds_line = 0.0, 1.0, None
     layers, targets, layer_lines = [], [], []
     for line in lines:
         fields = line.split()
@@ -97,8 +97,7 @@ def network_from_bytes(data: bytes) -> Network:
             input_shape = Shape3(int(fields[1]), int(fields[2]), int(fields[3]))
         elif key == "bounds":
             w_min, w_max = float(fields[1]), float(fields[2])
-            if not (math.isfinite(w_min) and math.isfinite(w_max) and w_min < w_max):
-                raise ValueError(f"need finite w_min < w_max in header line {line!r}")
+            bounds_line = line
         elif key == "layer":
             layer_lines.append(line)
             if "ttarget" in fields:
@@ -119,7 +118,10 @@ def network_from_bytes(data: bytes) -> Network:
         raise ValueError("header is missing the input/layer listing")
 
     spec = NetworkSpec(input_shape, layers)
-    net = Network(spec, w_min, w_max)
+    try:
+        net = Network(spec, w_min, w_max)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in header line {bounds_line!r}") from None
     net.t_targets = targets
     # every layer's arrays must fit in the bytes left before any is read
     rest = len(data) - buf.tell()
@@ -134,12 +136,7 @@ def network_from_bytes(data: bytes) -> Network:
     for i in spec.trainable_indices():
         weights = _read_array(buf, spec.weight_shape(i))
         thresholds = _read_array(buf, (spec.layers[i].maps,))
-        if not np.all((weights >= w_min) & (weights <= w_max)):  # NaN fails too
-            raise ValueError(f"layer {i} weights are NaN or outside the bounds "
-                             f"[{w_min!r}, {w_max!r}]")
-        if not np.all(np.isfinite(thresholds) & (thresholds > 0)):
-            raise ValueError(f"layer {i} thresholds must be finite and > 0")
-        net.weights[i], net.thresholds[i] = weights, thresholds
+        net.install_column(i, weights, thresholds)
     return net
 
 

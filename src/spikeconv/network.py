@@ -121,8 +121,8 @@ class Network:
     """
 
     def __init__(self, spec: NetworkSpec, w_min: float = 0.0, w_max: float = 1.0):
-        if not w_min < w_max:
-            raise ValueError(f"need w_min < w_max, got {w_min}, {w_max}")
+        if not (np.isfinite(w_min) and np.isfinite(w_max) and w_min < w_max):
+            raise ValueError(f"need finite w_min < w_max, got {w_min}, {w_max}")
         self.spec = spec
         self.w_min = float(w_min)
         self.w_max = float(w_max)
@@ -136,6 +136,8 @@ class Network:
 
         Layer parameters are stored once and shared by construction, so the
         broadcast amounts to installing the column's weights and thresholds.
+        Weights must lie within the network's bounds and thresholds be finite
+        and > 0: a NaN threshold would silence its neuron without an error.
         """
         expect = self.spec.weight_shape(index)
         if weights.shape != expect:
@@ -145,8 +147,14 @@ class Network:
                 f"layer {index} expects {self.spec.layers[index].maps} thresholds, "
                 f"got {thresholds.shape}"
             )
-        self.weights[index] = np.array(weights, dtype=np.float64)
-        self.thresholds[index] = np.array(thresholds, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
+        thresholds = np.array(thresholds, dtype=np.float64)
+        if not np.all((weights >= self.w_min) & (weights <= self.w_max)):  # NaN fails too
+            raise ValueError(f"layer {index} weights are NaN or outside the bounds "
+                             f"[{self.w_min!r}, {self.w_max!r}]")
+        if not np.all(np.isfinite(thresholds) & (thresholds > 0)):
+            raise ValueError(f"layer {index} thresholds must be finite and > 0")
+        self.weights[index], self.thresholds[index] = weights, thresholds
         if t_target is not None:
             self.t_targets[index] = float(t_target)
 

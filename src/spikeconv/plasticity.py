@@ -9,7 +9,6 @@ then the winner/loser homeostasis step that keeps the competition fair.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,6 @@ class AdditiveStdp:
         if not 0 < self.eta_w < np.inf:
             raise ValueError(f"eta_w must be positive and finite, got {self.eta_w}")
 
-    def scaled(self, factor: float) -> "AdditiveStdp":
-        return dataclasses.replace(self, eta_w=self.eta_w * factor)
-
 
 @dataclass(frozen=True)
 class MultiplicativeStdp:
@@ -52,9 +48,6 @@ class MultiplicativeStdp:
             raise ValueError(f"eta_w must be positive and finite, got {self.eta_w}")
         if not 0 < self.beta < np.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-
-    def scaled(self, factor: float) -> "MultiplicativeStdp":
-        return dataclasses.replace(self, eta_w=self.eta_w * factor)
 
 
 @dataclass(frozen=True)
@@ -78,9 +71,6 @@ class BiologicalStdp:
             raise ValueError(f"eta_w must be positive and finite, got {self.eta_w}")
         if not 0 < self.tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-
-    def scaled(self, factor: float) -> "BiologicalStdp":
-        return dataclasses.replace(self, eta_w=self.eta_w * factor)
 
 
 @dataclass(frozen=True)

@@ -7,45 +7,39 @@ resolve in neuron (map, y, x) order, with inhibition applied between
 candidate firings. Every neuron fires at most once per sample and membrane
 potentials start at zero for each sample.
 
-Three routes compute a conv/fc layer; the inhibition policy and the layer's
-shape pick one:
+Two engines compute a conv/fc layer. A competition that spans the layer
+(winner-take-all, or soft inhibition with ``v_inh > 0``, at layer scope or
+in a one-position layer, whose one column is the layer) runs on the event
+engine; everything else runs on the crossing engine.
 
-- the crossing engine, when no fire changes another neuron's potential:
-  no inhibition (or soft inhibition with ``v_inh == 0``, the same thing)
-  and winner-take-all at column scope. Inside a window the global event
-  order is the order of the sites' ranks in (time, site); each neuron fires
-  at the first input where its running weighted sum reaches the threshold,
-  and column WTA keeps the earliest crossing per column, the lowest map on
-  ties. One scan finds these crossings for inference and for training's
-  single column alike. With non-negative weights it first drops every
-  neuron whose total input, one matrix product widened by a margin larger
-  than the rounding of any summation order, stays below its threshold:
-  such a neuron can never fire, and the bound never decides a fire. The
-  remaining neurons walk their sorted inputs in blocks of doubling size
-  and leave at their first crossing (under column WTA, a column leaves at
-  its first). Each block's cumulative sum starts from the running sum the
-  block before ended with, so every partial sum is the same sequence of
-  float additions a single cumulative sum would make, and the outputs are
-  bitwise those of delivering the events one by one.
-- rounds of the same scan, for soft inhibition (``v_inh > 0``) at column
-  scope in a layer of several positions. A fire changes potentials only
-  in its own column, and between two of a column's fires every map's
-  potential is a plain running sum. Each round scans the column's live
-  neurons on from the column's start slot and stops the column at its
-  earliest crossing; there the crossing maps fire in map order, each
-  lowering the whole column to ``max(v - v_inh, 0)`` before the next map
-  is rechecked against its threshold, and the column's next round starts
-  at the following slot with the potentials it was left with. That carry
-  is added to the first term of the next cumulative sum, the same float
-  addition delivering that input one by one makes, so the outputs are
-  bitwise the event engine's. The bound still drops neurons, since
-  inhibition only lowers a non-negative potential; signed weights skip it.
-- the event engine, when the competition spans the whole layer: soft
-  inhibition or winner-take-all at layer scope, and soft inhibition at
-  column scope in a one-position (fc) layer, whose one column is the
-  layer. It delivers the events one by one exactly as stated above. An fc
-  column fires dozens of times per sample, and in rounds each fire would
-  cost a scan of its own.
+- The crossing engine serves no inhibition (soft inhibition with
+  ``v_inh == 0`` is the same thing) and every competition confined to a
+  column. Inside a window the global event order is the order of the
+  sites' ranks in (time, site); a neuron's potential is a plain running
+  sum of its weights in that order until a fire in its column. One scan
+  finds the first crossings for inference and for training's single
+  column alike. With non-negative weights it first drops every neuron
+  whose total input, one matrix product widened by a margin larger than
+  the rounding of any summation order, stays below its threshold: such a
+  neuron can never fire, inhibition only lowers a non-negative potential,
+  and the bound never decides a fire. The remaining neurons walk their
+  sorted inputs in blocks of doubling size and leave at their first
+  crossing; under a column competition a column leaves at its first. Each
+  block's cumulative sum starts from the running sum the block before
+  ended with, so every partial sum is the same sequence of float additions
+  a single cumulative sum would make, and the outputs are bitwise those of
+  delivering the events one by one. Without inhibition every crossing
+  fires; under winner-take-all the lowest map crossing at its column's
+  stop. Soft inhibition goes on from the stops in rounds: the crossing
+  maps fire in map order, each lowering the whole column to
+  ``max(v - v_inh, 0)`` before the next map is rechecked against its
+  threshold, and the column's next round scans on from the following slot
+  with the potentials it was left with. That carry is added to the first
+  term of the next cumulative sum, the same float addition delivering
+  that input one by one makes.
+- The event engine delivers the events one by one exactly as stated
+  above. An fc column fires dozens of times per sample under soft
+  inhibition, and in rounds each fire would cost a scan of its own.
 
 A pooling neuron fires at the earliest input time in its window.
 """
@@ -298,10 +292,16 @@ def _fire_times(ranked_t, wr, pos, order, rp, slot):
     return ranked_t[wr[pos[rp], order[rp, slot]].astype(np.int64)]
 
 
-def _conv_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
-    """Crossing engine: no inhibition, or winner-take-all over each column."""
+def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
+    """Crossing engine: no competition, or one confined to each column.
+
+    One crossing scan per chunk, stopping each column at its earliest
+    crossing under a competition; soft inhibition goes on from those stops
+    in rounds (module docstring).
+    """
     d_out = weights.shape[0]
     wta = policy.mode == "wta"
+    v_inh = policy.v_inh if policy.mode == "soft" else 0.0
     rank, ranked_t = _event_ranks(plan.pad_times(times_in).ravel())
     w2 = weights.reshape(d_out, -1)
     out = np.full((d_out, plan.positions), np.inf)
@@ -310,47 +310,25 @@ def _conv_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _
         wr = rank[plan.win_index[lo:lo + chunk]]
         pos, order, count, rd, rp = _live_rows(wr, w2, thresholds)
         th_r = thresholds[rd]
-        slot, v = _first_crossings(order, count, w2, rd, rp, th_r, wta)
-        fire = slot >= 0
-        if wta:  # of the maps crossing at a column's stop, the lowest fires
-            fire &= v >= th_r
-            lowest = np.full(pos.size, d_out)
-            np.minimum.at(lowest, rp[fire], rd[fire])
-            fire &= rd == lowest[rp]
-        rd, rp = rd[fire], rp[fire]
-        out[rd, lo + pos[rp]] = _fire_times(ranked_t, wr, pos, order, rp, slot[fire])
-    return out.reshape(d_out, plan.out_shape.height, plan.out_shape.width)
-
-
-def _soft_column_times(times_in, weights, thresholds, v_inh: float, plan: _Plan):
-    """Soft inhibition over each column of a multi-position layer, in rounds.
-
-    Each round scans every live row on from its column's start slot,
-    carrying its potential, and stops each column at its earliest crossing;
-    there the crossing maps fire in map order, each lowering the whole
-    column to ``max(v - v_inh, 0)`` before the next is rechecked against
-    its threshold, exactly as one-by-one delivery resolves them. The
-    column's next round starts at the following slot.
-    """
-    d_out = weights.shape[0]
-    rank, ranked_t = _event_ranks(plan.pad_times(times_in).ravel())
-    w2 = weights.reshape(d_out, -1)
-    out = np.full((d_out, plan.positions), np.inf)
-    chunk = max(1, _CHUNK_ELEMS // max(1, d_out * plan.window))
-    for lo in range(0, plan.positions, chunk):
-        wr = rank[plan.win_index[lo:lo + chunk]]
-        pos, order, count, rd, rp = _live_rows(wr, w2, thresholds)
+        slot, v_stop = _first_crossings(order, count, w2, rd, rp, th_r, wta or v_inh > 0.0)
+        if v_inh == 0.0:
+            fire = slot >= 0
+            if wta:  # of the maps crossing at a column's stop, the lowest fires
+                fire &= v_stop >= th_r
+                lowest = np.full(pos.size, d_out)
+                np.minimum.at(lowest, rp[fire], rd[fire])
+                fire &= rd == lowest[rp]
+            rd, rp = rd[fire], rp[fire]
+            out[rd, lo + pos[rp]] = _fire_times(ranked_t, wr, pos, order, rp, slot[fire])
+            continue
         fired = out[:, lo + pos]
         # per column: potentials, effective thresholds (+inf once fired or
         # never live) and the slot the next round starts at
         v = np.zeros((d_out, pos.size))
         th = np.full((d_out, pos.size), np.inf)
-        th[rd, rp] = thresholds[rd]
+        th[rd, rp] = th_r
         start = np.zeros(pos.size, dtype=np.int64)
-        begin = carry = None  # the first round starts every column at rest
-        while rd.size:
-            slot, v_stop = _first_crossings(order, count, w2, rd, rp, th[rd, rp], True,
-                                            begin, carry)
+        while True:
             stop = slot >= 0
             v[rd[stop], rp[stop]] = v_stop[stop]
             stop_at = np.full(pos.size, -1)
@@ -373,8 +351,11 @@ def _soft_column_times(times_in, weights, thresholds, v_inh: float, plan: _Plan)
             start[cols] = stop_at[cols] + 1
             cols = cols[start[cols] < count[cols]]
             rd, rp = np.nonzero(np.isfinite(th[:, cols]))
+            if not rd.size:
+                break
             rp = cols[rp]
-            begin, carry = start[rp], v[rd, rp]
+            slot, v_stop = _first_crossings(order, count, w2, rd, rp, th[rd, rp], True,
+                                            start[rp], v[rd, rp])
         out[:, lo + pos] = fired
     return out.reshape(d_out, plan.out_shape.height, plan.out_shape.width)
 
@@ -458,14 +439,11 @@ def forward_layer(
         raise ValueError(f"layer {index} has uninitialized parameters")
     if policy.layers == "output" and index != len(spec.layers) - 1:
         policy = NO_INHIBITION
-    if policy.mode == "soft" and policy.v_inh > 0.0:
-        if policy.scope == "column" and plan.positions > 1:
-            return _soft_column_times(times, weights, thresholds, policy.v_inh, plan)
-        # one position: its column is the whole layer
+    compete = policy.mode == "wta" or policy.mode == "soft" and policy.v_inh > 0.0
+    # in a one-position layer the one column is the whole layer
+    if compete and (policy.scope == "layer" or plan.positions == 1):
         return _event_times(times, weights, thresholds, policy, plan)
-    if policy.mode == "wta" and policy.scope == "layer":
-        return _event_times(times, weights, thresholds, policy, plan)
-    return _conv_times(times, weights, thresholds, policy, plan)
+    return _column_times(times, weights, thresholds, policy, plan)
 
 
 def forward_times(

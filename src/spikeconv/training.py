@@ -223,7 +223,7 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
     n = len(input_grids)
     for epoch in range(cfg.n_epoch):
         decay = cfg.anneal ** epoch
-        rule = cfg.rule.scaled(decay)
+        rule = dataclasses.replace(cfg.rule, eta_w=cfg.rule.eta_w * decay)
         params = ThresholdParams(t_target, cfg.eta_th * decay, cfg.th_min)
         nw_step = params.eta_th if cfg.no_winner == "step" else params.eta_th / d_out
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -66,6 +67,24 @@ class TestIdx:
         with pytest.raises(ValueError, match="truncated"):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("count, rows, cols", [(-1, 2, 2), (1, -2, 2), (1, 2, -2)])
+    def test_negative_image_header_size_rejected(self, tmp_path, count, rows, cols):
+        ip, lp = _write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        with open(ip, "wb") as f:
+            f.write(struct.pack(">4i", 0x803, count, rows, cols))
+            f.write(bytes(4))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{ip}: negative size in IDX header (count {count}, rows {rows}, cols {cols})")):
+            load_idx(ip, lp)
+
+    def test_negative_label_count_rejected(self, tmp_path):
+        ip, lp = _write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        with open(lp, "wb") as f:
+            f.write(struct.pack(">2i", 0x801, -1))
+            f.write(bytes(1))
+        with pytest.raises(ValueError, match=re.escape(f"{lp}: negative count -1")):
+            load_idx(ip, lp)
+
     def test_values_in_unit_interval(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (5, 4, 4)).astype(np.uint8)
@@ -107,6 +126,22 @@ class TestPnm:
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n4 4\n255\n\x00\x01")
         with pytest.raises(ValueError, match="truncated"):
+            read_pnm(p)
+
+    @pytest.mark.parametrize("data", [b"P5\n-2 2\n255\n" + bytes(4), b"P5\n0 3\n255\n",
+                                      b"P5\n3 0\n255\n", b"P2\n2 -1\n255\n0 1\n"])
+    def test_non_positive_size_rejected(self, tmp_path, data):
+        p = tmp_path / "s.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match="width and height must be >= 1"):
+            read_pnm(p)
+
+    @pytest.mark.parametrize("data", [b"P2\n2 1\n255\n999 0\n", b"P3\n1 1\n100\n0 101 0\n",
+                                      b"P2\n1 1\n255\n-3\n", b"P5\n1 1\n100\n\xc8"])
+    def test_sample_outside_maxval_rejected(self, tmp_path, data):
+        p = tmp_path / "v.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=r"sample values must lie in \[0, "):
             read_pnm(p)
 
     def test_grayscale_average(self):

@@ -132,6 +132,23 @@ class TestNetworkContainer:
         with pytest.raises(ValueError, match=f"layer 2 {array}"):
             network_from_bytes(network_bytes(net))
 
+    @pytest.mark.parametrize("array, value", [
+        ("weights", np.nan), ("weights", 3.0), ("weights", -0.25),
+        ("thresholds", np.nan), ("thresholds", np.inf), ("thresholds", 0.0),
+    ])
+    def test_install_rejects_what_loading_rejects(self, array, value):
+        # a column that could not be loaded back must not install either
+        net = _net()
+        params = {"weights": net.weights[2].copy(), "thresholds": net.thresholds[2].copy()}
+        params[array].flat[1] = value
+        with pytest.raises(ValueError, match=f"layer 2 {array}"):
+            net.install_column(2, params["weights"], params["thresholds"])
+
+    @pytest.mark.parametrize("w_min, w_max", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_network_rejects_non_finite_bounds(self, w_min, w_max):
+        with pytest.raises(ValueError, match="finite w_min < w_max"):
+            Network(_net().spec, w_min, w_max)
+
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())

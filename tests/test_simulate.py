@@ -21,10 +21,10 @@ INF = np.inf
 # first runs the crossing engine, the other two the event engine
 ONE_NEURON_POLICIES = [NO_INHIBITION, InhibitionPolicy("soft", v_inh=0.5),
                        InhibitionPolicy("wta", scope="layer")]
-# every policy, so every route (crossing engine: none, soft with v_inh=0,
-# column WTA; rounds of its scan: soft over the columns of a conv layer;
-# event engine: layer scope, soft in a one-position fc layer) meets the same
-# strides, paddings, time ties and one-position fc layers
+# every policy, so both routes (crossing engine: none, soft with v_inh=0,
+# column WTA and column soft in a conv layer; event engine: layer scope, and
+# WTA or soft in a one-position fc layer) meet the same strides, paddings,
+# time ties and one-position fc layers
 SWEEP_POLICIES = [
     InhibitionPolicy("none"),
     InhibitionPolicy("soft", v_inh=0.0),
@@ -290,12 +290,13 @@ class TestOracleEquivalence:
 
 
 @st.composite
-def _soft_column_cases(draw):
-    """A conv layer of several positions, a tie-heavy grid and a soft policy.
+def _column_cases(draw):
+    """A conv layer of several positions, a tie-heavy grid and a column policy.
 
     Weights are signed or non-negative; thresholds are low enough that a
-    column fires several times, and ``v_inh`` runs from a nudge that rarely
-    stops a competitor to a blow that floors the whole column at 0.
+    column fires several times. The policy is column WTA or soft inhibition
+    whose ``v_inh`` runs from a nudge that rarely stops a competitor to a
+    blow that floors the whole column at 0.
     """
     d_in, maps = draw(st.integers(1, 3)), draw(st.integers(2, 6))
     fh, fw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -305,6 +306,7 @@ def _soft_column_cases(draw):
     w = fw + draw(st.integers(0, 3))
     signed = draw(st.booleans())
     v_inh = draw(st.one_of(st.sampled_from([0.05, 0.5, 1.0, 5.0]), st.floats(0.001, 10.0)))
+    policy = draw(st.sampled_from([InhibitionPolicy("soft", v_inh=v_inh), InhibitionPolicy("wta")]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     spec = NetworkSpec(Shape3(d_in, h, w), [LayerSpec("conv", fh, fw, maps, stride, pad)])
     net = Network(spec)
@@ -312,12 +314,12 @@ def _soft_column_cases(draw):
     net.thresholds[0] = rng.uniform(0.1, 0.3 * d_in * fh * fw + 0.2, maps)
     n = draw(st.integers(1, spec.input_shape.size))
     grid = random_grid(rng, spec.input_shape, n, tie_heavy=True)
-    return net, grid, InhibitionPolicy("soft", v_inh=v_inh)
+    return net, grid, policy
 
 
 class TestSoftColumnRounds:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_soft_column_cases())
+    @given(_column_cases())
     def test_rounds_match_dense_simulator(self, case):
         net, grid, policy = case
         assert net.spec.shapes[1].height * net.spec.shapes[1].width > 1
@@ -327,20 +329,22 @@ class TestSoftColumnRounds:
         import spikeconv.simulate as sim
 
         calls = []
-        for name in ("_conv_times", "_soft_column_times", "_event_times"):
+        for name in ("_column_times", "_event_times"):
             real = getattr(sim, name)
             monkeypatch.setattr(sim, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
         conv = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 2, 2)), np.ones(2))
         fc = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 3, 3)), np.ones(2), kind="fc")
         soft = InhibitionPolicy("soft", v_inh=0.5)
         cases = [
-            (conv, soft, "_soft_column_times"),
+            (conv, soft, "_column_times"),
             # one position: its column is the whole layer
             (fc, soft, "_event_times"),
             (conv, InhibitionPolicy("soft", v_inh=0.5, scope="layer"), "_event_times"),
             (conv, InhibitionPolicy("wta", scope="layer"), "_event_times"),
-            (conv, InhibitionPolicy("soft", v_inh=0.0), "_conv_times"),
-            (fc, InhibitionPolicy("wta"), "_conv_times"),
+            (conv, InhibitionPolicy("soft", v_inh=0.0), "_column_times"),
+            (conv, InhibitionPolicy("wta"), "_column_times"),
+            (fc, InhibitionPolicy("wta"), "_event_times"),
+            (fc, NO_INHIBITION, "_column_times"),
         ]
         for net, policy, route in cases:
             calls.clear()
