@@ -115,12 +115,12 @@ def _encode(cfg: ExperimentConfig, ds):
     return encode_dataset(ds.images, tc.dog, tc.window), ds.labels
 
 
-def _evaluate(cfg, networks, train, test, svm_seed: int = 0, svm_out=None):
+def _evaluate(cfg, networks, train, test, svm_out=None):
     """Recognition rate and test sparsity; ``train``/``test`` come from ``_encode``."""
     t_end, policy = cfg.train_config().window.t_end, cfg.inference_policy()
     f_train = extract_features(networks, train[0], t_end, policy)
     f_test = extract_features(networks, test[0], t_end, policy)
-    model = fit(f_train, train[1], c=1.0, seed=svm_seed)
+    model = fit(f_train, train[1], c=1.0, seed=0)
     if svm_out:
         save_svm(svm_out, model)
     rate = accuracy(model, f_test, test[1])
@@ -128,6 +128,8 @@ def _evaluate(cfg, networks, train, test, svm_seed: int = 0, svm_out=None):
 
 
 def cmd_eval(args) -> int:
+    if args.svm_out and len(args.models) > 1 and not args.ensemble:
+        raise ValueError("--svm-out saves one classifier: give one model, or --ensemble")
     cfg = _config(args)
     train_ds = _load_split(args, "train", args.limit_train)
     test_ds = _load_split(args, "test", args.limit_test)
@@ -135,14 +137,10 @@ def cmd_eval(args) -> int:
     train, test = _encode(cfg, train_ds), _encode(cfg, test_ds)
 
     rows = []
-    if args.ensemble:
-        nets = [load_network(m) for m in args.models]
+    for group in [args.models] if args.ensemble else [[m] for m in args.models]:
+        nets = [load_network(m) for m in group]
         rate, sp = _evaluate(cfg, nets, train, test, svm_out=args.svm_out)
-        rows.append((cfg.name, "+".join(Path(m).stem for m in args.models), rate, sp))
-    else:
-        for m in args.models:
-            rate, sp = _evaluate(cfg, [load_network(m)], train, test, svm_out=args.svm_out)
-            rows.append((cfg.name, Path(m).stem, rate, sp))
+        rows.append((cfg.name, "+".join(Path(m).stem for m in group), rate, sp))
 
     lines = ["config,seed,recognition_rate,sparsity"]
     for name, seed_id, rate, sp in rows:
@@ -179,6 +177,8 @@ def _sweep_value_config(cfg: ExperimentConfig, axis: str, value: str) -> Experim
 
 def cmd_sweep(args) -> int:
     cfg = _config(args)
+    if cfg.ensemble:
+        raise ValueError(f"{cfg.name}: sweep cannot run a config with an [ensemble] section")
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError("sweep needs a non-empty comma-separated --values list")

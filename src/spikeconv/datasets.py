@@ -80,14 +80,14 @@ def load_idx(images_path, labels_path) -> LabeledImageSet:
     return LabeledImageSet(images.astype(np.float64) / 255.0, labels.astype(np.int64), names)
 
 
-def _load_one(path, target, decoder):
-    img = to_grayscale(decoder(path))
+def _load_one(path, target):
+    img = to_grayscale(read_pnm(path))
     if target is not None:
         img = bilinear_resize(img, target[0], target[1])
     return img
 
 
-def load_image_dir(root, target_size=None, decoder=read_pnm) -> LabeledImageSet:
+def load_image_dir(root, target_size=None) -> LabeledImageSet:
     """Load one-subdirectory-per-class images, grayscaled and resized.
 
     Classes and files are taken in lexicographic order so loading is
@@ -107,7 +107,7 @@ def load_image_dir(root, target_size=None, decoder=read_pnm) -> LabeledImageSet:
             if not fp.is_file():
                 continue
             try:
-                images.append(_load_one(fp, target_size, decoder))
+                images.append(_load_one(fp, target_size))
                 labels.append(label)
                 loaded += 1
             except (ValueError, OSError) as exc:
@@ -117,7 +117,7 @@ def load_image_dir(root, target_size=None, decoder=read_pnm) -> LabeledImageSet:
     return LabeledImageSet(np.stack(images), np.array(labels, dtype=np.int64), names)
 
 
-def load_split_list(root, list_path, target_size=None, decoder=read_pnm) -> LabeledImageSet:
+def load_split_list(root, list_path, target_size=None) -> LabeledImageSet:
     """Load an explicit split: one 'relative/path label' pair per line."""
     root = Path(root)
     images, labels = [], []
@@ -134,7 +134,7 @@ def load_split_list(root, list_path, target_size=None, decoder=read_pnm) -> Labe
                 label = int(label_s)
             except ValueError:
                 raise ValueError(f"{list_path}:{ln}: bad label {label_s!r}") from None
-            images.append(_load_one(root / rel, target_size, decoder))
+            images.append(_load_one(root / rel, target_size))
             labels.append(label)
     if not images:
         raise ValueError(f"{list_path}: empty split list")

@@ -7,11 +7,11 @@ import numpy as np
 __all__ = ["read_pnm", "write_pgm", "write_ppm", "to_grayscale", "bilinear_resize"]
 
 
-def _read_tokens(data: bytes, count: int, pos: int):
-    """Read whitespace/comment-separated ASCII header tokens."""
-    tokens = []
+def _read_ints(path, data: bytes, pos: int, count: int, fields):
+    """``count`` ASCII integers from ``pos``, named by ``fields`` (the last names the rest)."""
+    values = []
     n = len(data)
-    while len(tokens) < count:
+    while len(values) < count:
         while pos < n and data[pos:pos + 1].isspace():
             pos += 1
         if pos < n and data[pos:pos + 1] == b"#":
@@ -21,10 +21,15 @@ def _read_tokens(data: bytes, count: int, pos: int):
         start = pos
         while pos < n and not data[pos:pos + 1].isspace():
             pos += 1
+        field = fields[min(len(values), len(fields) - 1)]
         if start == pos:
-            raise ValueError("truncated PNM header")
-        tokens.append(data[start:pos])
-    return tokens, pos
+            raise ValueError(f"{path}: truncated PNM file: no {field}")
+        try:
+            values.append(int(data[start:pos]))
+        except ValueError:
+            raise ValueError(f"{path}: PNM {field} must be an integer, "
+                             f"got {data[start:pos]!r}") from None
+    return values, pos
 
 
 def read_pnm(path) -> np.ndarray:
@@ -39,8 +44,7 @@ def read_pnm(path) -> np.ndarray:
     magic = data[:2]
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
-    (width_b, height_b, maxval_b), pos = _read_tokens(data, 3, 2)
-    width, height, maxval = int(width_b), int(height_b), int(maxval_b)
+    (width, height, maxval), pos = _read_ints(path, data, 2, 3, ("width", "height", "maxval"))
     if width < 1 or height < 1:
         raise ValueError(f"{path}: width and height must be >= 1, got {width} x {height}")
     if maxval < 1 or maxval > 255:
@@ -54,8 +58,7 @@ def read_pnm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated pixel data")
         raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
-        tokens, _ = _read_tokens(data, count, pos)
-        raw = np.array([int(t) for t in tokens], dtype=np.float64)
+        raw = np.array(_read_ints(path, data, pos, count, ("sample",))[0], dtype=np.float64)
     if not (raw.min() >= 0 and raw.max() <= maxval):
         raise ValueError(f"{path}: sample values must lie in [0, {maxval}], "
                          f"got {raw.min():g} to {raw.max():g}")

@@ -42,6 +42,8 @@ _INT64 = np.iinfo(np.int64)
 def network_bytes(network: Network) -> bytes:
     network.require_ready()
     spec = network.spec
+    for i in spec.trainable_indices():
+        network.check_column(i, network.weights[i], network.thresholds[i])
     buf = io.BytesIO()
     d, h, w = spec.input_shape.astuple()
     buf.write(f"{_MODEL_MAGIC} {_VERSION}\n".encode())
@@ -59,8 +61,9 @@ def network_bytes(network: Network) -> bytes:
 
 
 def save_network(path, network: Network) -> None:
+    data = network_bytes(network)  # a refused network leaves no file behind
     with open(path, "wb") as f:
-        f.write(network_bytes(network))
+        f.write(data)
 
 
 def _read_header_lines(buf: io.BytesIO, magic: str):

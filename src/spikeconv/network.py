@@ -135,10 +135,17 @@ class Network:
         """Broadcast one trained column onto every position of layer ``index``.
 
         Layer parameters are stored once and shared by construction, so the
-        broadcast amounts to installing the column's weights and thresholds.
-        Weights must lie within the network's bounds and thresholds be finite
-        and > 0: a NaN threshold would silence its neuron without an error.
+        broadcast installs the column's weights and thresholds.
         """
+        weights = np.array(weights, dtype=np.float64)
+        thresholds = np.array(thresholds, dtype=np.float64)
+        self.check_column(index, weights, thresholds)
+        self.weights[index], self.thresholds[index] = weights, thresholds
+        if t_target is not None:
+            self.t_targets[index] = float(t_target)
+
+    def check_column(self, index: int, weights: np.ndarray, thresholds: np.ndarray) -> None:
+        """Raise a ValueError naming layer ``index`` unless it can hold this column."""
         expect = self.spec.weight_shape(index)
         if weights.shape != expect:
             raise ValueError(f"layer {index} expects weights {expect}, got {weights.shape}")
@@ -147,16 +154,11 @@ class Network:
                 f"layer {index} expects {self.spec.layers[index].maps} thresholds, "
                 f"got {thresholds.shape}"
             )
-        weights = np.array(weights, dtype=np.float64)
-        thresholds = np.array(thresholds, dtype=np.float64)
         if not np.all((weights >= self.w_min) & (weights <= self.w_max)):  # NaN fails too
             raise ValueError(f"layer {index} weights are NaN or outside the bounds "
                              f"[{self.w_min!r}, {self.w_max!r}]")
-        if not np.all(np.isfinite(thresholds) & (thresholds > 0)):
+        if not np.all(np.isfinite(thresholds) & (thresholds > 0)):  # NaN would mute a neuron
             raise ValueError(f"layer {index} thresholds must be finite and > 0")
-        self.weights[index], self.thresholds[index] = weights, thresholds
-        if t_target is not None:
-            self.t_targets[index] = float(t_target)
 
     @property
     def output_t_target(self) -> float | None:

@@ -11,10 +11,12 @@ inspection.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .network import Network, POOL
-from .simulate import InhibitionPolicy, NO_INHIBITION, forward_times
+from .simulate import InhibitionPolicy, NO_INHIBITION, forward_times, window_plan
 
 __all__ = [
     "decode_grid",
@@ -135,22 +137,22 @@ def reconstruct_filter(network: Network, index: int, map_index: int) -> np.ndarr
 
 
 def _project_down(canvas: np.ndarray, layer, weights) -> np.ndarray:
-    """One transposed step: layer-output canvas -> layer-input canvas."""
+    """One transposed step: layer-output canvas -> layer-input canvas.
+
+    Each position, in row-major order, adds its contribution onto the sites
+    of its window in the layer's unpadded window plan.
+    """
     d_out, h, w = canvas.shape
-    s = layer.stride
-    fh, fw = layer.filter_h, layer.filter_w
-    in_h = (h - 1) * s + fh
-    in_w = (w - 1) * s + fw
-    if layer.kind == POOL:
-        out = np.zeros((d_out, in_h, in_w))
-        for y in range(h):
-            for x in range(w):
-                out[:, y * s:y * s + fh, x * s:x * s + fw] += canvas[:, y, x, None, None]
-        return out
-    d_in = weights.shape[1]
-    out = np.zeros((d_in, in_h, in_w))
-    for y in range(h):
-        for x in range(w):
-            contrib = np.tensordot(canvas[:, y, x], weights, axes=(0, 0))
-            out[:, y * s:y * s + fh, x * s:x * s + fw] += contrib
+    d_in = d_out if layer.kind == POOL else weights.shape[1]
+    # the unpadded input whose plan has exactly h x w positions
+    out = np.zeros((d_in, (h - 1) * layer.stride + layer.filter_h,
+                    (w - 1) * layer.stride + layer.filter_w))
+    plan = window_plan(out.shape, dataclasses.replace(layer, padding=0))
+    per_pos = canvas.reshape(d_out, plan.positions)
+    if layer.kind == POOL:  # a pooling plan indexes the sites of one map
+        np.add.at(out.reshape(d_out, -1), (slice(None), plan.win_index), per_pos[:, :, None])
+    else:
+        contrib = [np.tensordot(per_pos[:, p], weights, axes=(0, 0)).ravel()
+                   for p in range(plan.positions)]
+        np.add.at(out.reshape(-1), plan.win_index, np.array(contrib))
     return out

@@ -42,12 +42,16 @@ engine; everything else runs on the crossing engine.
   inhibition, and in rounds each fire would cost a scan of its own.
 
 A pooling neuron fires at the earliest input time in its window.
+
+Every window comes from the layer's cached ``window_plan``, which
+inference, training's random patches and filter reconstruction all read;
+``_event_order`` is the one sort of the (time, site) event order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,6 +63,7 @@ __all__ = [
     "NO_INHIBITION",
     "forward_layer",
     "forward_times",
+    "window_plan",
     "column_response",
     "ColumnResult",
 ]
@@ -134,7 +139,6 @@ class _Plan:
         # coincides with the global (map, y, x) site order inside one window
         self.win_index = origin[:, None] + site[None, :]
         self.window = self.win_index.shape[1]
-        self._reverse = None
 
     def pad_times(self, times: np.ndarray) -> np.ndarray:
         p = self.layer.padding
@@ -142,33 +146,29 @@ class _Plan:
             return times
         return np.pad(times, ((0, 0), (p, p), (p, p)), constant_values=np.inf)
 
+    @cached_property
     def reverse(self):
         """CSR site -> (position, window-slot) map for the event engine."""
-        if self._reverse is None:
-            pk = np.repeat(np.arange(self.positions, dtype=np.int64), self.window)
-            kk = np.tile(np.arange(self.window, dtype=np.int64), self.positions)
-            flat = self.win_index.ravel()
-            order = np.argsort(flat, kind="stable")
-            sites = flat[order]
-            starts = np.searchsorted(sites, np.arange(self.pad_flat_size() + 1))
-            self._reverse = (starts, pk[order], kk[order])
-        return self._reverse
-
-    def pad_flat_size(self) -> int:
+        pk = np.repeat(np.arange(self.positions, dtype=np.int64), self.window)
+        kk = np.tile(np.arange(self.window, dtype=np.int64), self.positions)
+        flat = self.win_index.ravel()
+        order = np.argsort(flat, kind="stable")
+        sites = flat[order]
         d = 1 if self.layer.kind == POOL else self.in_shape.depth
-        return d * self.pad_h * self.pad_w
+        starts = np.searchsorted(sites, np.arange(d * self.pad_h * self.pad_w + 1))
+        return starts, pk[order], kk[order]
 
 
 @lru_cache(maxsize=64)
-def _plan_for(in_shape_t: tuple, layer: LayerSpec) -> _Plan:
-    return _Plan(Shape3(*in_shape_t), layer)
+def window_plan(in_shape: tuple, layer: LayerSpec) -> _Plan:
+    """Cached window plan of ``layer`` over a (depth, H, W) input field.
 
-
-def _window_times(times_in: np.ndarray, plan: _Plan) -> np.ndarray:
-    tp = plan.pad_times(times_in)
-    if plan.layer.kind == POOL:
-        return tp.reshape(times_in.shape[0], -1)[:, plan.win_index]  # (D, P, K)
-    return tp.ravel()[plan.win_index]  # (P, K)
+    Row ``p`` of ``win_index`` lists the sites of the +inf-padded input
+    (``pad_times``) that output position ``p`` sees, in (map, y, x) order;
+    a pooling plan indexes the sites of one map.
+    """
+    depth, height, width = in_shape  # a ValueError for a field that is not 3-D
+    return _Plan(Shape3(depth, height, width), layer)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +176,23 @@ def _window_times(times_in: np.ndarray, plan: _Plan) -> np.ndarray:
 
 
 def _pool_times(times_in: np.ndarray, plan: _Plan) -> np.ndarray:
-    wt = _window_times(times_in, plan)
-    out = wt.min(axis=2)
+    tp = plan.pad_times(times_in).reshape(times_in.shape[0], -1)
+    out = tp[:, plan.win_index].min(axis=2)  # (D, P, K) windows
     return out.reshape((times_in.shape[0],) + (plan.out_shape.height, plan.out_shape.width))
 
 
+def _event_order(flat: np.ndarray) -> np.ndarray:
+    """The finite sites in (time, site) event order: ties keep (map, y, x) order."""
+    sites = np.nonzero(np.isfinite(flat))[0]
+    return sites[np.argsort(flat[sites], kind="stable")]
+
+
 def _event_ranks(flat: np.ndarray):
-    """Rank of every finite site in the (time, site) event order, +inf if silent.
+    """Rank of every finite site in the event order, +inf if silent.
 
     Returns the ranks and the times in rank order.
     """
-    sites = np.nonzero(np.isfinite(flat))[0]
-    sites = sites[np.argsort(flat[sites], kind="stable")]
+    sites = _event_order(flat)
     rank = np.full(flat.size, np.inf)
     rank[sites] = np.arange(sites.size)
     return rank, flat[sites]
@@ -370,12 +375,8 @@ def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: 
     d_out = weights.shape[0]
     shape = (d_out, plan.out_shape.height, plan.out_shape.width)
     w2 = weights.reshape(d_out, -1)
-    starts, rev_p, rev_k = plan.reverse()
-
+    starts, rev_p, rev_k = plan.reverse
     flat_t = plan.pad_times(times_in).ravel()
-    sites = np.nonzero(np.isfinite(flat_t))[0]
-    # stable over ascending site indices: ties in time keep (map, y, x) order
-    sites = sites[np.argsort(flat_t[sites], kind="stable")]
 
     v = np.zeros((d_out, plan.positions))
     # effective thresholds: +inf once a neuron has fired, so a fired neuron's
@@ -384,7 +385,7 @@ def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: 
     out = np.full((d_out, plan.positions), np.inf)
     v_inh = policy.v_inh
 
-    for s in sites:
+    for s in _event_order(flat_t):
         lo, hi = starts[s], starts[s + 1]
         if lo == hi:
             continue
@@ -395,11 +396,10 @@ def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: 
         cd, ci = np.nonzero(vp >= th[:, pl])
         if cd.size == 0:
             continue
-        t = flat_t[s]
         for d, p in zip(cd.tolist(), pl[ci].tolist()):
             if v[d, p] < th[d, p]:
                 continue  # inhibited below threshold by an earlier fire
-            out[d, p] = t
+            out[d, p] = flat_t[s]
             if policy.mode == "wta":
                 return out.reshape(shape)  # the layer's one spike
             th[d, p] = np.inf
@@ -431,7 +431,7 @@ def forward_layer(
             f"input grid shape {times.shape} does not match "
             f"layer {index} input {in_shape}"
         )
-    plan = _plan_for(in_shape, layer)
+    plan = window_plan(in_shape, layer)
     if layer.kind == POOL:
         return _pool_times(times, plan)
     weights, thresholds = network.weights[index], network.thresholds[index]

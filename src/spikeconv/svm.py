@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["LinearModel", "fit", "decision_scores", "predict", "accuracy"]
 
+_MAX_PASSES = 40  # pass budget of each binary fit
+_TOL = 1e-4  # a fit stops early once no projected gradient exceeds this
+
 
 @dataclass
 class LinearModel:
@@ -29,13 +32,13 @@ class LinearModel:
             raise ValueError("per-class parameter counts disagree")
 
 
-def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0, seed: int = 0,
-        max_passes: int = 40, tol: float = 1e-4) -> LinearModel:
+def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
+        seed: int = 0) -> LinearModel:
     """Train one-vs-rest linear SVMs on a feature matrix.
 
     Deterministic given (data, seed): coordinate orders are drawn from the
-    seed and the solver stops on a fixed pass budget or when the largest
-    projected gradient falls below ``tol``.
+    seed and the solver stops after ``_MAX_PASSES`` passes or when the
+    largest projected gradient falls below ``_TOL``.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -54,17 +57,17 @@ def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0, seed: int = 0,
     weights = np.zeros((len(classes), d))
     for ci, cls in enumerate(classes):
         yb = np.where(y == cls, 1.0, -1.0)
-        weights[ci] = _dual_cd(x, yb, sq, c, rng, max_passes, tol)
+        weights[ci] = _dual_cd(x, yb, sq, c, rng)
 
     return LinearModel(classes, weights, np.zeros(len(classes)), counts)
 
 
-def _dual_cd(x, y, sq, c, rng, max_passes, tol):
+def _dual_cd(x, y, sq, c, rng):
     """Dual coordinate descent for min 1/2 w.w + C sum hinge(1 - y w.x)."""
     n = x.shape[0]
     alpha = np.zeros(n)
     w = np.zeros(x.shape[1])
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         worst = 0.0
         for i in rng.permutation(n):
             if sq[i] == 0.0:
@@ -84,7 +87,7 @@ def _dual_cd(x, y, sq, c, rng, max_passes, tol):
                 alpha[i] = min(max(prev - g / sq[i], 0.0), c)
                 if alpha[i] != prev:
                     w += (alpha[i] - prev) * y[i] * x[i]
-        if worst < tol:
+        if worst < _TOL:
             break
     return w
 

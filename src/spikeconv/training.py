@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import RngStreams, check_fire_times
 from .encoding import CodingWindow, DoGParams, encode_image_grid
-from .network import Network, NetworkSpec, POOL
+from .network import LayerSpec, Network, NetworkSpec, POOL
 from .plasticity import (
     BiologicalStdp,
     ThresholdParams,
@@ -27,7 +27,8 @@ from .plasticity import (
     adapt_threshold_wta,
     apply_stdp,
 )
-from .simulate import InhibitionPolicy, NO_INHIBITION, column_response, forward_layer
+from .simulate import (InhibitionPolicy, NO_INHIBITION, column_response, forward_layer,
+                       window_plan)
 
 __all__ = [
     "TrainConfig",
@@ -167,32 +168,20 @@ def encode_dataset(images, dog: DoGParams, window: CodingWindow) -> list[np.ndar
 
 
 def sample_patch(rng: np.random.Generator, field_times: np.ndarray,
-                 filter_h: int, filter_w: int, stride: int = 1,
-                 padding: int = 0) -> np.ndarray:
+                 layer: LayerSpec) -> np.ndarray:
     """Cut a random receptive-field window out of a layer-input spike field.
 
-    The window's top-left corner is drawn uniformly over the positions an
-    actual column of the layer could occupy (stride-aligned over the padded
-    extent); timestamps are kept, silent and padded sites are +inf.
+    The window is the one a column of ``layer`` sees at a position drawn
+    uniformly over the layer's output positions: a row of the layer's
+    window plan, the same one inference reads. Timestamps are kept, silent
+    and padded sites are +inf. Returns (depth, F_h, F_w).
     """
-    d, h, w = field_times.shape
-    out_h = (h + 2 * padding - filter_h) // stride + 1
-    out_w = (w + 2 * padding - filter_w) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ValueError(
-            f"patch {filter_h}x{filter_w} (stride {stride}, padding {padding}) "
-            f"does not fit field {field_times.shape}"
-        )
-    pos = int(rng.integers(out_h * out_w))
-    oy, ox = divmod(pos, out_w)
-    y0 = oy * stride - padding
-    x0 = ox * stride - padding
-    patch = np.full((d, filter_h, filter_w), np.inf)
-    ys = slice(max(0, y0), min(h, y0 + filter_h))
-    xs = slice(max(0, x0), min(w, x0 + filter_w))
-    patch[:, ys.start - y0:ys.stop - y0, xs.start - x0:xs.stop - x0] = \
-        field_times[:, ys, xs]
-    return patch
+    if layer.kind == POOL:
+        raise ValueError("pooling layers have no receptive field to train")
+    plan = window_plan(field_times.shape, layer)
+    pos = int(rng.integers(plan.positions))
+    patch = plan.pad_times(field_times).ravel()[plan.win_index[pos]]
+    return patch.reshape(field_times.shape[0], layer.filter_h, layer.filter_w)
 
 
 def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
@@ -232,10 +221,7 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
         no_winner = 0
         time_sum = 0.0
         for s in order:
-            patch = sample_patch(
-                patch_rng, input_grids[s], layer.filter_h, layer.filter_w,
-                layer.stride, layer.padding,
-            )
+            patch = sample_patch(patch_rng, input_grids[s], layer)
             res = column_response(patch, weights, thresholds)
             if res.winner is None:
                 no_winner += 1

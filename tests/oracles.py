@@ -51,6 +51,28 @@ def naive_bilinear(image, out_h, out_w):
     return out
 
 
+def naive_patch(rng, field, filter_h, filter_w, stride, padding):
+    """Receptive-field window at a random output position, cut site by site.
+
+    Draws the position as ``sample_patch`` does (uniform over the
+    row-major output positions), then reads each window site at its corner
+    offset; sites outside the field (padding) are +inf.
+    """
+    d, h, w = field.shape
+    out_h = (h + 2 * padding - filter_h) // stride + 1
+    out_w = (w + 2 * padding - filter_w) // stride + 1
+    oy, ox = divmod(int(rng.integers(out_h * out_w)), out_w)
+    patch = np.full((d, filter_h, filter_w), np.inf)
+    for m in range(d):
+        for ky in range(filter_h):
+            for kx in range(filter_w):
+                y = oy * stride - padding + ky
+                x = ox * stride - padding + kx
+                if 0 <= y < h and 0 <= x < w:
+                    patch[m, ky, kx] = field[m, y, x]
+    return patch
+
+
 class DenseSimulator:
     """Dense time-stepped spiking simulator (the slow reference).
 

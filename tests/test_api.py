@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -9,6 +10,7 @@ import pytest
 import spikeconv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(spikeconv.__file__).resolve().parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(spikeconv.__path__))
 
 
@@ -25,6 +27,21 @@ def test_all_names_resolve_and_star_import_works(name):
     exec(f"from spikeconv.{name} import *", namespace)
     for n in getattr(module, "__all__", ()):
         assert namespace[n] is getattr(module, n)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_names_imported_across_modules(path):
+    # a module uses only another's public names; a helper that several
+    # modules need gets a public name in its home module
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "spikeconv")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"{path.name} imports private names {private}"
 
 
 def test_readme_quick_tour_runs():

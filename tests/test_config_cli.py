@@ -8,7 +8,7 @@ import pytest
 
 from spikeconv.cli import main
 from spikeconv.config import _KEYS, DEFAULT_ARCHITECTURE, ExperimentConfig, parse_config
-from spikeconv.modelio import load_features, load_labels, load_network
+from spikeconv.modelio import load_features, load_labels, load_network, load_svm
 from spikeconv.plasticity import BiologicalStdp, MultiplicativeStdp
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -353,6 +353,15 @@ class TestCliEval:
         assert "nope.spknet" in capsys.readouterr().err
 
 
+    def test_svm_out_of_several_models_needs_ensemble(self, toy, capsys):
+        # rejected before any model or dataset is read
+        svm = toy["dir"] / "s.svm"
+        rc = main(["eval", "nope1.spknet", "nope2.spknet", "--svm-out", str(svm)])
+        assert rc == 1
+        assert "--svm-out" in capsys.readouterr().err
+        assert not svm.exists()
+
+
 class TestCliSweep:
     def test_policy_axis_three_rows(self, toy, capsys):
         rc = main([
@@ -388,6 +397,17 @@ class TestCliSweep:
         ])
         assert rc == 1
         assert "non-empty" in capsys.readouterr().err
+
+    def test_ensemble_config_rejected(self, toy, capsys):
+        cfg = toy["dir"] / "ens.ini"
+        cfg.write_text(TOY_CONFIG + "\n[ensemble]\nmember1 = 0.6 3\n")
+        rc = main([
+            "sweep", "--config", str(cfg), "--axis", "t_target", "--values", "0.6",
+            "--train-images", toy["train"][0], "--train-labels", toy["train"][1],
+            "--test-images", toy["test"][0], "--test-labels", toy["test"][1],
+        ])
+        assert rc == 1
+        assert "[ensemble]" in capsys.readouterr().err
 
     def test_unknown_axis_rejected_by_parser(self, toy):
         with pytest.raises(SystemExit):
@@ -511,3 +531,24 @@ class TestCliEnsembleTrain:
         m1 = toy["dir"] / "ens.m1.spknet"
         assert m0.exists() and m1.exists()
         assert load_network(m0).spec.out_shape.depth == 3
+
+    def test_ensemble_eval_saves_one_classifier(self, toy, capsys):
+        cfg = toy["dir"] / "ens.ini"
+        cfg.write_text(TOY_CONFIG + "\n[ensemble]\nmember1 = 0.6 3\nmember2 = 0.8 2\n")
+        out = toy["dir"] / "ens.spknet"
+        assert main([
+            "train", "--config", str(cfg), "--seed", "4", "--out", str(out),
+            "--train-images", toy["train"][0], "--train-labels", toy["train"][1],
+        ]) == 0
+        capsys.readouterr()
+        svm = toy["dir"] / "ens.svm"
+        rc = main([
+            "eval", str(toy["dir"] / "ens.m0.spknet"), str(toy["dir"] / "ens.m1.spknet"),
+            "--ensemble", "--svm-out", str(svm), "--config", str(cfg),
+            "--train-images", toy["train"][0], "--train-labels", toy["train"][1],
+            "--test-images", toy["test"][0], "--test-labels", toy["test"][1],
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2 and lines[1].split(",")[1] == "ens.m0+ens.m1"
+        assert load_svm(svm).weights.shape[1] == 3 + 2  # both members' features

@@ -144,6 +144,25 @@ class TestPnm:
         with pytest.raises(ValueError, match=r"sample values must lie in \[0, "):
             read_pnm(p)
 
+    @pytest.mark.parametrize("data, field", [
+        (b"P5\n1 x\n255", "height"), (b"P5\nw 1\n255\n\x00", "width"),
+        (b"P2\n1 1\n2.5\n0\n", "maxval"), (b"P2\n1 1\n255\nabc", "sample"),
+        (b"P3\n1 1\n255\n0 1 z\n", "sample"),
+    ])
+    def test_non_integer_field_named(self, tmp_path, data, field):
+        p = tmp_path / "n.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: PNM {field} must be an integer")):
+            read_pnm(p)
+
+    @pytest.mark.parametrize("data, field", [(b"P5\n2 2\n", "maxval"),
+                                             (b"P2\n2 2\n255\n1 2", "sample")])
+    def test_truncated_ascii_field_named(self, tmp_path, data, field):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: truncated PNM file: no {field}")):
+            read_pnm(p)
+
     def test_grayscale_average(self):
         img = np.zeros((2, 2, 3))
         img[0, 0] = [0.3, 0.6, 0.9]

@@ -127,10 +127,30 @@ class TestNetworkContainer:
         ("thresholds", -3.0),
     ])
     def test_bad_parameter_value_rejected(self, array, value):
+        # overwrite element 1 of layer 2's array in a valid file; the
+        # arrays follow the header as w0, th0, w2, th2
+        net = _net()
+        blob = bytearray(network_bytes(net))
+        before = [net.weights[0], net.thresholds[0]]
+        if array == "thresholds":
+            before.append(net.weights[2])
+        at = blob.index(b"end\n") + 4 + 8 * (sum(a.size for a in before) + 1)
+        assert blob[at:at + 8] == np.array(getattr(net, array)[2].flat[1], "<f8").tobytes()
+        blob[at:at + 8] = np.array(value, dtype="<f8").tobytes()
+        with pytest.raises(ValueError, match=f"layer 2 {array}"):
+            network_from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("array, value", [
+        ("weights", np.nan), ("weights", 5.0), ("thresholds", np.inf), ("thresholds", 0.0),
+    ])
+    def test_writer_rejects_what_loading_rejects(self, array, value, tmp_path):
         net = _net()
         getattr(net, array)[2].flat[1] = value
         with pytest.raises(ValueError, match=f"layer 2 {array}"):
-            network_from_bytes(network_bytes(net))
+            network_bytes(net)
+        with pytest.raises(ValueError, match=f"layer 2 {array}"):
+            save_network(tmp_path / "m.spknet", net)
+        assert not (tmp_path / "m.spknet").exists()
 
     @pytest.mark.parametrize("array, value", [
         ("weights", np.nan), ("weights", 3.0), ("weights", -0.25),

@@ -22,6 +22,7 @@ from spikeconv import (
 from spikeconv.modelio import network_bytes
 from spikeconv.training import layer_t_targets, train_layer
 
+from oracles import naive_patch
 from util import synthetic_convergence_run
 
 
@@ -63,18 +64,19 @@ class TestSamplePatch:
     def test_full_size_patch_is_identity(self):
         rng = np.random.default_rng(2)
         field = np.where(rng.random((3, 4, 4)) < 0.5, 0.25, np.inf)
-        patch = sample_patch(rng, field, 4, 4)
+        patch = sample_patch(rng, field, LayerSpec("conv", 4, 4, 1))
         assert np.array_equal(patch, field)
 
     def test_empty_field_gives_empty_patch(self):
         rng = np.random.default_rng(3)
-        patch = sample_patch(rng, np.full((2, 6, 6), np.inf), 3, 3)
+        patch = sample_patch(rng, np.full((2, 6, 6), np.inf), LayerSpec("conv", 3, 3, 1))
         assert not np.isfinite(patch).any()
 
     def test_reseeded_stream_repeats_patch(self):
         field = np.where(np.random.default_rng(4).random((2, 9, 9)) < 0.5, 0.5, np.inf)
-        a = sample_patch(RngStreams(7).stream("patches", 0), field, 3, 3)
-        b = sample_patch(RngStreams(7).stream("patches", 0), field, 3, 3)
+        layer = LayerSpec("conv", 3, 3, 1)
+        a = sample_patch(RngStreams(7).stream("patches", 0), field, layer)
+        b = sample_patch(RngStreams(7).stream("patches", 0), field, layer)
         assert np.array_equal(a, b)
 
     def test_padding_contributes_silence(self):
@@ -82,7 +84,7 @@ class TestSamplePatch:
         rng = np.random.default_rng(5)
         seen_pad = False
         for _ in range(40):
-            patch = sample_patch(rng, field, 2, 2, stride=1, padding=1)
+            patch = sample_patch(rng, field, LayerSpec("conv", 2, 2, 1, stride=1, padding=1))
             assert patch.shape == (1, 2, 2)
             if not np.isfinite(patch).all():
                 seen_pad = True
@@ -91,7 +93,38 @@ class TestSamplePatch:
     def test_oversized_patch_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
-            sample_patch(rng, np.full((1, 3, 3), np.inf), 5, 5)
+            sample_patch(rng, np.full((1, 3, 3), np.inf), LayerSpec("conv", 5, 5, 1))
+
+    def test_matches_site_by_site_oracle(self):
+        # the window plan's row equals the window read site by site from
+        # its corner offset, for the same draw, over strides, paddings and shapes
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            d, h, w = (int(v) for v in rng.integers(1, 8, 3))
+            fh, fw = (int(v) for v in rng.integers(1, 5, 2))
+            stride, padding = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+            if min(h + 2 * padding - fh, w + 2 * padding - fw) < 0:
+                continue
+            field = np.where(rng.random((d, h, w)) < 0.6, rng.random((d, h, w)), np.inf)
+            seed = int(rng.integers(1 << 30))
+            got = sample_patch(np.random.default_rng(seed), field,
+                               LayerSpec("conv", fh, fw, 2, stride, padding))
+            want = naive_patch(np.random.default_rng(seed), field, fh, fw, stride, padding)
+            assert np.array_equal(got, want)
+
+    def test_window_wholly_in_padding_is_silent(self):
+        # padding wider than the filter: corner windows see no field site
+        field = np.zeros((1, 2, 2))
+        rng = np.random.default_rng(9)
+        patches = [sample_patch(rng, field, LayerSpec("conv", 1, 1, 1, 1, 2))
+                   for _ in range(40)]
+        assert any(not np.isfinite(p).any() for p in patches)
+        assert any(np.isfinite(p).all() for p in patches)
+
+    def test_pooling_layer_rejected(self):
+        with pytest.raises(ValueError, match="pooling"):
+            sample_patch(np.random.default_rng(0), np.zeros((1, 4, 4)),
+                         LayerSpec("pool", 2, 2, 1, 2))
 
 
 class TestTrainLayer:
