@@ -191,14 +191,17 @@ def cmd_sweep(args) -> int:
     # cell shares one encoding of each split
     train, test = _encode(cfg, train_ds), _encode(cfg, test_ds)
 
-    cells = [(v, args.seed + r) for v in values for r in range(args.runs)]
-    results = {}
-    for v, seed in cells:
-        vcfg = _sweep_value_config(cfg, args.axis, v)
-        spec = _spec_for(vcfg, train_ds.images)
-        net = train_network(spec, train_ds.images, vcfg.train_config(), seed,
-                            encoded=train[0])
-        results[(v, seed)] = _evaluate(vcfg, [net], train, test)
+    # seed-major, so the values of one seed that train alike (every policy
+    # value) follow each other and share one network
+    results, trained = {}, (None, None)
+    for seed in range(args.seed, args.seed + args.runs):
+        for v in values:
+            vcfg = _sweep_value_config(cfg, args.axis, v)
+            key = (vcfg.train_config(), seed)
+            if trained[0] != key:
+                trained = (key, train_network(_spec_for(vcfg, train_ds.images),
+                                              train_ds.images, key[0], seed, encoded=train[0]))
+            results[(v, seed)] = _evaluate(vcfg, [trained[1]], train, test)
 
     lines = [f"{args.axis},seed,recognition_rate,sparsity"]
     for v in values:

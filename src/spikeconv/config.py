@@ -184,11 +184,13 @@ def _parse_ensemble(section, name):
         if not key.startswith("member"):
             raise ValueError(f"{name}: unknown option [ensemble] {key}")
         parts = section[key].split()
-        if len(parts) != 2:
-            raise ValueError(
-                f"{name}: [ensemble] {key} must be 't_target output_maps'"
-            )
-        members.append((float(parts[0]), int(parts[1])))
+        try:
+            if len(parts) != 2:
+                raise ValueError("must be 't_target output_maps'")
+            member = EnsembleMember(float(parts[0]), int(parts[1]))
+        except ValueError as exc:
+            raise ValueError(f"{name}: [ensemble] {key}: {exc}") from None
+        members.append((member.t_target, member.output_maps))
     return tuple(members)
 
 

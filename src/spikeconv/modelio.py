@@ -1,15 +1,18 @@
-"""Self-describing binary containers for models and feature matrices.
+"""Self-describing binary containers for models, classifiers and feature matrices.
 
-Layout: an ASCII header (magic string, format version, architecture
-listing) terminated by an ``end`` line, then raw little-endian float64
-arrays in a fixed order. Round-trips are byte-exact; floats in headers are
-written with repr, which is lossless for float64.
+Each is an ASCII header (``<magic> 1`` to ``end``, or for features the one
+line ``SPIKECONV FEATURES <rows> <cols> <has_labels>``), then little-endian
+float64 arrays. One codec serves all three: ``_container`` writes, ``_header``
+checks magic, version and ``end``, ``_values`` parses a header line's numbers
+and ``_arrays`` checks the exact byte count before it reads. A bad file raises
+a ValueError that starts with the path and quotes the header line at fault.
+Header floats are written with repr, so round-trips are byte-exact.
 """
 
 from __future__ import annotations
 
-import io
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,30 +37,115 @@ _MODEL_MAGIC = "SPIKECONV MODEL"
 _SVM_MAGIC = "SPIKECONV SVM"
 _FEATURES_MAGIC = "SPIKECONV FEATURES"
 _VERSION = 1
-# field count of each fixed-length model header line, keyword included
-_HEADER_FIELDS = {"input": 4, "bounds": 3}
-_INT64 = np.iinfo(np.int64)
+
+
+def _container(magic: str, lines, arrays) -> bytes:
+    """``<magic> 1``, the header lines and ``end``, then the float64 arrays."""
+    head = "".join(f"{line}\n" for line in [f"{magic} {_VERSION}", *lines, "end"])
+    return head.encode() + b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)
+
+
+def _line(data: bytes, offset: int) -> tuple[str, int]:
+    """The ASCII header line at ``offset`` and the offset after its newline."""
+    stop = data.find(b"\n", offset) + 1 or len(data)
+    raw = data[offset:stop].rstrip(b"\n")
+    if not raw.isascii():
+        raise ValueError(f"non-ASCII header line {raw[:80]!r}")
+    return raw.decode(), stop
+
+
+def _header(data: bytes, magic: str) -> tuple[list[str], int]:
+    """The lines between ``<magic> 1`` and ``end``, and the offset of the arrays."""
+    first, offset = _line(data, 0)
+    if first.split()[:2] != magic.split():
+        raise ValueError(f"bad magic: expected {magic!r}, got {first[:80]!r}")
+    if first != f"{magic} {_VERSION}":
+        raise ValueError(f"unsupported format version in header line {first!r}")
+    lines = []
+    while offset < len(data):
+        line, offset = _line(data, offset)
+        if line == "end":
+            return lines, offset
+        lines.append(line)
+    raise ValueError("truncated header: missing 'end'")
+
+
+def _keyed(lines, once, many) -> dict:
+    """Header lines by first word; a word in ``once`` may appear only once."""
+    keyed = {key: [] for key in once + many}
+    for line in lines:
+        key = (line.split() or [""])[0]
+        if key not in keyed:
+            raise ValueError(f"unknown header line {line!r}")
+        if key in once and keyed[key]:
+            raise ValueError(f"repeated header line {line!r}")
+        keyed[key].append(line)
+    return keyed
+
+
+def _values(line: str, conv, count: int, words: int = 1, low: float = -math.inf) -> list:
+    """The ``count`` numbers after the first ``words`` fields of header ``line``.
+
+    Each must be finite and at least ``low``; an integer must fit int64.
+    """
+    try:
+        values = [conv(v) for v in line.split()[words:]]
+    except ValueError:
+        values = []
+    low, top = (max(low, -2**63), 2**63 - 1) if conv is int else (low, math.inf)
+    if len(values) != count or not all(low <= v <= top and math.isfinite(v) for v in values):
+        raise ValueError(f"malformed header line {line!r}")
+    return values
+
+
+def _arrays(data: bytes, offset: int, shapes) -> list[np.ndarray]:
+    """The float64 arrays that fill ``data`` from ``offset``, one per (header line,
+    shape) pair; a short file names the line of the first array that does not fit."""
+    rest = len(data) - offset
+    for line, shape in shapes:
+        size = 8 * math.prod(shape)
+        if size > rest:
+            raise ValueError(
+                f"truncated arrays: header line {line!r} needs {size} bytes, {rest} left")
+        rest -= size
+    if rest:
+        raise ValueError(f"{rest} trailing bytes after the arrays")
+    arrays = []
+    for _, shape in shapes:
+        arrays.append(np.frombuffer(data, "<f8", math.prod(shape), offset).reshape(shape).copy())
+        offset += arrays[-1].nbytes
+    return arrays
+
+
+@contextmanager
+def _prefix(text: str):
+    """Start a ValueError (or an overflow) raised inside with ``text``."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{text}: {exc}") from None
+
+
+@contextmanager
+def _reading(path):
+    """The file's bytes; a ValueError or overflow raised inside becomes a
+    ValueError that starts with the path."""
+    with open(path, "rb") as f, _prefix(str(path)):
+        yield f.read()
 
 
 def network_bytes(network: Network) -> bytes:
     network.require_ready()
     spec = network.spec
-    for i in spec.trainable_indices():
+    trainable = spec.trainable_indices()
+    for i in trainable:
         network.check_column(i, network.weights[i], network.thresholds[i])
-    buf = io.BytesIO()
     d, h, w = spec.input_shape.astuple()
-    buf.write(f"{_MODEL_MAGIC} {_VERSION}\n".encode())
-    buf.write(f"input {d} {h} {w}\n".encode())
-    buf.write(f"bounds {network.w_min!r} {network.w_max!r}\n".encode())
-    for i, layer in enumerate(spec.layers):
-        tt = network.t_targets[i]
-        suffix = f" ttarget {tt!r}" if tt is not None else ""
-        buf.write(f"layer {layer.to_line()}{suffix}\n".encode())
-    buf.write(b"end\n")
-    for i in spec.trainable_indices():
-        buf.write(np.ascontiguousarray(network.weights[i], dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(network.thresholds[i], dtype="<f8").tobytes())
-    return buf.getvalue()
+    lines = [f"input {d} {h} {w}", f"bounds {network.w_min!r} {network.w_max!r}"]
+    for layer, tt in zip(spec.layers, network.t_targets):
+        lines.append(f"layer {layer.to_line()}" + (f" ttarget {tt!r}" if tt is not None else ""))
+    arrays = [a for i in trainable for a in (network.weights[i], network.thresholds[i])]
+    return _container(_MODEL_MAGIC, lines, arrays)
 
 
 def save_network(path, network: Network) -> None:
@@ -66,92 +154,37 @@ def save_network(path, network: Network) -> None:
         f.write(data)
 
 
-def _read_header_lines(buf: io.BytesIO, magic: str):
-    first = buf.readline().decode().rstrip("\n")
-    parts = first.rsplit(" ", 1)
-    if len(parts) != 2 or parts[0] != magic:
-        raise ValueError(f"bad magic: expected {magic!r}, got {first!r}")
-    version = int(parts[1])
-    if version != _VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    lines = []
-    while True:
-        raw = buf.readline()
-        if not raw:
-            raise ValueError("truncated header: missing 'end'")
-        line = raw.decode().rstrip("\n")
-        if line == "end":
-            return lines
-        lines.append(line)
-
-
 def network_from_bytes(data: bytes) -> Network:
-    buf = io.BytesIO(data)
-    lines = _read_header_lines(buf, _MODEL_MAGIC)
-    input_shape = None
-    w_min, w_max, bounds_line = 0.0, 1.0, None
-    layers, targets, layer_lines = [], [], []
-    for line in lines:
+    lines, offset = _header(data, _MODEL_MAGIC)
+    keyed = _keyed(lines, once=("input", "bounds"), many=("layer",))
+    dims = [_values(line, int, 3) for line in keyed["input"]]
+    bounds = (keyed["bounds"] or ["bounds 0.0 1.0"])[0]
+    w_min, w_max = _values(bounds, float, 2)
+    layers, targets = [], []
+    for line in keyed["layer"]:
         fields = line.split()
-        key = fields[0] if fields else ""
-        if key in _HEADER_FIELDS and len(fields) != _HEADER_FIELDS[key]:
-            raise ValueError(f"malformed header line {line!r}")
-        if key == "input":
-            input_shape = Shape3(int(fields[1]), int(fields[2]), int(fields[3]))
-        elif key == "bounds":
-            w_min, w_max = float(fields[1]), float(fields[2])
-            bounds_line = line
-        elif key == "layer":
-            layer_lines.append(line)
-            if "ttarget" in fields:
-                k = fields.index("ttarget")
-                if k != len(fields) - 2:
-                    raise ValueError(f"malformed header line {line!r}")
-                t_target = float(fields[k + 1])
-                if not math.isfinite(t_target):
-                    raise ValueError(f"non-finite ttarget in header line {line!r}")
-                targets.append(t_target)
-                fields = fields[:k]
-            else:
-                targets.append(None)
-            layers.append(LayerSpec.from_line(" ".join(fields[1:])))
-        else:
-            raise ValueError(f"unknown header line {line!r}")
-    if input_shape is None or not layers:
+        k = fields.index("ttarget") if "ttarget" in fields else len(fields)
+        targets.append(_values(line, float, 1, words=k + 1)[0] if k < len(fields) else None)
+        with _prefix(f"header line {line!r}"):
+            layers.append(LayerSpec.from_line(" ".join(fields[1:k])))
+    if not dims or not layers:
         raise ValueError("header is missing the input/layer listing")
-
-    spec = NetworkSpec(input_shape, layers)
-    try:
+    with _prefix(f"header line {keyed['input'][0]!r}"):
+        spec = NetworkSpec(Shape3(*dims[0]), layers)
+    with _prefix(f"header line {bounds!r}"):
         net = Network(spec, w_min, w_max)
-    except ValueError as exc:
-        raise ValueError(f"{exc} in header line {bounds_line!r}") from None
     net.t_targets = targets
-    # every layer's arrays must fit in the bytes left before any is read
-    rest = len(data) - buf.tell()
-    for i in spec.trainable_indices():
-        size = 8 * (math.prod(spec.weight_shape(i)) + spec.layers[i].maps)
-        if size > rest:
-            raise ValueError(f"truncated parameter arrays: header line "
-                             f"{layer_lines[i]!r} needs {size} bytes, {rest} left")
-        rest -= size
-    if rest:
-        raise ValueError(f"{rest} trailing bytes after parameter arrays")
-    for i in spec.trainable_indices():
-        weights = _read_array(buf, spec.weight_shape(i))
-        thresholds = _read_array(buf, (spec.layers[i].maps,))
+    trainable = spec.trainable_indices()
+    arrays = _arrays(data, offset, [(keyed["layer"][i], shape) for i in trainable
+                                    for shape in (spec.weight_shape(i), (spec.layers[i].maps,))])
+    for i, weights, thresholds in zip(trainable, arrays[::2], arrays[1::2]):
         net.install_column(i, weights, thresholds)
     return net
 
 
-def _read_array(buf, shape) -> np.ndarray:
-    """The next array of ``shape``; callers check the bytes are there."""
-    raw = buf.read(8 * math.prod(shape))
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
 def load_network(path) -> Network:
-    with open(path, "rb") as f:
-        return network_from_bytes(f.read())
+    with _reading(path) as data:
+        return network_from_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -162,39 +195,22 @@ def save_features(path, features: np.ndarray, has_labels: bool = False) -> None:
     feats = np.ascontiguousarray(features, dtype="<f8")
     if feats.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {feats.shape}")
+    head = f"{_FEATURES_MAGIC} {feats.shape[0]} {feats.shape[1]} {int(has_labels)}\n"
     with open(path, "wb") as f:
-        f.write(f"{_FEATURES_MAGIC} {feats.shape[0]} {feats.shape[1]} "
-                f"{int(has_labels)}\n".encode())
-        f.write(feats.tobytes())
+        f.write(head.encode() + feats.tobytes())
 
 
 def load_features(path):
-    with open(path, "rb") as f:
-        header = f.readline().decode().split()
-        data = f.read()
-    if header[:2] != _FEATURES_MAGIC.split():
-        raise ValueError(f"{path}: bad feature-container magic")
-    shown = " ".join(header)
-    try:
-        rows, cols, has_labels = (int(v) for v in header[2:])
-        if rows < 0 or cols < 0 or has_labels not in (0, 1):
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"{path}: feature header needs non-negative integer rows and cols "
-            f"and a 0/1 labels flag, got {shown!r}"
-        ) from None
-    size = rows * cols * 8
-    if len(data) < size:
-        raise ValueError(f"{path}: truncated feature data for header {shown!r}")
-    if len(data) > size:
-        raise ValueError(
-            f"{path}: {len(data) - size} trailing bytes after the feature data "
-            f"of header {shown!r}"
-        )
-    feats = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
-    if not np.isfinite(feats).all():
-        raise ValueError(f"{path}: feature data holds NaN or infinite values")
+    with _reading(path) as data:
+        line, offset = _line(data, 0)
+        if line.split()[:2] != _FEATURES_MAGIC.split():
+            raise ValueError(f"bad magic: expected {_FEATURES_MAGIC!r}, got {line[:80]!r}")
+        rows, cols, has_labels = _values(line, int, 3, words=2, low=0)
+        if has_labels > 1:
+            raise ValueError(f"labels flag must be 0 or 1 in header line {line!r}")
+        (feats,) = _arrays(data, offset, [(line, (rows, cols))])
+        if not np.isfinite(feats).all():
+            raise ValueError("feature data holds NaN or infinite values")
     return feats, bool(has_labels)
 
 
@@ -205,8 +221,13 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    with open(path) as f:
-        return np.array([int(line) for line in f if line.strip()], dtype=np.int64)
+    labels = []
+    with _reading(path) as data:
+        for n, raw in enumerate(data.split(b"\n"), 1):
+            if raw.strip():
+                with _prefix(f"line {n} is not an int64 label"):
+                    labels.append(np.int64(int(raw)))
+    return np.array(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -214,53 +235,30 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_svm(path, model: LinearModel) -> None:
+    lines = [f"dim {model.weights.shape[1]}"]
+    lines += [f"class {int(c)} {int(n)}" for c, n in zip(model.classes, model.class_counts)]
     with open(path, "wb") as f:
-        f.write(f"{_SVM_MAGIC} {_VERSION}\n".encode())
-        f.write(f"dim {model.weights.shape[1]}\n".encode())
-        for cls, count in zip(model.classes, model.class_counts):
-            f.write(f"class {int(cls)} {int(count)}\n".encode())
-        f.write(b"end\n")
-        f.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
+        f.write(_container(_SVM_MAGIC, lines, [model.weights, model.bias]))
 
 
 def load_svm(path) -> LinearModel:
-    with open(path, "rb") as f:
-        data = f.read()
-    buf = io.BytesIO(data)
-    lines = _read_header_lines(buf, _SVM_MAGIC)
-    dim = None
-    classes, counts = [], []
-    for line in lines:
-        fields = line.split()
-        key = fields[0] if fields else ""
-        if key not in ("dim", "class"):
-            raise ValueError(f"unknown header line {line!r}")
-        try:
-            values = [int(v) for v in fields[1:]]
-        except ValueError:
-            values = []
-        # dim: the feature width; class: an int64 label and its non-negative count
-        if (len(values) != (1 if key == "dim" else 2) or values[-1] < 0
-                or not all(_INT64.min <= v <= _INT64.max for v in values)):
-            raise ValueError(f"malformed header line {line!r}")
-        if key == "dim":
-            dim = values[0]
-        elif values[0] in classes:
-            raise ValueError(f"repeated class label in header line {line!r}")
-        else:
-            classes.append(values[0])
-            counts.append(values[1])
-    if dim is None or not classes:
-        raise ValueError("classifier header is missing dim/class lines")
-    size = len(classes) * (dim + 1) * 8
-    rest = len(data) - buf.tell()
-    if rest < size:
-        raise ValueError("truncated classifier arrays")
-    if rest > size:
-        raise ValueError(f"{rest - size} trailing bytes after classifier arrays")
-    weights = _read_array(buf, (len(classes), dim))
-    bias = _read_array(buf, (len(classes),))
-    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-        raise ValueError("classifier weights or bias hold NaN or infinite values")
-    return LinearModel(np.array(classes), weights, bias, np.array(counts))
+    with _reading(path) as data:
+        lines, offset = _header(data, _SVM_MAGIC)
+        keyed = _keyed(lines, once=("dim",), many=("class",))
+        dims = [_values(line, int, 1, low=0)[0] for line in keyed["dim"]]
+        classes, counts = [], []
+        for line in keyed["class"]:
+            label, count = _values(line, int, 2)
+            if count < 0:
+                raise ValueError(f"negative class count in header line {line!r}")
+            if label in classes:
+                raise ValueError(f"repeated class label in header line {line!r}")
+            classes.append(label)
+            counts.append(count)
+        if not dims or not classes:
+            raise ValueError("classifier header is missing dim/class lines")
+        weights, bias = _arrays(data, offset, [(keyed["dim"][0], (len(classes), dims[0])),
+                                               (keyed["class"][-1], (len(classes),))])
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValueError("classifier weights or bias hold NaN or infinite values")
+        return LinearModel(np.array(classes), weights, bias, np.array(counts))

@@ -162,10 +162,9 @@ class Network:
 
     @property
     def output_t_target(self) -> float | None:
-        for i in reversed(self.spec.trainable_indices()):
-            if self.t_targets[i] is not None:
-                return self.t_targets[i]
-        return None
+        """The firing target of the last trainable layer, None if it has none."""
+        trainable = self.spec.trainable_indices()
+        return self.t_targets[trainable[-1]] if trainable else None
 
     def require_ready(self) -> None:
         for i in self.spec.trainable_indices():

@@ -105,6 +105,8 @@ class EnsembleMember:
     output_maps: int
 
     def __post_init__(self):
+        if not np.isfinite(self.t_target):
+            raise ValueError(f"t_target must be finite, got {self.t_target}")
         if self.output_maps < 1:
             raise ValueError("output_maps must be >= 1")
 
@@ -274,15 +276,18 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
 
     prefix = (InhibitionPolicy("wta") if cfg.prefix_policy == "wta"
               else NO_INHIBITION)
-    t_iter = iter(targets)
-    for i, layer in enumerate(spec.layers):
-        if layer.trainable:
-            t_tgt = next(t_iter)
-            w, th = train_layer(spec, i, grids, cfg, streams, t_tgt, log)
-            broadcast_column(network, i, w, th, t_tgt)
-        if i < len(spec.layers) - 1:
-            # push every sample's spike field through the now-frozen layer
-            grids = [forward_layer(network, i, g, prefix) for g in grids]
+    done = 0  # ``grids`` hold the input fields of layer ``done``
+    for i, t_tgt in zip(spec.trainable_indices(), targets):
+        # one pass per sample through the frozen layers below layer i, so
+        # no intermediate layer's outputs are kept for the whole dataset
+        advanced = []
+        for g in grids:
+            for j in range(done, i):
+                g = forward_layer(network, j, g, prefix)
+            advanced.append(g)
+        grids, done = advanced, i
+        w, th = train_layer(spec, i, grids, cfg, streams, t_tgt, log)
+        broadcast_column(network, i, w, th, t_tgt)
     return network
 
 

@@ -86,6 +86,12 @@ layer3 = fc 3 3 8 1 0
         cfg = parse_config("[ensemble]\nmember1 = 0.65 128\nmember2 = 0.70 128\n")
         assert cfg.ensemble == ((0.65, 128), (0.70, 128))
 
+    @pytest.mark.parametrize("value", ["nan 8", "inf 8", "abc 8", "0.7 8.5", "0.7", "0.7 0"])
+    def test_bad_ensemble_member_named(self, value):
+        # rejected while parsing, before any member trains
+        with pytest.raises(ValueError, match=re.escape("exp: [ensemble] member2: ")):
+            parse_config(f"[ensemble]\nmember1 = 0.65 8\nmember2 = {value}\n", name="exp")
+
     def test_inline_comments_stripped(self):
         cfg = parse_config(
             "[stdp]\nrule = multiplicative  ; saturation-aware\n"
@@ -376,6 +382,30 @@ class TestCliSweep:
         # one row per value plus one aggregate per value
         assert len(lines) == 1 + 3 * 2
 
+    @pytest.mark.parametrize("axis, values, trainings", [("policy", "none,soft,wta", 2),
+                                                         ("t_target", "0.6,0.7", 4)])
+    def test_one_training_per_distinct_network(self, toy, capsys, monkeypatch, axis, values,
+                                               trainings):
+        # the policy changes inference only, so its values share each seed's network
+        import spikeconv.cli
+
+        calls = []
+        real = spikeconv.cli.train_network
+        monkeypatch.setattr(spikeconv.cli, "train_network",
+                            lambda *a, **kw: calls.append(a[3]) or real(*a, **kw))
+        rc = main([
+            "sweep", "--config", toy["cfg"], "--axis", axis, "--values", values,
+            "--runs", "2", "--seed", "3",
+            "--train-images", toy["train"][0], "--train-labels", toy["train"][1],
+            "--test-images", toy["test"][0], "--test-labels", toy["test"][1],
+        ])
+        assert rc == 0
+        assert len(calls) == trainings and sorted(set(calls)) == [3, 4]
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:4]] == [
+            [values.split(",")[0], "3"], [values.split(",")[0], "4"],
+            [values.split(",")[0], "mean±std"]]
+
     def test_runs_aggregate_fields_are_plain_floats(self, toy, capsys):
         rc = main([
             "sweep", "--config", toy["cfg"], "--axis", "t_target",
@@ -486,6 +516,15 @@ class TestCliFeaturesInspect:
         feats, has_labels = load_features(fp)
         assert has_labels and feats.shape == (8, 6)
         assert len(load_labels(lp)) == 8
+
+    def test_inspect_names_truncated_model(self, toy, capsys):
+        out = toy["dir"] / "m.spknet"
+        _train(toy, out)
+        bad = toy["dir"] / "bad.spknet"
+        bad.write_bytes(out.read_bytes()[:-8])
+        capsys.readouterr()
+        assert main(["inspect", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: truncated arrays: header line")
 
     def test_inspect_prints_summary(self, toy, capsys):
         out = toy["dir"] / "m.spknet"

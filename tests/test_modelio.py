@@ -1,11 +1,12 @@
 import functools
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spikeconv import LayerSpec, Network, NetworkSpec, Shape3, fit
+from spikeconv import LayerSpec, LinearModel, Network, NetworkSpec, Shape3, fit
 from spikeconv.modelio import (
     load_features,
     load_labels,
@@ -343,3 +344,80 @@ class TestSvmContainer:
         p.write_bytes(blob + b"xx")
         with pytest.raises(ValueError, match="2 trailing bytes"):
             load_svm(p)
+
+
+def _model_blob(old: bytes = b"", new: bytes = b"") -> bytes:
+    return network_bytes(_net()).replace(old, new, 1)
+
+
+def _svm_blob(old: bytes = b"", new: bytes = b"") -> bytes:
+    blob = b"SPIKECONV SVM 1\ndim 2\nclass 3 4\nclass 7 6\nend\n" + bytes(48)
+    return blob.replace(old, new, 1)
+
+
+class TestReadErrors:
+    """Every reader error starts with the path and quotes the header line at fault."""
+
+    @pytest.mark.parametrize("load, blob, named", [
+        pytest.param(load_network, b"\xff" + _model_blob()[1:],
+                     "non-ASCII header line b'\\xffPIKECONV MODEL 1'", id="model-non-ascii"),
+        pytest.param(load_features, b"\xffPIKECONV FEATURES 1 1 0\n" + bytes(8),
+                     "non-ASCII header line b'\\xffPIKECONV FEATURES 1 1 0'",
+                     id="features-non-ascii"),
+        pytest.param(load_network, _model_blob(b"MODEL 1", b"MODEL 1.0"),
+                     "header line 'SPIKECONV MODEL 1.0'", id="model-version-1.0"),
+        pytest.param(load_svm, _svm_blob(b"SVM 1", b"SVM x"),
+                     "header line 'SPIKECONV SVM x'", id="svm-version-x"),
+        pytest.param(load_network, _model_blob(b"input 2 8 8\n", b"input 2 8 8\ninput 2 9 9\n"),
+                     "repeated header line 'input 2 9 9'", id="model-repeated-input"),
+        pytest.param(load_network, _model_blob(b"bounds", b"bounds 0.0 1.0\nbounds"),
+                     "repeated header line 'bounds 0.0 1.0'", id="model-repeated-bounds"),
+        pytest.param(load_svm, _svm_blob(b"dim 2\n", b"dim 2\ndim 3\n"),
+                     "repeated header line 'dim 3'", id="svm-repeated-dim"),
+        pytest.param(load_network, _model_blob(b"input 2", b"input a"),
+                     "malformed header line 'input a 8 8'", id="model-input-not-a-number"),
+        pytest.param(load_network, _model_blob(b"bounds 0.0", b"bounds x"),
+                     "malformed header line 'bounds x 1.0'", id="model-bounds-not-a-number"),
+        pytest.param(load_network, _model_blob(b"ttarget 0.75", b"ttarget inf"),
+                     "malformed header line 'layer conv 3 3 4 1 1 ttarget inf'",
+                     id="model-ttarget-inf"),
+        pytest.param(load_network, _model_blob(b"input 2", b"input 0"),
+                     "header line 'input 0 8 8'", id="model-input-zero"),
+        pytest.param(load_labels, b"3\n1\nx\n", "line 3 is not an int64 label",
+                     id="labels-not-an-integer"),
+        pytest.param(load_labels, b"3\n99999999999999999999\n", "line 2 is not an int64 label",
+                     id="labels-overflow"),
+    ])
+    def test_error_names_path_and_header_line(self, tmp_path, load, blob, named):
+        p = tmp_path / "bad.file"
+        p.write_bytes(blob)
+        with pytest.raises(ValueError) as info:
+            load(p)
+        assert str(info.value).startswith(f"{p}: ")
+        assert named in str(info.value)
+
+    def test_truncated_model_names_path_and_layer_line(self, tmp_path):
+        p = tmp_path / "short.spknet"
+        p.write_bytes(network_bytes(_net())[:-8])
+        with pytest.raises(ValueError) as info:
+            load_network(p)
+        assert str(info.value) == (f"{p}: truncated arrays: header line "
+                                   "'layer fc 4 4 6 1 0 ttarget 0.8' needs 48 bytes, 40 left")
+
+
+class TestGoldenBytes:
+    """The exact bytes of the classifier and feature formats."""
+
+    def test_svm_file(self, tmp_path):
+        model = LinearModel(np.array([3, 7]), np.array([[0.5, -1.0], [2.0, 0.1]]),
+                            np.array([0.125, -3.0]), np.array([4, 6]))
+        p = tmp_path / "svm.spkmod"
+        save_svm(p, model)
+        assert p.read_bytes() == (b"SPIKECONV SVM 1\ndim 2\nclass 3 4\nclass 7 6\nend\n"
+                                  + struct.pack("<6d", 0.5, -1.0, 2.0, 0.1, 0.125, -3.0))
+
+    def test_feature_file(self, tmp_path):
+        p = tmp_path / "f.spkfeat"
+        save_features(p, np.array([[1.5, -2.0, 0.0], [4.0, 0.25, 1e-300]]), has_labels=True)
+        assert p.read_bytes() == (b"SPIKECONV FEATURES 2 3 1\n"
+                                  + struct.pack("<6d", 1.5, -2.0, 0.0, 4.0, 0.25, 1e-300))

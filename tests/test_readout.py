@@ -161,6 +161,24 @@ class TestExtractFeatures:
             extract_features([_feature_net(), untargeted],
                              [np.full((2, 4, 4), np.inf)], 1.0)
 
+    def test_last_layer_without_target_rejected(self):
+        # the output decodes against the last trainable layer's own target,
+        # never an earlier layer's, also when it comes from a model file
+        from spikeconv.modelio import network_bytes, network_from_bytes
+
+        spec = NetworkSpec(Shape3(2, 4, 4), [LayerSpec("conv", 3, 3, 3, 1, 0),
+                                             LayerSpec("fc", 2, 2, 4, 1, 0)])
+        net = Network(spec)
+        rng = np.random.default_rng(8)
+        for i in (0, 1):
+            net.install_column(i, rng.uniform(0, 1, spec.weight_shape(i)), np.ones(spec.layers[i].maps))
+        net.t_targets[0] = 0.3
+        grids = [np.full((2, 4, 4), 0.1)]
+        for model in (net, network_from_bytes(network_bytes(net))):
+            assert model.output_t_target is None
+            with pytest.raises(ValueError, match="no firing target"):
+                extract_features(model, grids, 1.0)
+
     def test_sum_pool_applied_for_multi_column_output(self):
         spec = NetworkSpec(Shape3(1, 4, 4), [LayerSpec("conv", 2, 2, 3, 2, 0)])
         net = Network(spec)

@@ -8,6 +8,7 @@ from spikeconv import (
     EnsembleMember,
     LayerSpec,
     MultiplicativeStdp,
+    Network,
     NetworkSpec,
     RngStreams,
     Shape3,
@@ -20,6 +21,7 @@ from spikeconv import (
     train_network,
 )
 from spikeconv.modelio import network_bytes
+from spikeconv.simulate import forward_layer
 from spikeconv.training import layer_t_targets, train_layer
 
 from oracles import naive_patch
@@ -242,6 +244,33 @@ class TestTrainNetwork:
             with pytest.raises(ValueError) as extracted:
                 extract_features(net, grids, cfg.window.t_end)
             assert str(trained.value) == str(extracted.value)
+
+    def test_each_sample_advances_once_through_frozen_layers(self, monkeypatch):
+        # conv-pool-conv-pool: the samples pass layers 0 and 1 once each, in
+        # one pass before layer 2 trains; nothing runs after the last
+        # trainable layer. The model equals the layer-by-layer protocol's.
+        import spikeconv.training as training
+
+        spec = NetworkSpec(Shape3(2, 10, 10), [
+            LayerSpec("conv", 3, 3, 4, 1, 0), LayerSpec("pool", 2, 2, 4, 2, 0),
+            LayerSpec("conv", 3, 3, 3, 1, 0), LayerSpec("pool", 2, 2, 3, 2, 0),
+        ])
+        images = [np.random.default_rng(s).random((10, 10)) for s in range(5)]
+        cfg = _quick_cfg()
+        streams = RngStreams(9)
+        grids = encode_dataset(images, cfg.dog, cfg.window)
+        want = Network(spec, cfg.w_min, cfg.w_max)
+        for i in (0, 2):
+            want.install_column(i, *train_layer(spec, i, grids, cfg, streams, 0.7), 0.7)
+            grids = [forward_layer(want, i + 1, forward_layer(want, i, g)) for g in grids]
+
+        layers = []
+        real = training.forward_layer
+        monkeypatch.setattr(training, "forward_layer",
+                            lambda net, i, g, p: layers.append(i) or real(net, i, g, p))
+        net = train_network(spec, images, cfg, seed=9)
+        assert layers == [0, 1] * len(images)
+        assert network_bytes(net) == network_bytes(want)
 
     def test_broadcast_shares_one_filter_bank(self):
         net = train_network(_tiny_spec(), _tiny_images(), _quick_cfg(), seed=3)
