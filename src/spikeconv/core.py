@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Shape3", "RngStreams", "check_fire_times"]
+__all__ = ["Shape3", "RngStreams", "check_fire_times", "check_grids"]
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,28 @@ class Shape3:
         return (self.depth, self.height, self.width)
 
 
-def check_fire_times(times: np.ndarray) -> None:
-    """Reject a fire-time grid holding NaN or -inf: neither is a spike time."""
+def check_fire_times(times: np.ndarray, where: str = "") -> None:
+    """Reject a fire-time grid holding NaN or -inf: neither is a spike time.
+
+    ``where`` prefixes the message, e.g. the index of the sample.
+    """
     bad = ~(times > -np.inf)  # true at NaN and -inf
     if bad.any():
         kind = "NaN" if np.isnan(times[bad]).any() else "-inf"
-        raise ValueError(f"input spike times contain {kind}; +inf marks a silent site")
+        raise ValueError(f"{where}input spike times contain {kind}; +inf marks a silent site")
+
+
+def check_grids(grids, shape: Shape3) -> None:
+    """Reject a dataset of fire-time grids that a stack of ``shape`` grids cannot hold.
+
+    Each grid must have ``shape`` and hold no NaN or -inf; the message
+    names the first offending sample's index.
+    """
+    for i, grid in enumerate(grids):
+        if np.shape(grid) != shape.astuple():
+            raise ValueError(f"sample {i}: input grid shape {np.shape(grid)} does not match "
+                             f"the network input {shape.astuple()}")
+        check_fire_times(grid, f"sample {i}: ")
 
 
 class RngStreams:

@@ -15,8 +15,9 @@ import dataclasses
 
 import numpy as np
 
+from .core import check_grids
 from .network import Network, POOL
-from .simulate import InhibitionPolicy, NO_INHIBITION, forward_times, window_plan
+from .simulate import InhibitionPolicy, NO_INHIBITION, forward_layer, stack_size, window_plan
 
 __all__ = [
     "decode_grid",
@@ -79,9 +80,12 @@ def extract_features(
 
     ``networks`` is one network or a list (ensemble members, concatenated in
     order); ``grids`` the encoded samples; ``t_end`` the end of the coding
-    window the networks were trained on. Each sample runs through every
-    network, whose last layer is decoded against that network's own output
-    firing target and sum-pooled.
+    window the networks were trained on. Every sample must have the
+    networks' input shape and hold no NaN or -inf; the error names the
+    first sample that does not. The samples run in stacks of ``stack_size``
+    samples: each stack passes through every network at once, and its last
+    layer is decoded against that network's own output firing target and
+    sum-pooled at once.
     """
     if isinstance(networks, Network):
         networks = [networks]
@@ -89,14 +93,20 @@ def extract_features(
     targets = [net.output_t_target for net in networks]
     if None in targets:
         raise ValueError("network has no firing target to decode its output against")
+    for net in networks:
+        net.require_ready()
+        check_grids(grids, net.spec.input_shape)
     widths = [n.spec.out_shape.depth for n in networks]
-    total = int(np.sum(widths))
-    feats = np.zeros((len(grids), total))
-    for si, grid in enumerate(grids):
+    feats = np.zeros((len(grids), int(np.sum(widths))))
+    stack = min(stack_size(net.spec) for net in networks)
+    for lo in range(0, len(grids), stack):
+        batch = np.stack(grids[lo:lo + stack])
         col = 0
         for net, t_target, w in zip(networks, targets, widths):
-            out_times = forward_times(net, grid, policy)[-1]
-            feats[si, col:col + w] = sum_pool(decode_grid(out_times, t_target, t_end))
+            out = batch
+            for i in range(len(net.spec.layers)):
+                out = forward_layer(net, i, out, policy)
+            feats[lo:lo + stack, col:col + w] = decode_grid(out, t_target, t_end).sum(axis=(2, 3))
             col += w
     return feats
 

@@ -7,10 +7,13 @@ resolve in neuron (map, y, x) order, with inhibition applied between
 candidate firings. Every neuron fires at most once per sample and membrane
 potentials start at zero for each sample.
 
-Two engines compute a conv/fc layer. A competition that spans the layer
-(winner-take-all, or soft inhibition with ``v_inh > 0``, at layer scope or
-in a one-position layer, whose one column is the layer) runs on the event
-engine; everything else runs on the crossing engine.
+Two engines compute a conv/fc layer, and each takes a stack of samples, an
+(N, depth, H, W) array; one grid is the stack of N = 1, so ``forward_times``
+runs the same code as a batched caller. Samples never interact, and a
+stack's outputs are bitwise each sample's alone. A competition that spans
+the layer (winner-take-all, or soft inhibition with ``v_inh > 0``, at layer
+scope or in a one-position layer, whose one column is the layer) runs on
+the event engine; everything else runs on the crossing engine.
 
 - The crossing engine serves no inhibition (soft inhibition with
   ``v_inh == 0`` is the same thing) and every competition confined to a
@@ -36,9 +39,18 @@ engine; everything else runs on the crossing engine.
   threshold, and the column's next round scans on from the following slot
   with the potentials it was left with. That carry is added to the first
   term of the next cumulative sum, the same float addition delivering
-  that input one by one makes.
-- The event engine delivers the events one by one exactly as stated
-  above. An fc column fires dozens of times per sample under soft
+  that input one by one makes. The positions of a stack are those of its
+  samples one after the other, scanned in chunks of whole samples or of
+  one sample's positions. Each sample's event ranks are offset by the
+  events of the samples before it, so ranks stay distinct while a window's
+  order is its sample's own, and every (map, position) row keeps the
+  cumulative-sum sequence it has alone; the soft rounds run once per chunk.
+- The event engine delivers each sample's events one by one exactly as
+  stated above. Step k delivers the k-th event of every sample of the
+  stack in one gather; each sample's crossings then resolve in (map, y, x)
+  order with the recheck between fires, a fire inhibiting its own sample
+  only, and under winner-take-all a sample leaves the stack at its one
+  spike. An fc column fires dozens of times per sample under soft
   inhibition, and in rounds each fire would cost a scan of its own.
 
 A pooling neuron fires at the earliest input time in its window.
@@ -50,26 +62,29 @@ inference, training's random patches and filter reconstruction all read;
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .core import Shape3, check_fire_times
-from .network import Network, LayerSpec, POOL
+from .network import Network, NetworkSpec, LayerSpec, POOL
 
 __all__ = [
     "InhibitionPolicy",
     "NO_INHIBITION",
     "forward_layer",
     "forward_times",
+    "stack_size",
     "window_plan",
     "column_response",
     "ColumnResult",
 ]
 
-# cap on elements of one (maps, positions, window) block of the crossing scan
-_CHUNK_ELEMS = 4_000_000
+# cap on the elements one chunk of the crossing scan lays out at once: the
+# window of each of its positions plus the first block of each of its rows
+_CHUNK_ELEMS = 200_000
 _BLOCK0 = 16  # first block of the crossing scan; each next block doubles
 _EPS = np.finfo(np.float64).eps
 
@@ -144,7 +159,12 @@ class _Plan:
         p = self.layer.padding
         if p == 0:
             return times
-        return np.pad(times, ((0, 0), (p, p), (p, p)), constant_values=np.inf)
+        pad = ((0, 0),) * (times.ndim - 2) + ((p, p), (p, p))
+        return np.pad(times, pad, constant_values=np.inf)
+
+    def flat_stack(self, times: np.ndarray) -> np.ndarray:
+        """The padded (N, depth, H, W) stack with one row of sites per sample."""
+        return self.pad_times(times).reshape(len(times), times.shape[1] * self.pad_h * self.pad_w)
 
     @cached_property
     def reverse(self):
@@ -176,26 +196,37 @@ def window_plan(in_shape: tuple, layer: LayerSpec) -> _Plan:
 
 
 def _pool_times(times_in: np.ndarray, plan: _Plan) -> np.ndarray:
-    tp = plan.pad_times(times_in).reshape(times_in.shape[0], -1)
-    out = tp[:, plan.win_index].min(axis=2)  # (D, P, K) windows
-    return out.reshape((times_in.shape[0],) + (plan.out_shape.height, plan.out_shape.width))
+    n, d = times_in.shape[:2]
+    tp = plan.flat_stack(times_in).reshape(n, d, plan.pad_h * plan.pad_w)
+    out = tp[:, :, plan.win_index].min(axis=3)  # (N, D, P, K) windows
+    return out.reshape(n, d, plan.out_shape.height, plan.out_shape.width)
 
 
 def _event_order(flat: np.ndarray) -> np.ndarray:
-    """The finite sites in (time, site) event order: ties keep (map, y, x) order."""
-    sites = np.nonzero(np.isfinite(flat))[0]
-    return sites[np.argsort(flat[sites], kind="stable")]
+    """Flat indices of the finite entries of an (N, S) stack in event order.
+
+    Sample by sample; within a sample in (time, site) order, ties keeping
+    (map, y, x) order.
+    """
+    times = flat.ravel()
+    f = np.nonzero(np.isfinite(times))[0]
+    f = f[np.argsort(times[f], kind="stable")]
+    if flat.shape[0] > 1:  # regroup sample by sample; a stable sort keeps each one's order
+        f = f[np.argsort(f // flat.shape[1], kind="stable")]
+    return f
 
 
 def _event_ranks(flat: np.ndarray):
-    """Rank of every finite site in the event order, +inf if silent.
+    """Rank of every finite entry of an (N, S) stack in its sample's event order,
+    +inf if silent.
 
-    Returns the ranks and the times in rank order.
+    Each sample's ranks start where the sample before it ended, so ranks are
+    distinct across the stack and index the returned times in rank order.
     """
-    sites = _event_order(flat)
-    rank = np.full(flat.size, np.inf)
-    rank[sites] = np.arange(sites.size)
-    return rank, flat[sites]
+    f = _event_order(flat)
+    rank = np.full(flat.shape, np.inf)
+    rank.ravel()[f] = np.arange(f.size)
+    return rank, flat.ravel()[f]
 
 
 def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray):
@@ -300,19 +331,24 @@ def _fire_times(ranked_t, wr, pos, order, rp, slot):
 def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
     """Crossing engine: no competition, or one confined to each column.
 
-    One crossing scan per chunk, stopping each column at its earliest
-    crossing under a competition; soft inhibition goes on from those stops
-    in rounds (module docstring).
+    The N samples of the stack are one layer of N x P positions, sample by
+    sample. One crossing scan per chunk of them, stopping each column at its
+    earliest crossing under a competition; soft inhibition goes on from those
+    stops in rounds (module docstring).
     """
-    d_out = weights.shape[0]
+    n, d_out, positions = times_in.shape[0], weights.shape[0], plan.positions
     wta = policy.mode == "wta"
     v_inh = policy.v_inh if policy.mode == "soft" else 0.0
-    rank, ranked_t = _event_ranks(plan.pad_times(times_in).ravel())
+    rank, ranked_t = _event_ranks(plan.flat_stack(times_in))
     w2 = weights.reshape(d_out, -1)
-    out = np.full((d_out, plan.positions), np.inf)
-    chunk = max(1, _CHUNK_ELEMS // max(1, d_out * plan.window))
-    for lo in range(0, plan.positions, chunk):
-        wr = rank[plan.win_index[lo:lo + chunk]]
+    out = np.full((d_out, n * positions), np.inf)
+    # a chunk holds whole samples, or a run of one sample's positions
+    chunk = max(1, _CHUNK_ELEMS // (d_out * _BLOCK0 + plan.window))
+    samples, span = max(1, chunk // positions), min(chunk, positions)
+    for s0, p0 in itertools.product(range(0, n, samples), range(0, positions, span)):
+        lo = s0 * positions + p0
+        wr = rank[s0:s0 + samples].take(plan.win_index[p0:p0 + span], axis=1)
+        wr = wr.reshape(-1, plan.window)
         pos, order, count, rd, rp = _live_rows(wr, w2, thresholds)
         th_r = thresholds[rd]
         slot, v_stop = _first_crossings(order, count, w2, rd, rp, th_r, wta or v_inh > 0.0)
@@ -362,49 +398,84 @@ def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan:
             slot, v_stop = _first_crossings(order, count, w2, rd, rp, th[rd, rp], True,
                                             start[rp], v[rd, rp])
         out[:, lo + pos] = fired
-    return out.reshape(d_out, plan.out_shape.height, plan.out_shape.width)
+    out = out.reshape(d_out, n, plan.out_shape.height, plan.out_shape.width)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
     """Event engine: competition across the whole layer, soft or winner-take-all.
 
-    Delivers the input sites one at a time in (time, map, y, x) order; the
-    crossings each delivery causes resolve in (map, y, x) order, every fire
-    inhibiting the layer before the next crossing is checked.
+    Each sample of the stack gets its input sites one at a time in (time,
+    map, y, x) order; the crossings each delivery causes resolve in (map, y,
+    x) order, every fire inhibiting the sample's layer before the next
+    crossing is checked. Step k delivers the k-th event of every sample that
+    has one in one gather; samples never interact. The deliveries are laid
+    out for blocks of steps of doubling size, so a stack that winner-take-all
+    settles early lays out little.
     """
-    d_out = weights.shape[0]
-    shape = (d_out, plan.out_shape.height, plan.out_shape.width)
-    w2 = weights.reshape(d_out, -1)
+    n, d_out, positions = times_in.shape[0], weights.shape[0], plan.positions
     starts, rev_p, rev_k = plan.reverse
-    flat_t = plan.pad_times(times_in).ravel()
+    flat = plan.flat_stack(times_in)
+    f = _event_order(flat)
+    w_in = weights.reshape(d_out, -1).T  # one row of map weights per window slot
+    sample = f // flat.shape[1]
+    count = np.bincount(sample, minlength=n)
+    step = np.arange(f.size) - (np.cumsum(count) - count)[sample]
+    f = f[np.argsort(step, kind="stable")]  # step by step, each in sample order
+    delivered = np.cumsum(np.bincount(step))  # events delivered once step k is over
 
-    v = np.zeros((d_out, plan.positions))
-    # effective thresholds: +inf once a neuron has fired, so a fired neuron's
-    # potential no longer matters
-    th = np.repeat(thresholds[:, None], plan.positions, axis=1)
-    out = np.full((d_out, plan.positions), np.inf)
-    v_inh = policy.v_inh
-
-    for s in _event_order(flat_t):
-        lo, hi = starts[s], starts[s + 1]
-        if lo == hi:
-            continue
-        pl = rev_p[lo:hi]
-        vp = v[:, pl] + w2[:, rev_k[lo:hi]]
-        v[:, pl] = vp
-        # reverse-map positions ascend, so nonzero yields (map, y, x) order
-        cd, ci = np.nonzero(vp >= th[:, pl])
-        if cd.size == 0:
-            continue
-        for d, p in zip(cd.tolist(), pl[ci].tolist()):
-            if v[d, p] < th[d, p]:
-                continue  # inhibited below threshold by an earlier fire
-            out[d, p] = flat_t[s]
-            if policy.mode == "wta":
-                return out.reshape(shape)  # the layer's one spike
-            th[d, p] = np.inf
-            np.maximum(v - v_inh, 0.0, out=v)
-    return out.reshape(shape)
+    # one row of potentials per (sample, position), with effective thresholds
+    # (+inf once a neuron has fired, so its potential no longer matters)
+    v = np.zeros((n * positions, d_out))
+    th = np.repeat(thresholds[None, :], v.shape[0], axis=0)
+    out = np.full(v.shape, np.inf)
+    v_inh, wta = policy.v_inh, policy.mode == "wta"
+    won = np.zeros(n, dtype=bool)  # under WTA a sample leaves at its one spike
+    k0, size = 0, _BLOCK0
+    while k0 < delivered.size and not won.all():
+        k1 = min(k0 + size, delivered.size)
+        first = delivered[k0 - 1] if k0 else 0
+        events = f[first:delivered[k1 - 1]]
+        sample, site = np.divmod(events, flat.shape[1])
+        lo = starts[site]
+        fan = starts[site + 1] - lo
+        ends = np.cumsum(fan)  # each event's (position, slot) deliveries end here
+        at = np.repeat(lo - ends + fan, fan) + np.arange(ends[-1])
+        row = np.repeat(sample, fan) * positions + rev_p[at]
+        slot, when = rev_k[at], np.repeat(flat.ravel()[events], fan)
+        a = 0
+        for b in ends[delivered[k0:k1] - first - 1].tolist():  # step by step
+            at, a = slice(a, b), b
+            if wta:
+                at = at.start + np.flatnonzero(~won[row[at] // positions])
+            r = row[at]
+            vp = v[r] + w_in[slot[at]]
+            v[r] = vp
+            ce, cd = np.nonzero(vp >= th[r])
+            if ce.size == 0:
+                continue
+            # each sample's crossings in (map, y, x) order; with one position
+            # a sample's crossings already come in map order
+            cr, ct = r[ce], when[at][ce]
+            if positions > 1:
+                o = np.lexsort((cr, cd))
+                cr, cd, ct = cr[o], cd[o], ct[o]
+            for i, d, t in zip(cr.tolist(), cd.tolist(), ct.tolist()):
+                s = i // positions
+                if won[s] or v[i, d] < th[i, d]:
+                    continue  # the sample has its one spike, or an earlier fire inhibited it
+                out[i, d] = t
+                if wta:
+                    won[s] = True
+                    continue
+                th[i, d] = np.inf
+                layer = v[s * positions:(s + 1) * positions]
+                np.maximum(layer - v_inh, 0.0, out=layer)
+            if wta and won.all():
+                break
+        k0, size = k1, 2 * size
+    out = out.reshape(n, positions, d_out).transpose(0, 2, 1)
+    return np.ascontiguousarray(out).reshape(n, d_out, plan.out_shape.height, plan.out_shape.width)
 
 
 # ---------------------------------------------------------------------------
@@ -417,33 +488,48 @@ def forward_layer(
     times: np.ndarray,
     policy: InhibitionPolicy = NO_INHIBITION,
 ) -> np.ndarray:
-    """Fire-time grid of layer ``index`` for its (depth, H, W) input grid.
+    """Fire-time grids of layer ``index`` for a (depth, H, W) input grid or
+    an (N, depth, H, W) stack of them; the output has the input's rank.
 
     Pooling ignores ``policy``. A policy with ``layers="output"`` applies
     only when ``index`` is the network's last layer; elsewhere the layer
-    runs without inhibition.
+    runs without inhibition. The samples of a stack never interact: each
+    output grid is the one its input grid gives alone.
     """
     spec = network.spec
     layer = spec.layers[index]
     in_shape = spec.shapes[index].astuple()
-    if tuple(times.shape) != in_shape:
+    if times.ndim not in (3, 4) or tuple(times.shape[-3:]) != in_shape:
         raise ValueError(
             f"input grid shape {times.shape} does not match "
             f"layer {index} input {in_shape}"
         )
+    stack = times if times.ndim == 4 else times[None]
     plan = window_plan(in_shape, layer)
     if layer.kind == POOL:
-        return _pool_times(times, plan)
-    weights, thresholds = network.weights[index], network.thresholds[index]
-    if weights is None or thresholds is None:
-        raise ValueError(f"layer {index} has uninitialized parameters")
-    if policy.layers == "output" and index != len(spec.layers) - 1:
-        policy = NO_INHIBITION
-    compete = policy.mode == "wta" or policy.mode == "soft" and policy.v_inh > 0.0
-    # in a one-position layer the one column is the whole layer
-    if compete and (policy.scope == "layer" or plan.positions == 1):
-        return _event_times(times, weights, thresholds, policy, plan)
-    return _column_times(times, weights, thresholds, policy, plan)
+        out = _pool_times(stack, plan)
+    else:
+        weights, thresholds = network.weights[index], network.thresholds[index]
+        if weights is None or thresholds is None:
+            raise ValueError(f"layer {index} has uninitialized parameters")
+        if policy.layers == "output" and index != len(spec.layers) - 1:
+            policy = NO_INHIBITION
+        compete = policy.mode == "wta" or policy.mode == "soft" and policy.v_inh > 0.0
+        # in a one-position layer the one column is the whole layer
+        if compete and (policy.scope == "layer" or plan.positions == 1):
+            out = _event_times(stack, weights, thresholds, policy, plan)
+        else:
+            out = _column_times(stack, weights, thresholds, policy, plan)
+    return out if times.ndim == 4 else out[0]
+
+
+def stack_size(spec: NetworkSpec) -> int:
+    """Samples per stack for callers that batch ``forward_layer`` over a dataset.
+
+    As many as keep the stack's fire-time grids, its input and every
+    layer's output, within one crossing-scan chunk's element cap; at least 1.
+    """
+    return max(1, _CHUNK_ELEMS // sum(shape.size for shape in spec.shapes))
 
 
 def forward_times(
@@ -457,6 +543,8 @@ def forward_times(
     marking silent sites; NaN or -inf input is rejected. Inhibition applies
     to trainable layers only; pooling is a fixed passthrough.
     """
+    if input_times.ndim != 3:
+        raise ValueError(f"input grid shape {input_times.shape} is not one (depth, H, W) grid")
     check_fire_times(input_times)
     network.require_ready()
     grids = []
@@ -486,13 +574,13 @@ def column_response(
     ``weights`` is (maps, in_maps, F_h, F_w). The winner is the earliest
     crossing, ties resolved by lowest map index.
     """
-    rank, ranked_t = _event_ranks(patch_times.ravel())
+    rank, ranked_t = _event_ranks(patch_times.reshape(1, -1))
     w2 = weights.reshape(weights.shape[0], -1)
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    _, order, count, rd, rp = _live_rows(rank[None, :], w2, thresholds)
+    _, order, count, rd, rp = _live_rows(rank, w2, thresholds)
     slot, v = _first_crossings(order, count, w2, rd, rp, thresholds[rd], True)
     crossing = np.nonzero(v >= thresholds[rd])[0]
     if crossing.size == 0:
         return ColumnResult(None, None)
     r = crossing[0]  # rows run in map order: the lowest crossing map wins
-    return ColumnResult(int(rd[r]), float(ranked_t[int(rank[order[0, slot[r]]])]))
+    return ColumnResult(int(rd[r]), float(ranked_t[int(rank[0, order[0, slot[r]]])]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStreams, check_fire_times
+from .core import RngStreams, check_grids
 from .encoding import CodingWindow, DoGParams, encode_image_grid
 from .network import LayerSpec, Network, NetworkSpec, POOL
 from .plasticity import (
@@ -28,7 +28,7 @@ from .plasticity import (
     apply_stdp,
 )
 from .simulate import (InhibitionPolicy, NO_INHIBITION, column_response, forward_layer,
-                       window_plan)
+                       stack_size, window_plan)
 
 __all__ = [
     "TrainConfig",
@@ -262,8 +262,13 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
     """Full layer-wise protocol over a dataset of grayscale images.
 
     Pass ``encoded`` (list of (2, H, W) fire-time grids) to skip the DoG +
-    latency encoding step, e.g. when it is shared across runs; a grid
-    holding NaN or -inf is rejected, as ``forward_times`` rejects it.
+    latency encoding step, e.g. when it is shared across runs; a grid whose
+    shape is not the network input's, or that holds NaN or -inf, is rejected
+    before any layer trains, as ``extract_features`` rejects it.
+
+    Before each trainable layer, the samples pass the frozen layers below it
+    once, in stacks of ``stack_size(spec)`` samples, and only that layer's
+    input fields are kept, as one (samples, depth, H, W) array.
     """
     streams = RngStreams(seed)
     network = Network(spec, cfg.w_min, cfg.w_max)
@@ -271,21 +276,21 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
     grids = encoded if encoded is not None else encode_dataset(images, cfg.dog, cfg.window)
     if len(grids) == 0:
         raise ValueError("training dataset is empty")
-    for grid in grids:
-        check_fire_times(grid)
+    check_grids(grids, spec.input_shape)
 
     prefix = (InhibitionPolicy("wta") if cfg.prefix_policy == "wta"
               else NO_INHIBITION)
+    stack = stack_size(spec)
     done = 0  # ``grids`` hold the input fields of layer ``done``
     for i, t_tgt in zip(spec.trainable_indices(), targets):
-        # one pass per sample through the frozen layers below layer i, so
-        # no intermediate layer's outputs are kept for the whole dataset
-        advanced = []
-        for g in grids:
-            for j in range(done, i):
-                g = forward_layer(network, j, g, prefix)
-            advanced.append(g)
-        grids, done = advanced, i
+        if i > done:
+            fields = np.empty((len(grids),) + spec.shapes[i].astuple())
+            for lo in range(0, len(grids), stack):
+                batch = np.stack(grids[lo:lo + stack])
+                for j in range(done, i):
+                    batch = forward_layer(network, j, batch, prefix)
+                fields[lo:lo + stack] = batch
+            grids, done = fields, i
         w, th = train_layer(spec, i, grids, cfg, streams, t_tgt, log)
         broadcast_column(network, i, w, th, t_tgt)
     return network

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -52,3 +53,32 @@ def test_readme_quick_tour_runs():
     exec(code, namespace)
     assert namespace["feats"].shape == (6, 512)
     assert len(namespace["layers"]) == 5
+
+
+def _parameters(func) -> str:
+    """A signature as plain text: names, with defaults where given."""
+    from spikeconv.simulate import NO_INHIBITION
+
+    params = []
+    for p in inspect.signature(func).parameters.values():
+        assert p.kind is p.POSITIONAL_OR_KEYWORD, f"{func.__name__}: {p}"
+        if p.default is p.empty:
+            params.append(p.name)
+        elif p.default is NO_INHIBITION:
+            params.append(f"{p.name}=NO_INHIBITION")
+        else:
+            params.append(f"{p.name}={p.default!r}")
+    return "(" + ", ".join(params) + ")"
+
+
+@pytest.mark.parametrize("module, name, params", [
+    ("simulate", "forward_times", "(network, input_times, policy=NO_INHIBITION)"),
+    ("readout", "extract_features", "(networks, grids, t_end, policy=NO_INHIBITION)"),
+    ("training", "train_network", "(spec, images, cfg, seed, encoded=None, log=None)"),
+    ("training", "train_layer", "(spec, index, input_grids, cfg, streams, t_target, log=None)"),
+])
+def test_dataset_entry_signatures_are_pinned(module, name, params):
+    # the stack size follows from the simulator's chunk cap; no batch-size
+    # option may reach the public entries that process datasets
+    func = getattr(importlib.import_module(f"spikeconv.{module}"), name)
+    assert _parameters(func) == params

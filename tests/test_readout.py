@@ -202,6 +202,55 @@ class TestExtractFeatures:
             assert np.count_nonzero(row) <= 1  # single column: one-hot
 
 
+class TestExtractFeatureStacks:
+    def _net(self, layer, seed):
+        spec = NetworkSpec(Shape3(2, 5, 5), [layer])
+        net = Network(spec)
+        rng = np.random.default_rng(seed)
+        net.install_column(0, rng.uniform(0, 1, spec.weight_shape(0)),
+                           rng.uniform(0.5, 2.0, layer.maps), 0.4)
+        return net
+
+    def test_stacks_equal_single_samples(self, monkeypatch):
+        import spikeconv.readout as readout
+        from spikeconv.simulate import forward_times
+
+        # an ensemble of a conv net with nine output columns per map, whose
+        # decode sums over positions, and an fc net
+        nets = [self._net(LayerSpec("conv", 3, 3, 4, 1, 0), 21),
+                self._net(LayerSpec("fc", 5, 5, 3, 1, 0), 22)]
+        rng = np.random.default_rng(24)
+        grids = [np.where(rng.random((2, 5, 5)) < 0.5, rng.random((2, 5, 5)), np.inf)
+                 for _ in range(5)]
+        grids[2] = np.full((2, 5, 5), np.inf)  # a silent sample inside a stack
+        monkeypatch.setattr(readout, "stack_size", lambda spec: 2)  # stacks of 2, 2 and 1
+        for policy in (InhibitionPolicy("none"), InhibitionPolicy("soft", 0.3),
+                       InhibitionPolicy("wta"), InhibitionPolicy("wta", scope="layer")):
+            feats = extract_features(nets, grids, 1.0, policy)
+            for row, grid in zip(feats, grids):
+                want = [sum_pool(decode_grid(forward_times(net, grid, policy)[-1],
+                                             net.output_t_target, 1.0)) for net in nets]
+                assert np.array_equal(row, np.concatenate(want))
+
+    def test_empty_dataset_gives_empty_matrix(self):
+        feats = extract_features([_feature_net(2), _feature_net(3)], [], 1.0)
+        assert feats.shape == (0, 5)
+
+    def test_bad_grid_named_by_its_index(self):
+        rng = np.random.default_rng(25)
+        grids = [np.where(rng.random((2, 4, 4)) < 0.5, 0.3, np.inf) for _ in range(6)]
+        for bad, name in ((np.nan, "NaN"), (-np.inf, "-inf")):
+            broken = [g.copy() for g in grids]
+            broken[4][1, 2, 3] = bad
+            with pytest.raises(ValueError, match=f"^sample 4: input spike times contain {name}"):
+                extract_features(_feature_net(), broken, 1.0)
+        broken = list(grids)
+        broken[3] = np.full((2, 3, 4), np.inf)
+        with pytest.raises(ValueError, match=r"^sample 3: input grid shape \(2, 3, 4\) does not "
+                                             r"match the network input \(2, 4, 4\)"):
+            extract_features(_feature_net(), broken, 1.0)
+
+
 class TestReconstruction:
     def test_layer1_uniform_on_channel(self):
         spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 2, 1, 0)])

@@ -523,6 +523,76 @@ class TestCrossingScan:
         assert seen == {"no winner", "winner", "tie"}
 
 
+@st.composite
+def _stack_cases(draw):
+    """A drawn network, a policy and a stack of 1-5 tie-heavy input grids.
+
+    Weights are signed or non-negative; each grid holds its own number of
+    spikes, none at all included, so the samples' event counts are ragged.
+    """
+    signed = draw(st.booleans())
+    net = drawn_network(lambda lo, hi: draw(st.integers(lo, hi - 1)),
+                        lambda options: draw(st.sampled_from(options)),
+                        np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform,
+                        w_low=-0.5 if signed else 0.0)
+    shape = net.spec.input_shape
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = draw(st.lists(st.integers(0, shape.size), min_size=1, max_size=5))
+    stack = np.stack([random_grid(rng, shape, n, tie_heavy=True) for n in counts])
+    return net, stack, draw(st.sampled_from(SWEEP_POLICIES))
+
+
+def _check_stack(net, stack, policy):
+    """Each layer's output for the stack: bitwise the single-grid outputs, and the oracle's."""
+    singles = [forward_times(net, grid, policy) for grid in stack]
+    times = stack
+    for li in range(len(net.spec.layers)):
+        times = forward_layer(net, li, times, policy)
+        assert times.shape == (len(stack),) + net.spec.shapes[li + 1].astuple()
+        for got, single in zip(times, singles):
+            assert np.array_equal(got, single[li]), f"layer {li}"
+    for grid, single in zip(stack, singles):
+        for li, (g, w) in enumerate(zip(single, DenseSimulator(net, policy).simulate(grid))):
+            fired = np.isfinite(w)
+            assert np.array_equal(np.isfinite(g), fired), f"layer {li} sites differ"
+            assert np.all(np.abs(g[fired] - w[fired]) < 1e-6), f"layer {li} times differ"
+
+
+class TestStacks:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_stack_cases())
+    def test_stack_equals_single_grids_and_oracle(self, case):
+        _check_stack(*case)
+
+    def test_stack_spanning_several_chunks(self, monkeypatch):
+        # a cap of a few positions per chunk: chunks cut across samples, and
+        # every layer of a conv-pool-fc stack runs in several of them
+        import spikeconv.simulate as sim
+
+        rng = np.random.default_rng(55)
+        spec = NetworkSpec(Shape3(2, 7, 7), [
+            LayerSpec("conv", 3, 3, 4, 1, 1),
+            LayerSpec("pool", 2, 2, 4, 2, 0),
+            LayerSpec("fc", 3, 3, 5, 1, 0),
+        ])
+        net = Network(spec)
+        for i, w_low in ((0, -0.3), (2, 0.0)):
+            net.weights[i] = rng.uniform(w_low, 1.0, spec.weight_shape(i))
+            net.thresholds[i] = rng.uniform(0.5, 2.0, spec.layers[i].maps)
+        stack = np.stack([random_grid(rng, spec.input_shape, n, tie_heavy=True)
+                          for n in (40, 0, 12, 98, 3, 60)])
+        monkeypatch.setattr(sim, "_CHUNK_ELEMS", 3 * (4 * sim._BLOCK0 + 18))
+        for policy in SWEEP_POLICIES:
+            _check_stack(net, stack, policy)
+
+    def test_single_grid_keeps_its_rank(self):
+        net = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 2, 2)), np.ones(2))
+        grid = np.full((1, 3, 3), 0.25)
+        assert forward_layer(net, 0, grid).shape == (2, 2, 2)
+        assert forward_layer(net, 0, grid[None]).shape == (1, 2, 2, 2)
+        assert forward_layer(net, 0, np.empty((0, 1, 3, 3))).shape == (0, 2, 2, 2)
+
+
 class TestForwardValidation:
     def test_shape_mismatch_rejected(self):
         net = Network(NetworkSpec(Shape3(2, 4, 4), [LayerSpec("conv", 2, 2, 2, 1, 0)]))
@@ -530,6 +600,11 @@ class TestForwardValidation:
         net.thresholds[0] = np.ones(2)
         with pytest.raises(ValueError, match="input grid"):
             forward_times(net, np.full((2, 5, 5), np.inf))
+        # forward_layer takes a stack; forward_times is one sample
+        with pytest.raises(ValueError, match="input grid"):
+            forward_layer(net, 0, np.full((3, 2, 5, 5), np.inf))
+        with pytest.raises(ValueError, match="one"):
+            forward_times(net, np.full((3, 2, 4, 4), np.inf))
 
     def test_rejects_non_finite(self):
         # +inf marks a silent site; NaN and -inf are no spike time at all

@@ -247,8 +247,8 @@ class TestTrainNetwork:
 
     def test_each_sample_advances_once_through_frozen_layers(self, monkeypatch):
         # conv-pool-conv-pool: the samples pass layers 0 and 1 once each, in
-        # one pass before layer 2 trains; nothing runs after the last
-        # trainable layer. The model equals the layer-by-layer protocol's.
+        # stacks, in one pass before layer 2 trains; nothing runs after the
+        # last trainable layer. The model equals the layer-by-layer protocol's.
         import spikeconv.training as training
 
         spec = NetworkSpec(Shape3(2, 10, 10), [
@@ -264,13 +264,39 @@ class TestTrainNetwork:
             want.install_column(i, *train_layer(spec, i, grids, cfg, streams, 0.7), 0.7)
             grids = [forward_layer(want, i + 1, forward_layer(want, i, g)) for g in grids]
 
-        layers = []
+        calls = []  # (layer, input stack, output stack)
         real = training.forward_layer
-        monkeypatch.setattr(training, "forward_layer",
-                            lambda net, i, g, p: layers.append(i) or real(net, i, g, p))
+
+        def spy(net, i, g, p):
+            out = real(net, i, g, p)
+            calls.append((i, g, out))
+            return out
+
+        monkeypatch.setattr(training, "forward_layer", spy)
+        monkeypatch.setattr(training, "stack_size", lambda spec: 2)  # stacks of 2, 2 and 1
         net = train_network(spec, images, cfg, seed=9)
-        assert layers == [0, 1] * len(images)
+        assert [(i, len(g)) for i, g, _ in calls] == [(0, 2), (1, 2)] * 2 + [(0, 1), (1, 1)]
+        # layer 0 sees every encoded sample once, in order; layer 1 every
+        # output of layer 0 once
+        encoded = encode_dataset(images, cfg.dog, cfg.window)
+        assert np.array_equal(np.concatenate([g for i, g, _ in calls if i == 0]), np.stack(encoded))
+        assert np.array_equal(np.concatenate([g for i, g, _ in calls if i == 1]),
+                              np.concatenate([o for i, _, o in calls if i == 0]))
         assert network_bytes(net) == network_bytes(want)
+
+    def test_grid_of_another_shape_rejected_before_training(self, monkeypatch):
+        # a stack holds one shape; a stray grid is named before any layer trains
+        import spikeconv.training as training
+
+        trained = []
+        monkeypatch.setattr(training, "train_layer", lambda *a, **k: trained.append(a[1]))
+        cfg = _quick_cfg()
+        grids = encode_dataset(_tiny_images(), cfg.dog, cfg.window)
+        grids[4] = grids[4][:, :5, :]
+        with pytest.raises(ValueError, match=r"^sample 4: input grid shape \(2, 5, 8\) does not "
+                                             r"match the network input \(2, 8, 8\)"):
+            train_network(_tiny_spec(), None, cfg, seed=3, encoded=grids)
+        assert trained == []
 
     def test_broadcast_shares_one_filter_bank(self):
         net = train_network(_tiny_spec(), _tiny_images(), _quick_cfg(), seed=3)
