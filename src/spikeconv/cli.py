@@ -176,6 +176,8 @@ def _sweep_value_config(cfg: ExperimentConfig, axis: str, value: str) -> Experim
 
 
 def cmd_sweep(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     cfg = _config(args)
     if cfg.ensemble:
         raise ValueError(f"{cfg.name}: sweep cannot run a config with an [ensemble] section")
@@ -263,8 +265,10 @@ def cmd_inspect(args) -> int:
                 f"-> {shp[0]}x{shp[1]}x{shp[2]}")
         if layer.trainable:
             wts, th = net.weights[i], net.thresholds[i]
+            one = int((wts.reshape(th.size, -1).max(axis=1) >= th).sum())
             line += (f" | W[{wts.min():.3f}, {wts.max():.3f}] "
-                     f"mean {wts.mean():.3f} | th[{th.min():.2f}, {th.max():.2f}]")
+                     f"mean {wts.mean():.3f} | th[{th.min():.2f}, {th.max():.2f}]"
+                     f" | {one} of {th.size} maps fire on one spike")
             if net.t_targets[i] is not None:
                 line += f" | target {net.t_targets[i]}"
         print(line)

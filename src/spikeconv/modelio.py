@@ -137,14 +137,12 @@ def _reading(path):
 def network_bytes(network: Network) -> bytes:
     network.require_ready()
     spec = network.spec
-    trainable = spec.trainable_indices()
-    for i in trainable:
-        network.check_column(i, network.weights[i], network.thresholds[i])
     d, h, w = spec.input_shape.astuple()
     lines = [f"input {d} {h} {w}", f"bounds {network.w_min!r} {network.w_max!r}"]
     for layer, tt in zip(spec.layers, network.t_targets):
         lines.append(f"layer {layer.to_line()}" + (f" ttarget {tt!r}" if tt is not None else ""))
-    arrays = [a for i in trainable for a in (network.weights[i], network.thresholds[i])]
+    arrays = [a for i in spec.trainable_indices()
+              for a in (network.weights[i], network.thresholds[i])]
     return _container(_MODEL_MAGIC, lines, arrays)
 
 
@@ -173,12 +171,13 @@ def network_from_bytes(data: bytes) -> Network:
         spec = NetworkSpec(Shape3(*dims[0]), layers)
     with _prefix(f"header line {bounds!r}"):
         net = Network(spec, w_min, w_max)
-    net.t_targets = targets
-    trainable = spec.trainable_indices()
-    arrays = _arrays(data, offset, [(keyed["layer"][i], shape) for i in trainable
-                                    for shape in (spec.weight_shape(i), (spec.layers[i].maps,))])
-    for i, weights, thresholds in zip(trainable, arrays[::2], arrays[1::2]):
-        net.install_column(i, weights, thresholds)
+    arrays = iter(_arrays(data, offset, [
+        (keyed["layer"][i], shape) for i in spec.trainable_indices()
+        for shape in (spec.weight_shape(i), (spec.layers[i].maps,))]))
+    for i, (line, layer, target) in enumerate(zip(keyed["layer"], layers, targets)):
+        column = (next(arrays), next(arrays)) if layer.trainable else (None, None)
+        with _prefix(f"header line {line!r}"):
+            net.install_column(i, *column, target)
     return net
 
 

@@ -3,12 +3,14 @@
 A network is a stack of convolution / pooling / fully-connected layers over
 a 2-channel (on/off) input field. Convolution and fully-connected layers
 share one filter bank and one threshold vector across all spatial positions
-(column broadcast semantics); pooling layers have no state at all: their
-weights and thresholds are fixed to 1.
+(column broadcast semantics); pooling layers hold no parameters: a pooling
+neuron fires at the earliest input time in its window.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,53 +114,91 @@ class NetworkSpec:
         return (spec.maps, self.shapes[index].depth, spec.filter_h, spec.filter_w)
 
 
+class _Slots(Sequence):
+    """A network's parameters of one kind, one slot per layer; assigning a
+    slot stores what ``check`` returns. It holds no reference to the network,
+    so a dropped network is freed at once."""
+
+    def __init__(self, kind: str, spec: NetworkSpec, w_min: float, w_max: float):
+        self._kind, self._spec, self._bounds = kind, spec, (w_min, w_max)
+        self._items = [None] * len(spec.layers)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __setitem__(self, index, value) -> None:
+        index = range(len(self._items))[operator.index(index)]  # IndexError past the end
+        self._items[index] = self.check(index, value)
+
+    def check(self, index: int, value):
+        """``value`` as layer ``index`` holds it: None, a float or a read-only
+        float64 copy; a ValueError naming the layer and the kind if it may not."""
+        layer, kind = self._spec.layers[index], self._kind
+        if value is None and (kind == "firing target" or not layer.trainable):
+            return None
+        if not layer.trainable:
+            raise ValueError(f"layer {index} is pooling and holds no {kind}")
+        if kind == "firing target":
+            if not np.isfinite(value := float(value)):
+                raise ValueError(f"layer {index} firing target must be finite, got {value}")
+            return value
+        value = np.array(value, dtype=np.float64)
+        expect = self._spec.weight_shape(index) if kind == "weights" else (layer.maps,)
+        if value.shape != expect:
+            raise ValueError(f"layer {index} {kind} must have shape {expect}, got {value.shape}")
+        if kind == "weights":
+            low, high = self._bounds
+            ok, span = (value >= low) & (value <= high), f"[{low!r}, {high!r}]"
+        else:  # a NaN threshold would mute its neuron
+            ok, span = (value > 0.0) & (value < np.inf), "(0, inf)"
+        if not ok.all():  # NaN fails either
+            raise ValueError(f"layer {index} {kind} must lie in {span}, got {value[~ok][0]}")
+        value.setflags(write=False)
+        return value
+
+
 class Network:
     """Architecture plus per-layer weights, thresholds and firing targets.
 
     ``weights[i]`` has shape (out_maps, in_maps, F_h, F_w) and ``thresholds[i]``
     shape (out_maps,); both are None for pooling layers. One parameter set per
     layer is stored and shared by every column of that layer.
+
+    One check guards every write, by ``install_column`` or a slot assignment
+    (``net.weights[i] = w``): weights in ``[w_min, w_max]``, thresholds finite
+    and > 0, a firing target finite or None, None only on a pooling layer. It
+    stores read-only float64 copies, and no attribute can be rebound.
     """
 
     def __init__(self, spec: NetworkSpec, w_min: float = 0.0, w_max: float = 1.0):
         if not (np.isfinite(w_min) and np.isfinite(w_max) and w_min < w_max):
             raise ValueError(f"need finite w_min < w_max, got {w_min}, {w_max}")
-        self.spec = spec
-        self.w_min = float(w_min)
-        self.w_max = float(w_max)
-        self.weights: list = [None] * len(spec.layers)
-        self.thresholds: list = [None] * len(spec.layers)
-        self.t_targets: list = [None] * len(spec.layers)
+        w_min, w_max = float(w_min), float(w_max)
+        self.__dict__.update(spec=spec, w_min=w_min, w_max=w_max,
+                             weights=_Slots("weights", spec, w_min, w_max),
+                             thresholds=_Slots("thresholds", spec, w_min, w_max),
+                             t_targets=_Slots("firing target", spec, w_min, w_max))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Network.{name} cannot be rebound; install_column or assign a slot")
+
+    __delattr__ = __setattr__
 
     def install_column(self, index: int, weights: np.ndarray, thresholds: np.ndarray,
                        t_target: float | None = None) -> None:
         """Broadcast one trained column onto every position of layer ``index``.
 
         Layer parameters are stored once and shared by construction, so the
-        broadcast installs the column's weights and thresholds.
+        broadcast installs the column's weights, thresholds and firing target
+        (None: no target), all three checked before any is stored.
         """
-        weights = np.array(weights, dtype=np.float64)
-        thresholds = np.array(thresholds, dtype=np.float64)
-        self.check_column(index, weights, thresholds)
-        self.weights[index], self.thresholds[index] = weights, thresholds
-        if t_target is not None:
-            self.t_targets[index] = float(t_target)
-
-    def check_column(self, index: int, weights: np.ndarray, thresholds: np.ndarray) -> None:
-        """Raise a ValueError naming layer ``index`` unless it can hold this column."""
-        expect = self.spec.weight_shape(index)
-        if weights.shape != expect:
-            raise ValueError(f"layer {index} expects weights {expect}, got {weights.shape}")
-        if thresholds.shape != (self.spec.layers[index].maps,):
-            raise ValueError(
-                f"layer {index} expects {self.spec.layers[index].maps} thresholds, "
-                f"got {thresholds.shape}"
-            )
-        if not np.all((weights >= self.w_min) & (weights <= self.w_max)):  # NaN fails too
-            raise ValueError(f"layer {index} weights are NaN or outside the bounds "
-                             f"[{self.w_min!r}, {self.w_max!r}]")
-        if not np.all(np.isfinite(thresholds) & (thresholds > 0)):  # NaN would mute a neuron
-            raise ValueError(f"layer {index} thresholds must be finite and > 0")
+        slots = (self.weights, self.thresholds, self.t_targets)
+        values = [s.check(index, v) for s, v in zip(slots, (weights, thresholds, t_target))]
+        for s, value in zip(slots, values):
+            s._items[index] = value
 
     @property
     def output_t_target(self) -> float | None:

@@ -21,10 +21,11 @@ the event engine; everything else runs on the crossing engine.
   sites' ranks in (time, site); a neuron's potential is a plain running
   sum of its weights in that order until a fire in its column. One scan
   finds the first crossings for inference and for training's single
-  column alike. With non-negative weights it first drops every neuron
-  whose total input, one matrix product widened by a margin larger than
-  the rounding of any summation order, stays below its threshold: such a
-  neuron can never fire, inhibition only lowers a non-negative potential,
+  column alike. When the network's bounds admit no negative weight (or
+  training's column holds none) it first drops every neuron whose total
+  input, one matrix product widened by a margin larger than the rounding of
+  any summation order, stays below its threshold: such a neuron can
+  never fire, inhibition only lowers a non-negative potential,
   and the bound never decides a fire. The remaining neurons walk their
   sorted inputs in blocks of doubling size and leave at their first
   crossing; under a column competition a column leaves at its first. Each
@@ -229,15 +230,15 @@ def _event_ranks(flat: np.ndarray):
     return rank, flat.ravel()[f]
 
 
-def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray):
+def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray, nonneg: bool):
     """The (map, position) rows of P windows that can fire, and their event order.
 
     wr: (P, K) event ranks of the window slots (``_event_ranks``); w2: (D, K)
-    weights in window order. A position without input cannot fire. With
-    non-negative weights neither can a row whose total input, widened past
-    the rounding of any summation order, stays below its threshold:
-    inhibition only lowers a non-negative potential, so this bound never
-    decides a fire. Returns the positions ``pos`` holding a live row, their
+    weights in window order. A position without input cannot fire. When
+    ``nonneg`` says no weight is negative, neither can a row whose total
+    input, widened past the rounding of any summation order, stays below its
+    threshold: inhibition only lowers a non-negative potential, so this bound
+    never decides a fire. Returns the positions ``pos`` holding a live row, their
     window slots in event order (``order``, one row per kept position) and
     input counts, and the rows ``rd``, ``rp`` in (map, position) order,
     ``rp`` indexing ``pos``.
@@ -245,7 +246,7 @@ def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray):
     finite = np.isfinite(wr)
     count = finite.sum(axis=1)
     live = count > 0
-    if w2.min() >= 0.0:
+    if nonneg:
         bound = (w2 @ finite.T.astype(np.float64)) * (1.0 + 4 * w2.shape[1] * _EPS)
         live = ~(bound < thresholds[:, None]) & live
     else:
@@ -328,13 +329,14 @@ def _fire_times(ranked_t, wr, pos, order, rp, slot):
     return ranked_t[wr[pos[rp], order[rp, slot]].astype(np.int64)]
 
 
-def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
+def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan,
+                  nonneg: bool):
     """Crossing engine: no competition, or one confined to each column.
 
     The N samples of the stack are one layer of N x P positions, sample by
     sample. One crossing scan per chunk of them, stopping each column at its
     earliest crossing under a competition; soft inhibition goes on from those
-    stops in rounds (module docstring).
+    stops in rounds (module docstring). ``nonneg``: no weight is negative.
     """
     n, d_out, positions = times_in.shape[0], weights.shape[0], plan.positions
     wta = policy.mode == "wta"
@@ -349,7 +351,7 @@ def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan:
         lo = s0 * positions + p0
         wr = rank[s0:s0 + samples].take(plan.win_index[p0:p0 + span], axis=1)
         wr = wr.reshape(-1, plan.window)
-        pos, order, count, rd, rp = _live_rows(wr, w2, thresholds)
+        pos, order, count, rd, rp = _live_rows(wr, w2, thresholds, nonneg)
         th_r = thresholds[rd]
         slot, v_stop = _first_crossings(order, count, w2, rd, rp, th_r, wta or v_inh > 0.0)
         if v_inh == 0.0:
@@ -519,7 +521,7 @@ def forward_layer(
         if compete and (policy.scope == "layer" or plan.positions == 1):
             out = _event_times(stack, weights, thresholds, policy, plan)
         else:
-            out = _column_times(stack, weights, thresholds, policy, plan)
+            out = _column_times(stack, weights, thresholds, policy, plan, network.w_min >= 0.0)
     return out if times.ndim == 4 else out[0]
 
 
@@ -577,7 +579,7 @@ def column_response(
     rank, ranked_t = _event_ranks(patch_times.reshape(1, -1))
     w2 = weights.reshape(weights.shape[0], -1)
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    _, order, count, rd, rp = _live_rows(rank, w2, thresholds)
+    _, order, count, rd, rp = _live_rows(rank, w2, thresholds, w2.min() >= 0.0)
     slot, v = _first_crossings(order, count, w2, rd, rp, thresholds[rd], True)
     crossing = np.nonzero(v >= thresholds[rd])[0]
     if crossing.size == 0:

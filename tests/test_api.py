@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -81,4 +82,17 @@ def test_dataset_entry_signatures_are_pinned(module, name, params):
     # the stack size follows from the simulator's chunk cap; no batch-size
     # option may reach the public entries that process datasets
     func = getattr(importlib.import_module(f"spikeconv.{module}"), name)
+    assert _parameters(func) == params
+
+
+@pytest.mark.parametrize("module, name, params", [
+    ("simulate", "column_response", "(patch_times, weights, thresholds)"),
+    ("training", "broadcast_column", "(network, index, weights, thresholds, t_target=None)"),
+    ("network", "Network.__init__", "(self, spec, w_min=0.0, w_max=1.0)"),
+    ("network", "Network.install_column", "(self, index, weights, thresholds, t_target=None)"),
+])
+def test_benchmark_entry_signatures_are_pinned(module, name, params):
+    # benchmarks/workloads.py calls these, or wraps column_response with a
+    # function of the same three arguments, so their parameters may not move
+    func = functools.reduce(getattr, name.split("."), importlib.import_module(f"spikeconv.{module}"))
     assert _parameters(func) == params

@@ -428,6 +428,22 @@ class TestCliSweep:
         assert rc == 1
         assert "non-empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_run_count_below_one_rejected_before_loading(self, toy, capsys, monkeypatch, runs):
+        import spikeconv.cli as cli
+
+        monkeypatch.setattr(cli, "load_idx", lambda *a: pytest.fail("dataset loaded"))
+        rc = main([
+            "sweep", "--config", toy["cfg"], "--axis", "t_target", "--values", "0.6",
+            "--runs", runs,
+            "--train-images", toy["train"][0], "--train-labels", toy["train"][1],
+            "--test-images", toy["test"][0], "--test-labels", toy["test"][1],
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"--runs must be >= 1, got {runs}" in captured.err
+        assert captured.out == ""
+
     def test_ensemble_config_rejected(self, toy, capsys):
         cfg = toy["dir"] / "ens.ini"
         cfg.write_text(TOY_CONFIG + "\n[ensemble]\nmember1 = 0.6 3\n")
@@ -534,6 +550,30 @@ class TestCliFeaturesInspect:
         assert "input: 2 maps, 8x8" in text
         assert "layer 0: conv 3x3" in text
         assert "parameters:" in text
+
+    def test_inspect_counts_maps_that_fire_on_one_spike(self, tmp_path, capsys):
+        from spikeconv import LayerSpec, Network, NetworkSpec, Shape3
+        from spikeconv.modelio import save_network
+
+        spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 5, 1, 0),
+                                             LayerSpec("pool", 2, 2, 5, 2, 0),
+                                             LayerSpec("fc", 2, 2, 3, 1, 0)])
+        net = Network(spec)
+        # conv: every map's largest weight is 0.9, and it reaches the
+        # thresholds 0.5 and 0.9 only; fc: every weight is 0.25, which
+        # reaches the threshold 0.25 only
+        weights = np.full((5, 2, 3, 3), 0.1)
+        weights[:, 1, 2, 0] = 0.9
+        net.install_column(0, weights, [0.5, 2.0, 0.9, 0.95, 4.0], 0.7)
+        net.install_column(2, np.full((3, 5, 2, 2), 0.25), [0.3, 0.25, 0.26], 0.7)
+        save_network(tmp_path / "k.spknet", net)
+        assert main(["inspect", str(tmp_path / "k.spknet")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("layer 0: conv") and lines[1].endswith(
+            " | 2 of 5 maps fire on one spike | target 0.7")
+        assert "fire on one spike" not in lines[2]  # pooling holds no parameters
+        assert lines[3].startswith("layer 2: fc") and lines[3].endswith(
+            " | 1 of 3 maps fire on one spike | target 0.7")
 
 
 class TestCrossProcessDeterminism:

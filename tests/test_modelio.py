@@ -62,7 +62,7 @@ class TestNetworkContainer:
         for i in (0, 2):
             assert np.array_equal(again.weights[i], net.weights[i])
             assert np.array_equal(again.thresholds[i], net.thresholds[i])
-        assert again.t_targets == net.t_targets
+        assert list(again.t_targets) == list(net.t_targets)
         assert again.spec.input_shape == net.spec.input_shape
         assert again.spec.layers == net.spec.layers
 
@@ -145,13 +145,18 @@ class TestNetworkContainer:
         ("weights", np.nan), ("weights", 5.0), ("thresholds", np.inf), ("thresholds", 0.0),
     ])
     def test_writer_rejects_what_loading_rejects(self, array, value, tmp_path):
+        # what loading refuses fails at the write into the network, so no
+        # file can hold it: the network keeps, and saves, what it held
         net = _net()
-        getattr(net, array)[2].flat[1] = value
+        before = network_bytes(net)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(net, array)[2].flat[1] = value
+        bad = getattr(net, array)[2].copy()
+        bad.flat[1] = value
         with pytest.raises(ValueError, match=f"layer 2 {array}"):
-            network_bytes(net)
-        with pytest.raises(ValueError, match=f"layer 2 {array}"):
-            save_network(tmp_path / "m.spknet", net)
-        assert not (tmp_path / "m.spknet").exists()
+            getattr(net, array)[2] = bad
+        save_network(tmp_path / "m.spknet", net)
+        assert (tmp_path / "m.spknet").read_bytes() == before
 
     @pytest.mark.parametrize("array, value", [
         ("weights", np.nan), ("weights", 3.0), ("weights", -0.25),
@@ -189,6 +194,135 @@ class TestNetworkContainer:
         spec = NetworkSpec(Shape3(1, 2, 2), [LayerSpec("conv", 2, 2, 1, 1, 0)])
         with pytest.raises(ValueError, match="uninitialized"):
             network_bytes(Network(spec))
+
+
+class TestWritePath:
+    """Every parameter reaches a network through one check, and stays as checked."""
+
+    @pytest.mark.parametrize("source", ["install", "slot", "load"])
+    def test_installed_arrays_are_read_only(self, source, tmp_path):
+        net = _net()
+        if source == "slot":
+            net.weights[0], net.thresholds[2] = net.weights[0].copy(), np.ones(6)
+        elif source == "load":
+            save_network(tmp_path / "m.spknet", net)
+            net = load_network(tmp_path / "m.spknet")
+        for i in net.spec.trainable_indices():
+            for array in (net.weights[i], net.thresholds[i]):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 0.5
+                with pytest.raises(ValueError, match="read-only"):
+                    array *= 1.0
+
+    def test_install_stores_a_copy(self):
+        net = _net()
+        weights, thresholds = net.weights[2].copy(), net.thresholds[2].copy()
+        net.install_column(2, weights, thresholds, 0.8)
+        weights[:], thresholds[:] = 0.0, np.inf
+        assert net.weights[2].max() > 0.0 and np.isfinite(net.thresholds[2]).all()
+
+    @pytest.mark.parametrize("slots, index, value, named", [
+        ("weights", 2, "nan", "layer 2 weights"),
+        ("weights", 2, "5.0", "layer 2 weights"),
+        ("weights", 0, "-0.25", "layer 0 weights"),
+        ("weights", 2, "shape", "layer 2 weights"),
+        ("weights", 2, "none", "layer 2 weights"),
+        ("thresholds", 2, "inf", "layer 2 thresholds"),
+        ("thresholds", 0, "0.0", "layer 0 thresholds"),
+        ("thresholds", 0, "nan", "layer 0 thresholds"),
+        ("weights", 1, "pooling", "layer 1 is pooling and holds no weights"),
+        ("thresholds", 1, "pooling", "layer 1 is pooling and holds no thresholds"),
+        ("t_targets", 1, "pooling", "layer 1 is pooling and holds no firing target"),
+    ])
+    def test_bad_slot_assignment_raises_before_any_forward(self, slots, index, value, named):
+        # a NaN weight would silence its neuron, a weight of 5.0 under
+        # bounds [0, 1] fire it early: neither may reach forward_times
+        from spikeconv.simulate import forward_times
+
+        net = _net()
+        grid = np.where(np.random.default_rng(5).random((2, 8, 8)) < 0.5, 0.25, np.inf)
+        want = forward_times(net, grid)
+        if value == "pooling":
+            bad = 0.5 if slots == "t_targets" else np.ones(4)
+        elif value == "shape":
+            bad = net.weights[index][:, :1]
+        elif value == "none":
+            bad = None
+        else:
+            bad = getattr(net, slots)[index].copy()
+            bad.flat[1] = float(value)
+        with pytest.raises(ValueError, match=named):
+            getattr(net, slots)[index] = bad
+        got = forward_times(net, grid)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_refused_everywhere(self, value):
+        net = _net()
+        with pytest.raises(ValueError, match="layer 2 firing target must be finite"):
+            net.install_column(2, net.weights[2], net.thresholds[2], value)
+        with pytest.raises(ValueError, match="layer 0 firing target must be finite"):
+            net.t_targets[0] = value
+        assert list(net.t_targets) == [0.75, None, 0.8]
+        line = f"layer fc 4 4 6 1 0 ttarget {value!r}"
+        blob = network_bytes(net).replace(b"layer fc 4 4 6 1 0 ttarget 0.8", line.encode())
+        with pytest.raises(ValueError, match=re.escape(f"header line {line!r}")):
+            network_from_bytes(blob)
+
+    def test_pooling_target_refused_at_install(self):
+        net = _net()
+        net.install_column(1, None, None)  # a pooling layer holds None only
+        with pytest.raises(ValueError, match="layer 1 is pooling and holds no firing target"):
+            net.install_column(1, None, None, 0.5)
+        with pytest.raises(ValueError, match="layer 1 is pooling and holds no weights"):
+            net.install_column(1, np.ones((4, 4, 2, 2)), None)
+        assert list(net.t_targets) == [0.75, None, 0.8]
+
+    def test_refused_install_leaves_the_layer_as_it_was(self):
+        net = _net()
+        before = network_bytes(net)
+        with pytest.raises(ValueError, match="layer 2 thresholds"):
+            net.install_column(2, np.zeros((6, 4, 4, 4)), np.zeros(6), 0.5)
+        assert network_bytes(net) == before
+
+    def test_dropped_network_is_freed_at_once(self):
+        # the slot lists hold no reference back to their network, so its
+        # arrays go with its last reference, not at a later cycle collection
+        import gc
+        import weakref
+
+        net = _net()
+        ref = weakref.ref(net)
+        gc.disable()
+        try:
+            del net
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", ["spec", "w_min", "w_max",
+                                      "weights", "thresholds", "t_targets"])
+    def test_attributes_cannot_be_rebound(self, name):
+        net = _net()
+        before = getattr(net, name)
+        with pytest.raises(AttributeError, match=name):
+            setattr(net, name, before)
+        with pytest.raises(AttributeError, match=name):
+            delattr(net, name)
+        assert getattr(net, name) is before
+
+    def test_slot_lists_keep_one_slot_per_layer(self):
+        net = _net()
+        assert len(net.weights) == len(net.t_targets) == 3
+        with pytest.raises(IndexError):
+            net.t_targets[3] = 0.5
+        with pytest.raises(TypeError, match="slice"):
+            net.t_targets[0:2] = [0.5, 0.5]
+        with pytest.raises((TypeError, AttributeError)):
+            net.t_targets.append(0.5)
+        net.t_targets[-1] = 0.5  # counts from the end, as a list does
+        assert list(net.t_targets) == [0.75, None, 0.5]
 
 
 class TestFeatureContainer:
@@ -381,6 +515,9 @@ class TestReadErrors:
         pytest.param(load_network, _model_blob(b"ttarget 0.75", b"ttarget inf"),
                      "malformed header line 'layer conv 3 3 4 1 1 ttarget inf'",
                      id="model-ttarget-inf"),
+        pytest.param(load_network, _model_blob(b"pool 2 2 4 2 0", b"pool 2 2 4 2 0 ttarget 0.5"),
+                     "header line 'layer pool 2 2 4 2 0 ttarget 0.5': layer 1 is pooling",
+                     id="model-pooling-ttarget"),
         pytest.param(load_network, _model_blob(b"input 2", b"input 0"),
                      "header line 'input 0 8 8'", id="model-input-zero"),
         pytest.param(load_labels, b"3\n1\nx\n", "line 3 is not an int64 label",

@@ -156,7 +156,7 @@ class TestExtractFeatures:
 
     def test_network_without_firing_target_rejected(self):
         untargeted = _feature_net()
-        untargeted.t_targets = [None] * len(untargeted.t_targets)
+        untargeted.install_column(0, untargeted.weights[0], untargeted.thresholds[0])
         with pytest.raises(ValueError, match="no firing target"):
             extract_features([_feature_net(), untargeted],
                              [np.full((2, 4, 4), np.inf)], 1.0)
@@ -315,7 +315,7 @@ class TestReconstruction:
             LayerSpec("pool", 2, 2, 1, 2, 0),
             LayerSpec("fc", 2, 2, 1, 1, 0),
         ])
-        net = Network(spec)
+        net = Network(spec, 0.0, 4.0)
         net.weights[0] = np.ones((1, 1, 1, 1))
         net.thresholds[0] = np.ones(1)
         net.weights[2] = np.arange(1.0, 5.0).reshape(1, 1, 2, 2)

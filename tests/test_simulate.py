@@ -40,10 +40,11 @@ SWEEP_POLICIES = [
 
 
 def _one_neuron(weights, threshold):
-    """One IF neuron at one position over a (1, 1, n) input row."""
+    """One IF neuron at one position over a (1, 1, n) input row, under
+    bounds that hold its weights."""
     n = len(weights)
     spec = NetworkSpec(Shape3(1, 1, n), [LayerSpec("fc", 1, n, 1, 1, 0)])
-    net = Network(spec)
+    net = Network(spec, min(0.0, *weights), max(1.0, *weights))
     net.weights[0] = np.asarray(weights, dtype=float).reshape(1, 1, 1, n)
     net.thresholds[0] = np.array([float(threshold)])
     return net
@@ -309,7 +310,7 @@ def _column_cases(draw):
     policy = draw(st.sampled_from([InhibitionPolicy("soft", v_inh=v_inh), InhibitionPolicy("wta")]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     spec = NetworkSpec(Shape3(d_in, h, w), [LayerSpec("conv", fh, fw, maps, stride, pad)])
-    net = Network(spec)
+    net = Network(spec, -0.6 if signed else 0.0)
     net.weights[0] = rng.uniform(-0.6 if signed else 0.0, 1.0, spec.weight_shape(0))
     net.thresholds[0] = rng.uniform(0.1, 0.3 * d_in * fh * fw + 0.2, maps)
     n = draw(st.integers(1, spec.input_shape.size))
@@ -393,10 +394,12 @@ class TestColumnResponse:
 
 
 def _one_layer(times, weights, thresholds, kind="conv"):
+    """One layer holding ``weights``, under bounds [0, 1] widened to hold them."""
     d_in, h, w = times.shape
     _, _, fh, fw = weights.shape
     net = Network(NetworkSpec(Shape3(d_in, h, w),
-                              [LayerSpec(kind, fh, fw, weights.shape[0], 1, 0)]))
+                              [LayerSpec(kind, fh, fw, weights.shape[0], 1, 0)]),
+                  min(0.0, weights.min()), max(1.0, weights.max()))
     net.weights[0] = weights
     net.thresholds[0] = thresholds
     return net
@@ -436,8 +439,8 @@ def _scan_cases(draw):
                      rng.integers(0, levels, (d_in, h, w)) / levels)
     weights = rng.uniform(-0.5 if signed else 0.0, 1.0, (maps, d_in, fh, fw))
     thresholds = rng.uniform(0.1, 0.3 * d_in * fh * fw + 0.1, maps)
-    # thresholds equal to an exact sequential partial sum (often the whole
-    # window's) of one window: the pre-filter's margin must keep them
+    # thresholds equal to an exact positive sequential partial sum (often the
+    # whole window's) of one window: the pre-filter's margin must keep them
     for d in range(maps):
         if rng.random() < 0.6:
             y, x = int(rng.integers(h - fh + 1)), int(rng.integers(w - fw + 1))
@@ -447,7 +450,8 @@ def _scan_cases(draw):
                 slots = slots[np.argsort(win[slots], kind="stable")]
                 sums = np.cumsum(weights[d].ravel()[slots])
                 k = slots.size - 1 if rng.random() < 0.5 else int(rng.integers(slots.size))
-                thresholds[d] = sums[k]
+                if sums[k] > 0.0:  # a network holds positive thresholds only
+                    thresholds[d] = sums[k]
     return times, weights, thresholds
 
 
@@ -575,15 +579,21 @@ class TestStacks:
             LayerSpec("pool", 2, 2, 4, 2, 0),
             LayerSpec("fc", 3, 3, 5, 1, 0),
         ])
-        net = Network(spec)
+        net = Network(spec, -0.3)
         for i, w_low in ((0, -0.3), (2, 0.0)):
             net.weights[i] = rng.uniform(w_low, 1.0, spec.weight_shape(i))
             net.thresholds[i] = rng.uniform(0.5, 2.0, spec.layers[i].maps)
+        # signed bounds scan every layer without the bound pre-filter; the
+        # same fc layer under bounds [0, 1] scans with it
+        unsigned = Network(spec)
+        unsigned.install_column(0, np.abs(net.weights[0]), net.thresholds[0])
+        unsigned.install_column(2, net.weights[2], net.thresholds[2])
         stack = np.stack([random_grid(rng, spec.input_shape, n, tie_heavy=True)
                           for n in (40, 0, 12, 98, 3, 60)])
         monkeypatch.setattr(sim, "_CHUNK_ELEMS", 3 * (4 * sim._BLOCK0 + 18))
         for policy in SWEEP_POLICIES:
             _check_stack(net, stack, policy)
+            _check_stack(unsigned, stack, policy)
 
     def test_single_grid_keeps_its_rank(self):
         net = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 2, 2)), np.ones(2))
@@ -591,6 +601,59 @@ class TestStacks:
         assert forward_layer(net, 0, grid).shape == (2, 2, 2)
         assert forward_layer(net, 0, grid[None]).shape == (1, 2, 2, 2)
         assert forward_layer(net, 0, np.empty((0, 1, 3, 3))).shape == (0, 2, 2, 2)
+
+
+@st.composite
+def _bound_cases(draw):
+    """A drawn network with non-negative weights under bounds [0, 1], the same
+    parameters under signed bounds, a stack of 1-3 grids and a policy."""
+    net = drawn_network(lambda lo, hi: draw(st.integers(lo, hi - 1)),
+                        lambda options: draw(st.sampled_from(options)),
+                        np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform)
+    signed = Network(net.spec, draw(st.floats(-2.0, -1e-3)), 1.0)
+    for i in net.spec.trainable_indices():
+        signed.install_column(i, net.weights[i], net.thresholds[i])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = draw(st.lists(st.integers(0, net.spec.input_shape.size), min_size=1, max_size=3))
+    stack = np.stack([random_grid(rng, net.spec.input_shape, n, tie_heavy=True)
+                      for n in counts])
+    return net, signed, stack, draw(st.sampled_from(SWEEP_POLICIES))
+
+
+class TestSignFromBounds:
+    """The crossing engine reads the weight sign from the bounds, never the weights."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_bound_cases())
+    def test_signed_bounds_with_non_negative_weights_change_nothing(self, case):
+        net, signed, stack, policy = case
+        _check_stack(signed, stack, policy)  # stack, single grids and the oracle
+        for grid in stack:
+            for got, want in zip(forward_times(signed, grid, policy),
+                                 forward_times(net, grid, policy)):
+                assert np.array_equal(got, want)
+
+    def test_pre_filter_follows_the_lower_bound(self, monkeypatch):
+        import spikeconv.simulate as sim
+
+        flags = []
+        real = sim._live_rows
+        monkeypatch.setattr(sim, "_live_rows",
+                            lambda *a: flags.append(a[3]) or real(*a))
+        grid = np.full((1, 3, 3), 0.25)
+        for w_min, nonneg in ((0.0, True), (0.5, True), (-0.1, False)):
+            net = Network(NetworkSpec(Shape3(1, 3, 3), [LayerSpec("conv", 2, 2, 2, 1, 0)]),
+                          w_min, 1.0)
+            net.install_column(0, np.full((2, 1, 2, 2), 0.5), np.ones(2))
+            flags.clear()
+            assert forward_layer(net, 0, grid).tolist() == [[[0.25] * 2] * 2] * 2
+            assert flags == [nonneg]
+        # training's column holds no bounds: its own weights decide
+        for low, nonneg in ((0.0, True), (-0.1, False)):
+            flags.clear()
+            column_response(grid[:, :2, :2], np.array([low, 0.5, 0.5, 0.5]).reshape(1, 1, 2, 2),
+                            np.ones(1))
+            assert flags == [nonneg]
 
 
 class TestForwardValidation:

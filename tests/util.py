@@ -13,8 +13,9 @@ def random_network(rng: np.random.Generator, max_neurons: int = 64,
                    w_low: float = 0.0) -> Network:
     """A random 1-3 layer conv/pool/fc stack with modest thresholds.
 
-    Weights are drawn from [w_low, 1); a negative ``w_low`` gives signed
-    weights, which the crossing engine scans without its bound pre-filter.
+    Weights are drawn from [w_low, 1) under bounds [w_low, 1]; a negative
+    ``w_low`` gives signed weights and bounds, which the crossing engine
+    scans without its bound pre-filter.
     """
     return drawn_network(lambda lo, hi: int(rng.integers(lo, hi)),
                          lambda options: str(rng.choice(options)),
@@ -69,7 +70,7 @@ def drawn_network(integer, choose, uniform, max_neurons: int = 64,
     if not layers:
         layers = [LayerSpec("conv", 2, 2, 3, 1, 0)]
 
-    net = Network(NetworkSpec(in_shape, layers))
+    net = Network(NetworkSpec(in_shape, layers), w_low)
     for i in net.spec.trainable_indices():
         net.weights[i] = uniform(w_low, 1.0, net.spec.weight_shape(i))
         # low thresholds so small nets actually spike
