@@ -19,6 +19,7 @@ from .plasticity import (
     MultiplicativeStdp,
     ThresholdParams,
     adapt_threshold_target,
+    adapt_threshold_winner,
     adapt_threshold_wta,
     apply_stdp,
 )

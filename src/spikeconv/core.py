@@ -48,16 +48,17 @@ def check_fire_times(times: np.ndarray, where: str = "") -> None:
         raise ValueError(f"{where}input spike times contain {kind}; +inf marks a silent site")
 
 
-def check_grids(grids, shape: Shape3) -> None:
+def check_grids(grids, shape: Shape3, name: str = "the network input") -> None:
     """Reject a dataset of fire-time grids that a stack of ``shape`` grids cannot hold.
 
     Each grid must have ``shape`` and hold no NaN or -inf; the message
-    names the first offending sample's index.
+    names the first offending sample's index and, as ``name``, what
+    ``shape`` is the shape of.
     """
     for i, grid in enumerate(grids):
         if np.shape(grid) != shape.astuple():
             raise ValueError(f"sample {i}: input grid shape {np.shape(grid)} does not match "
-                             f"the network input {shape.astuple()}")
+                             f"{name} {shape.astuple()}")
         check_fire_times(grid, f"sample {i}: ")
 
 

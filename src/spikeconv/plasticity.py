@@ -22,6 +22,7 @@ __all__ = [
     "apply_stdp",
     "adapt_threshold_target",
     "adapt_threshold_wta",
+    "adapt_threshold_winner",
 ]
 
 
@@ -137,18 +138,26 @@ def adapt_threshold_target(v_th: float, t_fire: float, params: ThresholdParams) 
 
 def adapt_threshold_wta(thresholds: np.ndarray, fire_times,
                         eta_th: float, th_min: float) -> np.ndarray:
-    """Homeostasis step: raise the winner by eta, lower everyone else.
+    """``adapt_threshold_winner`` for the column's fire times (None = silent).
 
-    The winner is the earliest fire time, ties to the lowest index; the N-1
-    losers drop by eta/(N-1), so one cycle of the update sums to zero and
-    the timing rule's fixed point sits exactly at its target. At least one
-    neuron must have fired.
+    The winner is the earliest fire time, ties to the lowest index; at least
+    one neuron must have fired.
     """
-    n = len(thresholds)
     keyed = [(t, i) for i, t in enumerate(fire_times) if t is not None]
     if not keyed:
         raise ValueError("adapt_threshold_wta needs at least one fired neuron")
-    winner = min(keyed)[1]
+    return adapt_threshold_winner(thresholds, min(keyed)[1], eta_th, th_min)
+
+
+def adapt_threshold_winner(thresholds: np.ndarray, winner: int,
+                           eta_th: float, th_min: float) -> np.ndarray:
+    """Homeostasis step: raise the winner by eta, lower everyone else.
+
+    The N-1 losers drop by eta/(N-1), so one cycle of the update sums to
+    zero and the timing rule's fixed point sits exactly at its target.
+    Returns new thresholds, floored at ``th_min``.
+    """
+    n = len(thresholds)
     loser_step = eta_th / (n - 1) if n > 1 else 0.0  # a lone neuron has no loser
     out = np.asarray(thresholds, dtype=np.float64) - loser_step
     out[winner] = thresholds[winner] + eta_th

@@ -20,12 +20,12 @@ the event engine; everything else runs on the crossing engine.
   column. Inside a window the global event order is the order of the
   sites' ranks in (time, site); a neuron's potential is a plain running
   sum of its weights in that order until a fire in its column. One scan
-  finds the first crossings for inference and for training's single
-  column alike. When the network's bounds admit no negative weight (or
-  training's column holds none) it first drops every neuron whose total
-  input, one matrix product widened by a margin larger than the rounding of
-  any summation order, stays below its threshold: such a neuron can
-  never fire, inhibition only lowers a non-negative potential,
+  finds the first crossings of inference; training's single column
+  (``column_response``) walks every map through the same blocks. When the
+  network's bounds admit no negative weight the scan first drops every
+  neuron whose total input, one matrix product widened by a margin larger
+  than the rounding of any summation order, stays below its threshold: such
+  a neuron can never fire, inhibition only lowers a non-negative potential,
   and the bound never decides a fire. The remaining neurons walk their
   sorted inputs in blocks of doubling size and leave at their first
   crossing; under a column competition a column leaves at its first. Each
@@ -573,16 +573,42 @@ def column_response(
     """WTA response of one column to a patch of its receptive field.
 
     ``patch_times`` is (in_maps, F_h, F_w) with +inf for silent sites;
-    ``weights`` is (maps, in_maps, F_h, F_w). The winner is the earliest
-    crossing, ties resolved by lowest map index.
+    ``weights`` is (maps, in_maps, F_h, F_w) and ``thresholds`` (maps,),
+    finite. The winner is the earliest crossing, ties resolved by lowest map
+    index. Every map walks the inputs in event order in the crossing scan's
+    blocks (module docstring), so the cost is maps x inputs up to the first
+    crossing. Once the first block decides nothing, one bound, the sums so
+    far plus each map's remaining inputs with the scan's margin, ends a call
+    on which no map can fire, if no weight is negative.
     """
-    rank, ranked_t = _event_ranks(patch_times.reshape(1, -1))
-    w2 = weights.reshape(weights.shape[0], -1)
+    maps = weights.shape[0]
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    _, order, count, rd, rp = _live_rows(rank, w2, thresholds, w2.min() >= 0.0)
-    slot, v = _first_crossings(order, count, w2, rd, rp, thresholds[rd], True)
-    crossing = np.nonzero(v >= thresholds[rd])[0]
-    if crossing.size == 0:
-        return ColumnResult(None, None)
-    r = crossing[0]  # rows run in map order: the lowest crossing map wins
-    return ColumnResult(int(rd[r]), float(ranked_t[int(rank[0, order[0, slot[r]]])]))
+    if patch_times.shape != weights.shape[1:] or thresholds.shape != (maps,):
+        raise ValueError(f"patch {patch_times.shape} and thresholds {thresholds.shape} do not "
+                         f"fit weights {weights.shape}: need {weights.shape[1:]} and ({maps},)")
+    if not np.isfinite(thresholds).all():
+        raise ValueError(f"thresholds must be finite, got {thresholds}")
+    order = _event_order(patch_times.reshape(1, -1))
+    w2 = weights.reshape(maps, -1)
+    carry = None
+    k0, size = 0, _BLOCK0
+    while k0 < order.size:
+        k1 = min(k0 + size, order.size)
+        v = w2[:, order[k0:k1]]
+        if carry is not None:
+            v[:, 0] += carry  # the same addition delivering this input one by one makes
+        np.cumsum(v, axis=1, out=v)
+        crossed = v >= thresholds[:, None]
+        if crossed.any():  # at the first input any map crosses at, the lowest such map wins
+            k = int(crossed.any(axis=0).argmax())
+            t = patch_times.ravel()[order[k0 + k]]
+            return ColumnResult(int(crossed[:, k].argmax()), float(t))
+        carry = v[:, -1]
+        if k0 == 0 and k1 < order.size:
+            rest = np.zeros(w2.shape[1])
+            rest[order[k1:]] = 1.0
+            bound = (carry + w2 @ rest) * (1.0 + 4 * w2.shape[1] * _EPS)
+            if not (bound >= thresholds).any() and w2.min() >= 0.0:
+                break
+        k0, size = k1, 2 * size
+    return ColumnResult(None, None)

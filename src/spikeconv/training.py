@@ -24,7 +24,7 @@ from .plasticity import (
     BiologicalStdp,
     ThresholdParams,
     adapt_threshold_target,
-    adapt_threshold_wta,
+    adapt_threshold_winner,
     apply_stdp,
 )
 from .simulate import (InhibitionPolicy, NO_INHIBITION, column_response, forward_layer,
@@ -192,13 +192,16 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
     """Train one column of layer ``index`` on its input spike fields.
 
     ``input_grids`` are the frozen prefix's outputs, one (D, H, W) fire-time
-    grid per training sample. Returns the column's (weights, thresholds).
+    grid per training sample; a grid whose shape is not the layer input's, or
+    that holds NaN or -inf, is rejected before training starts. Returns the
+    column's (weights, thresholds).
     """
     layer = spec.layers[index]
     if layer.kind == POOL:
         raise ValueError(f"layer {index} is pooling and has nothing to train")
     if len(input_grids) == 0:
         raise ValueError("training dataset is empty")
+    check_grids(input_grids, spec.shapes[index], f"layer {index} input")
 
     d_out = layer.maps
     w_rng = streams.stream("weights", index)
@@ -234,10 +237,8 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
             thresholds[res.winner] = adapt_threshold_target(
                 thresholds[res.winner], res.fire_time, params
             )
-            fire_times = [None] * d_out
-            fire_times[res.winner] = res.fire_time
-            thresholds = adapt_threshold_wta(
-                thresholds, fire_times, params.eta_th, params.th_min
+            thresholds = adapt_threshold_winner(
+                thresholds, res.winner, params.eta_th, params.th_min
             )
             wins[res.winner] += 1
             time_sum += res.fire_time

@@ -7,6 +7,7 @@ from spikeconv import (
     MultiplicativeStdp,
     ThresholdParams,
     adapt_threshold_target,
+    adapt_threshold_winner,
     adapt_threshold_wta,
     apply_stdp,
 )
@@ -145,6 +146,18 @@ class TestThresholdWta:
     def test_requires_a_winner(self):
         with pytest.raises(ValueError):
             adapt_threshold_wta(np.array([4.0]), [None], 1.0, 1.0)
+
+    def test_winner_index_step_is_the_fire_time_step(self):
+        # training steps from the winner's index; the result is bitwise the
+        # one the fire-time list gives
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 512):
+            th = rng.uniform(1.0, 9.0, n)
+            winner = int(rng.integers(n))
+            fires = [None] * n
+            fires[winner] = 0.3
+            want = adapt_threshold_wta(th, fires, 0.37, 1.5)
+            assert np.array_equal(adapt_threshold_winner(th, winner, 0.37, 1.5), want)
 
 
 class TestBoundsProperties:

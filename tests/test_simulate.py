@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from spikeconv import (
     Shape3,
     column_response,
 )
+import spikeconv.simulate as sim
 from spikeconv.simulate import forward_layer, forward_times
 
 from oracles import DenseSimulator
@@ -392,6 +395,26 @@ class TestColumnResponse:
         res = column_response(patch, np.ones((4, 1, 1, 1)), np.ones(4))
         assert res.winner == 0
 
+    def test_patch_of_another_shape_rejected(self):
+        # a smaller patch would be scored against the first weights
+        weights = np.ones((3, 2, 2, 2))
+        for patch in (np.zeros((2, 2, 1)), np.zeros((1, 2, 2)), np.zeros(8)):
+            with pytest.raises(ValueError, match=rf"patch {re.escape(str(patch.shape))}.*"
+                                                 r"need \(2, 2, 2\)"):
+                column_response(patch, weights, np.ones(3))
+
+    def test_thresholds_of_another_shape_rejected(self):
+        for th in (np.ones(2), np.ones((3, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"thresholds.*need .* and \(3,\)"):
+                column_response(np.zeros((1, 2, 2)), np.ones((3, 1, 2, 2)), th)
+
+    def test_non_finite_thresholds_rejected(self):
+        # a NaN threshold never crosses, so it would read as "no winner"
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                column_response(np.zeros((1, 2, 2)), np.ones((3, 1, 2, 2)),
+                                np.array([1.0, bad, 1.0]))
+
 
 def _one_layer(times, weights, thresholds, kind="conv"):
     """One layer holding ``weights``, under bounds [0, 1] widened to hold them."""
@@ -528,6 +551,127 @@ class TestCrossingScan:
 
 
 @st.composite
+def _column_cases(draw):
+    """One column of up to 64 maps x 600 inputs over a tie-heavy patch, its
+    weights signed or non-negative; a map's threshold often equals one of its
+    exact sequential partial sums past the first block (often the whole
+    patch's), which the bound's margin must keep."""
+    d_in = draw(st.integers(1, 6))
+    fh, fw = draw(st.sampled_from([(1, 3), (3, 3), (5, 5), (4, 10), (10, 10)]))
+    maps = draw(st.integers(1, 64))
+    signed = draw(st.booleans())
+    silent = draw(st.floats(0.0, 0.8))
+    levels = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    times = np.where(rng.random((d_in, fh, fw)) < silent, np.inf,
+                     rng.integers(0, levels, (d_in, fh, fw)) / levels)
+    weights = rng.uniform(-0.5 if signed else 0.0, 1.0, (maps, d_in, fh, fw))
+    slots = np.nonzero(np.isfinite(times.ravel()))[0]
+    slots = slots[np.argsort(times.ravel()[slots], kind="stable")]
+    if draw(st.booleans()):
+        thresholds = rng.uniform(0.1, 0.6 * slots.size + 0.1, maps)
+    else:  # out of every map's reach: no winner but at the exact sums below
+        reach = np.maximum(weights, 0.0).reshape(maps, -1).sum(axis=1)
+        thresholds = reach + rng.uniform(0.01, 1.0, maps)
+    exact = draw(st.sampled_from([0.0, 0.05, 0.6]))
+    whole = draw(st.booleans())  # whole-patch sums only: the margin alone keeps them
+    for d in range(maps):
+        if slots.size and rng.random() < exact:
+            sums = np.cumsum(weights[d].ravel()[slots])
+            low = min(sim._BLOCK0, slots.size - 1)
+            k = slots.size - 1 if whole or rng.random() < 0.5 else int(rng.integers(low, slots.size))
+            if sums[k] > 0.0:  # a network holds positive thresholds only
+                thresholds[d] = sums[k]
+    return times, weights, thresholds
+
+
+def _column_winner(times, weights, thresholds):
+    """(winner, fire time) of ``column_response``, checked against the event
+    engine (WTA on a one-position layer) and one cumsum per map."""
+    res = column_response(times, weights, thresholds)
+    net = _one_layer(times, weights, thresholds, kind="fc")
+    out = forward_layer(net, 0, times, InhibitionPolicy("wta"))
+    assert np.array_equal(out, _cumsum_reference(times, weights, thresholds, True))
+    fired = np.nonzero(np.isfinite(out[:, 0, 0]))[0].tolist()
+    if res.winner is None:
+        assert fired == [] and res.fire_time is None
+    else:
+        assert fired == [res.winner] and res.fire_time == out[res.winner, 0, 0]
+    return res.winner, res.fire_time
+
+
+def _gather_counter():
+    """An ndarray type whose instances count the column gathers made from them."""
+    class Counted(np.ndarray):
+        gathers = 0
+
+        def __getitem__(self, key):
+            if isinstance(key, tuple) and isinstance(key[-1], np.ndarray):
+                Counted.gathers += 1
+            return super().__getitem__(key)
+    return Counted
+
+
+class TestColumnScan:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_column_cases())
+    def test_column_scan_matches_event_engine_and_one_cumsum(self, case):
+        _column_winner(*case)
+
+    @pytest.mark.parametrize("k", [15, 16, 17, 47, 48, 49])
+    def test_first_crossing_at_a_block_edge(self, k):
+        # blocks of 16, 32, 64 inputs: slots 16 and 48 start the second and
+        # third; maps 1 and 2 tie at slot k, map 0 never crosses
+        times = (np.arange(100, dtype=float) / 128).reshape(1, 1, 100)
+        weights = np.ones((3, 1, 1, 100))
+        thresholds = np.array([200.0, k + 1.0, k + 1.0])
+        assert _column_winner(times, weights, thresholds) == (1, k / 128)
+        thresholds[1] = k + 2.0  # map 2 alone crosses at k
+        assert _column_winner(times, weights, thresholds) == (2, k / 128)
+
+    def test_bound_ends_a_column_no_map_can_fire_after_one_block(self):
+        rng = np.random.default_rng(31)
+        times = rng.random((2, 10, 10))
+        weights = rng.uniform(0.0, 1.0, (8, 2, 10, 10))
+        thresholds = weights.reshape(8, -1).sum(axis=1) + 1e-9
+        counted = _gather_counter()
+        assert _column_winner(times, weights, thresholds) == (None, None)
+        column_response(times, weights.view(counted), thresholds)
+        assert counted.gathers == 1
+        # one negative weight: the bound may not end the call, so the scan
+        # walks all 200 inputs in blocks of 16, 32, 64 and 88
+        weights[3, 1, 9, 9] = -0.5
+        counted.gathers = 0
+        assert _column_winner(times, weights, thresholds) == (None, None)
+        column_response(times, weights.view(counted), thresholds)
+        assert counted.gathers == 4
+
+    def test_threshold_at_exact_sequential_sum_past_the_first_block_fires(self):
+        # after a first block of zero weights, a weight of 1.0 and then 16
+        # weights just over half its ulp: the running sum rounds up at each
+        # of them and lands exactly on map 0's threshold, while any other
+        # summation order, the bound's product included, falls short of it
+        small = 2.0 ** -53 + 2.0 ** -60
+        w = np.concatenate([np.full(16, small), np.zeros(16), [1.0]])
+        times = np.concatenate([np.arange(16) / 64 + 0.5, np.zeros(16), [0.25]])
+        th = 1.0 + 16 * 2.0 ** -52
+        assert w @ np.ones(33) < th
+        weights = np.stack([w, w]).reshape(2, 1, 1, 33)
+        thresholds = np.array([th, np.nextafter(th, np.inf)])
+        assert _column_winner(times.reshape(1, 1, 33), weights, thresholds) == (0, 0.5 + 15 / 64)
+
+    def test_negative_weight_crossing_below_the_bound_is_found(self):
+        # the map's running sum reaches its threshold past the first block,
+        # and a late negative weight leaves its total, hence the bound, below
+        times = (np.arange(60, dtype=float) / 64).reshape(1, 6, 10)
+        w = np.zeros(60)
+        w[20] = 2.0
+        w[59] = -1.5
+        weights = w.reshape(1, 1, 6, 10)
+        assert _column_winner(times, weights, np.array([1.0])) == (0, 20 / 64)
+
+
+@st.composite
 def _stack_cases(draw):
     """A drawn network, a policy and a stack of 1-5 tie-heavy input grids.
 
@@ -648,12 +792,15 @@ class TestSignFromBounds:
             flags.clear()
             assert forward_layer(net, 0, grid).tolist() == [[[0.25] * 2] * 2] * 2
             assert flags == [nonneg]
-        # training's column holds no bounds: its own weights decide
-        for low, nonneg in ((0.0, True), (-0.1, False)):
-            flags.clear()
-            column_response(grid[:, :2, :2], np.array([low, 0.5, 0.5, 0.5]).reshape(1, 1, 2, 2),
-                            np.ones(1))
-            assert flags == [nonneg]
+        # training's column holds no bounds: a column with one negative weight
+        # and its non-negative twin each answer as the event engine does
+        patch = np.array([[[0.1, 0.2], [0.3, 0.4]]])
+        for low, fire_time in ((0.0, 0.3), (-0.1, 0.4)):
+            weights = np.array([low, 0.5, 0.5, 0.5]).reshape(1, 1, 2, 2)
+            res = column_response(patch, weights, np.ones(1))
+            net = _one_layer(patch, weights, np.ones(1), kind="fc")
+            out = forward_layer(net, 0, patch, InhibitionPolicy("wta"))
+            assert (res.winner, res.fire_time) == (0, fire_time) == (0, out[0, 0, 0])
 
 
 class TestForwardValidation:

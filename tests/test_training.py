@@ -140,6 +140,21 @@ class TestTrainLayer:
         with pytest.raises(ValueError, match="empty"):
             train_layer(_tiny_spec(), 0, [], _quick_cfg(), RngStreams(0), 0.7)
 
+    @pytest.mark.parametrize("shape", [(2, 6, 6), (3, 8, 8)])
+    def test_field_of_another_shape_rejected(self, shape):
+        # a smaller field would train silently, a deeper one fail inside numpy
+        grids = [np.full((2, 8, 8), 0.5), np.full(shape, 0.5)]
+        with pytest.raises(ValueError, match=rf"^sample 1: input grid shape \({shape[0]}, "
+                                             rf"{shape[1]}, {shape[2]}\) does not match "
+                                             r"layer 0 input \(2, 8, 8\)$"):
+            train_layer(_tiny_spec(), 0, grids, _quick_cfg(), RngStreams(0), 0.7)
+
+    def test_field_with_nan_rejected(self):
+        grid = np.full((2, 8, 8), 0.5)
+        grid[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="^sample 0: input spike times contain NaN"):
+            train_layer(_tiny_spec(), 0, [grid], _quick_cfg(), RngStreams(0), 0.7)
+
     def test_single_sample_additive_binarizes(self):
         # repeated additive updates on one stationary sample drive the
         # winner's weights to the bounds
