@@ -19,40 +19,44 @@ the event engine; everything else runs on the crossing engine.
   ``v_inh == 0`` is the same thing) and every competition confined to a
   column. Inside a window the global event order is the order of the
   sites' ranks in (time, site); a neuron's potential is a plain running
-  sum of its weights in that order until a fire in its column. One scan
-  finds the first crossings of inference; training's single column
-  (``column_response``) walks every map through the same blocks. When the
-  network's bounds admit no negative weight the scan first drops every
+  sum of its weights in that order until a fire in its column. When the
+  network's bounds admit no negative weight the engine first drops every
   neuron whose total input, one matrix product widened by a margin larger
   than the rounding of any summation order, stays below its threshold: such
   a neuron can never fire, inhibition only lowers a non-negative potential,
-  and the bound never decides a fire. The remaining neurons walk their
-  sorted inputs in blocks of doubling size and leave at their first
-  crossing; under a column competition a column leaves at its first. Each
-  block's cumulative sum starts from the running sum the block before
-  ended with, so every partial sum is the same sequence of float additions
-  a single cumulative sum would make, and the outputs are bitwise those of
-  delivering the events one by one. Without inhibition every crossing
-  fires; under winner-take-all the lowest map crossing at its column's
-  stop. Soft inhibition goes on from the stops in rounds: the crossing
-  maps fire in map order, each lowering the whole column to
-  ``max(v - v_inh, 0)`` before the next map is rechecked against its
-  threshold, and the column's next round scans on from the following slot
-  with the potentials it was left with. That carry is added to the first
-  term of the next cumulative sum, the same float addition delivering
-  that input one by one makes. The positions of a stack are those of its
-  samples one after the other, scanned in chunks of whole samples or of
-  one sample's positions. Each sample's event ranks are offset by the
-  events of the samples before it, so ranks stay distinct while a window's
-  order is its sample's own, and every (map, position) row keeps the
-  cumulative-sum sequence it has alone; the soft rounds run once per chunk.
+  and the bound never decides a fire. Without inhibition and under
+  winner-take-all, one scan finds the first crossings; training's single
+  column (``column_response``) walks every map through the same blocks. The
+  remaining neurons walk their sorted inputs in blocks of doubling size and
+  leave at their first crossing; under winner-take-all a column leaves at
+  its first, where its lowest crossing map fires. Each block's cumulative
+  sum starts from the running sum the block before ended with, so every
+  partial sum is the same sequence of float additions a single cumulative
+  sum would make, and the outputs are bitwise those of delivering the
+  events one by one. Soft inhibition steps every column of a chunk through
+  its own inputs in lockstep instead: step k adds each column's k-th input
+  weights to its maps, ``v = v + w``, the additions one-by-one delivery
+  makes; in each column the crossing maps then fire in map order, each
+  lowering the column to ``max(v - v_inh, 0)`` before the next map is
+  rechecked, and a fire takes the time of the column's k-th input. Columns
+  never interact, so their steps need not line up in time. The columns
+  are kept in falling order of input count, so the columns with a k-th
+  input are a leading run of the arrays. The positions of a stack are
+  those of its samples one after the other, scanned in chunks of whole
+  samples or of one sample's positions. A chunk counts the window of each
+  of its positions plus, for the scan, the first block of each of its rows
+  or, for the lockstep, one element per (position, map) of its state, and
+  the count stays within ``_CHUNK_ELEMS``. Each sample's
+  event ranks are offset by the events of the samples before it, so ranks
+  stay distinct while a window's order is its sample's own, and every
+  neuron makes the float additions it makes alone.
 - The event engine delivers each sample's events one by one exactly as
   stated above. Step k delivers the k-th event of every sample of the
   stack in one gather; each sample's crossings then resolve in (map, y, x)
   order with the recheck between fires, a fire inhibiting its own sample
   only, and under winner-take-all a sample leaves the stack at its one
-  spike. An fc column fires dozens of times per sample under soft
-  inhibition, and in rounds each fire would cost a scan of its own.
+  spike. A one-position soft layer stays here: its one column per sample
+  gives the lockstep too little to share at one sample.
 
 A pooling neuron fires at the earliest input time in its window.
 
@@ -83,8 +87,9 @@ __all__ = [
     "ColumnResult",
 ]
 
-# cap on the elements one chunk of the crossing scan lays out at once: the
-# window of each of its positions plus the first block of each of its rows
+# cap on the elements one chunk of the crossing engine lays out at once: the
+# window of each of its positions plus the first block of each of its rows,
+# or under soft inhibition one element per (position, map) of its state
 _CHUNK_ELEMS = 200_000
 _BLOCK0 = 16  # first block of the crossing scan; each next block doubles
 _EPS = np.finfo(np.float64).eps
@@ -260,36 +265,29 @@ def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray, nonneg: b
 
 
 def _first_crossings(order: np.ndarray, count: np.ndarray, w2: np.ndarray,
-                     rd: np.ndarray, rp: np.ndarray, th_r: np.ndarray, column: bool,
-                     start=None, carry=None):
+                     rd: np.ndarray, rp: np.ndarray, th_r: np.ndarray, column: bool):
     """Each row's first threshold crossing over its position's inputs.
 
     order, count: window slots in event order and input counts of the
     positions ``rp`` indexes (``_live_rows``); w2: (D, K) weights. Row r adds
-    map ``rd[r]``'s weights in event order from slot ``start[r]`` on (0 by
-    default), its running sum starting from ``carry[r]`` (0), and stops at
-    the first slot where the sum reaches ``th_r[r]``. With ``column`` the
-    rows of a position move together and all stop at the position's
-    earliest crossing. Returns each row's stop slot (-1 if it never stops)
-    and, with ``column``, its potential there (-inf if it never stops).
+    map ``rd[r]``'s weights in event order and stops at the first slot where
+    the running sum reaches ``th_r[r]``. With ``column`` the rows of a
+    position move together and all stop at the position's earliest crossing.
+    Returns each row's stop slot (-1 if it never stops) and, with ``column``,
+    its potential there (-inf if it never stops).
     """
-    window, width = w2.shape[1], order.shape[1]
+    window = w2.shape[1]
     w_flat = w2.ravel()
-    shifted = start is not None
-    if shifted:
-        at = rp * width + start  # flat index of each row's first slot in order
-    n = count[rp] - start if shifted else count[rp]  # inputs left
+    n = count[rp]  # inputs left
     slot = np.full(rp.size, -1)
     v_stop = np.full(rp.size, -np.inf) if column else None
     row, base = np.arange(rp.size), rd * window
     kmax = int(n.max(initial=0))
+    carry = None
     k0, size = 0, _BLOCK0
     while k0 < kmax:
         k1 = min(k0 + size, kmax)
-        if shifted:  # slots past a row's last input read on into the next row's
-            ws = order.take(at[:, None] + np.arange(k0, k1), mode="clip")
-        else:
-            ws = order[rp, k0:k1]
+        ws = order[rp, k0:k1]
         ws += base[:, None]
         c = w_flat[ws]
         if carry is not None:
@@ -314,14 +312,59 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w2: np.ndarray,
         if not keep.any():
             break
         row, rp, base, th_r, n = row[keep], rp[keep], base[keep], th_r[keep], n[keep]
-        if shifted:
-            at = at[keep]
         carry = v[keep, -1]
         k0, size = k1, 2 * size
-    if shifted:
-        stopped = slot >= 0
-        slot[stopped] += start[stopped]
     return slot, v_stop
+
+
+def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
+                  th: np.ndarray, v_inh: float) -> np.ndarray:
+    """Soft column inhibition, every column in lockstep.
+
+    order, count: window slots in event order and input counts of C columns
+    (``_live_rows``); w_in: (K, D) weights, one row of map weights per
+    window slot; th: (C, D) thresholds, +inf where a map cannot fire. Step k
+    adds to every column the weights of its own k-th input; in each column
+    the crossing maps then fire in map order, each lowering the column to
+    ``max(v - v_inh, 0)`` before the next is rechecked. Returns the (C, D)
+    slot each neuron fired at, -1 if it never did.
+    """
+    maps = th.shape[1]
+    # columns by falling input count, so the columns with a k-th input lead
+    by_count = np.argsort(-count, kind="stable")
+    steps = np.ascontiguousarray(order[by_count].T)  # row k: each column's k-th slot
+    active = np.searchsorted(-count[by_count], -np.arange(steps.shape[0]))
+    th = th[by_count]
+    v = np.zeros(th.shape)
+    fired = np.full(th.shape, -1)
+    crossed = np.empty(th.shape, dtype=bool)
+    for k, m in enumerate(active.tolist()):
+        vm, thm, cross = v[:m], th[:m], crossed[:m]
+        vm += w_in.take(steps[k, :m], axis=0)
+        if not np.count_nonzero(np.greater_equal(vm, thm, out=cross)):
+            continue
+        j, d = np.divmod(cross.ravel().nonzero()[0], maps)
+        if j.size > 1:  # each column's lowest crossing map fires first
+            first = np.empty(j.size, dtype=bool)
+            first[0] = True
+            np.not_equal(j[1:], j[:-1], out=first[1:])
+            j, d = j[first], d[first]
+        while True:
+            fired[j, d] = k
+            thm[j, d] = np.inf
+            vj = vm[j]
+            vj -= v_inh
+            vm[j] = np.maximum(vj, 0.0, out=vj)
+            # the floor lifts no potential to a positive threshold, so only
+            # candidates can still cross
+            cross = vj >= thm[j]
+            more = np.logical_or.reduce(cross, axis=1)
+            if not np.count_nonzero(more):
+                break
+            j, d = j[more], cross[more].argmax(axis=1)
+    out = np.empty_like(fired)
+    out[by_count] = fired
+    return out
 
 
 def _fire_times(ranked_t, wr, pos, order, rp, slot):
@@ -335,8 +378,9 @@ def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan:
 
     The N samples of the stack are one layer of N x P positions, sample by
     sample. One crossing scan per chunk of them, stopping each column at its
-    earliest crossing under a competition; soft inhibition goes on from those
-    stops in rounds (module docstring). ``nonneg``: no weight is negative.
+    earliest crossing under winner-take-all; soft inhibition steps every
+    column of a chunk through its inputs in lockstep (module docstring).
+    ``nonneg``: no weight is negative.
     """
     n, d_out, positions = times_in.shape[0], weights.shape[0], plan.positions
     wta = policy.mode == "wta"
@@ -344,62 +388,35 @@ def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan:
     rank, ranked_t = _event_ranks(plan.flat_stack(times_in))
     w2 = weights.reshape(d_out, -1)
     out = np.full((d_out, n * positions), np.inf)
+    if v_inh > 0.0:  # a chunk lays out its windows and its (position, map) state
+        w_in = np.ascontiguousarray(w2.T)
+        chunk = max(1, _CHUNK_ELEMS // (plan.window + d_out))
+    else:  # its windows and the first block of each of its rows
+        chunk = max(1, _CHUNK_ELEMS // (d_out * _BLOCK0 + plan.window))
     # a chunk holds whole samples, or a run of one sample's positions
-    chunk = max(1, _CHUNK_ELEMS // (d_out * _BLOCK0 + plan.window))
     samples, span = max(1, chunk // positions), min(chunk, positions)
     for s0, p0 in itertools.product(range(0, n, samples), range(0, positions, span)):
         lo = s0 * positions + p0
         wr = rank[s0:s0 + samples].take(plan.win_index[p0:p0 + span], axis=1)
         wr = wr.reshape(-1, plan.window)
         pos, order, count, rd, rp = _live_rows(wr, w2, thresholds, nonneg)
-        th_r = thresholds[rd]
-        slot, v_stop = _first_crossings(order, count, w2, rd, rp, th_r, wta or v_inh > 0.0)
-        if v_inh == 0.0:
+        if v_inh > 0.0:
+            th = np.full((pos.size, d_out), np.inf)
+            th[rp, rd] = thresholds[rd]
+            slot = _soft_columns(order, count, w_in, th, v_inh)
+            rp, rd = np.nonzero(slot >= 0)
+            slot = slot[rp, rd]
+        else:
+            th_r = thresholds[rd]
+            slot, v_stop = _first_crossings(order, count, w2, rd, rp, th_r, wta)
             fire = slot >= 0
             if wta:  # of the maps crossing at a column's stop, the lowest fires
                 fire &= v_stop >= th_r
                 lowest = np.full(pos.size, d_out)
                 np.minimum.at(lowest, rp[fire], rd[fire])
                 fire &= rd == lowest[rp]
-            rd, rp = rd[fire], rp[fire]
-            out[rd, lo + pos[rp]] = _fire_times(ranked_t, wr, pos, order, rp, slot[fire])
-            continue
-        fired = out[:, lo + pos]
-        # per column: potentials, effective thresholds (+inf once fired or
-        # never live) and the slot the next round starts at
-        v = np.zeros((d_out, pos.size))
-        th = np.full((d_out, pos.size), np.inf)
-        th[rd, rp] = th_r
-        start = np.zeros(pos.size, dtype=np.int64)
-        while True:
-            stop = slot >= 0
-            v[rd[stop], rp[stop]] = v_stop[stop]
-            stop_at = np.full(pos.size, -1)
-            stop_at[rp[stop]] = slot[stop]
-            cols = np.nonzero(stop_at >= 0)[0]
-            t = _fire_times(ranked_t, wr, pos, order, cols, stop_at[cols])
-            vc, tc = v[:, cols], th[:, cols]
-            cand = vc >= tc
-            j = np.arange(cols.size)  # every stopped column has a crossing map
-            while j.size:
-                d = cand[:, j].argmax(axis=0)  # the lowest candidate fires
-                fired[d, cols[j]] = t[j]
-                tc[d, j] = np.inf
-                vj = np.maximum(vc[:, j] - v_inh, 0.0)
-                vc[:, j] = vj
-                cj = cand[:, j] & (vj >= tc[:, j])  # recheck the rest
-                cand[:, j] = cj
-                j = j[cj.any(axis=0)]
-            v[:, cols], th[:, cols] = vc, tc
-            start[cols] = stop_at[cols] + 1
-            cols = cols[start[cols] < count[cols]]
-            rd, rp = np.nonzero(np.isfinite(th[:, cols]))
-            if not rd.size:
-                break
-            rp = cols[rp]
-            slot, v_stop = _first_crossings(order, count, w2, rd, rp, th[rd, rp], True,
-                                            start[rp], v[rd, rp])
-        out[:, lo + pos] = fired
+            rd, rp, slot = rd[fire], rp[fire], slot[fire]
+        out[rd, lo + pos[rp]] = _fire_times(ranked_t, wr, pos, order, rp, slot)
     out = out.reshape(d_out, n, plan.out_shape.height, plan.out_shape.width)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 

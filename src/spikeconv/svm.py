@@ -26,6 +26,10 @@ class LinearModel:
     weights: np.ndarray          # (C, d)
     bias: np.ndarray             # (C,)
     class_counts: np.ndarray     # (C,) training samples per class
+    # how each binary fit ended: passes used and the last pass's largest
+    # projected gradient (``fit`` sets them; the classifier file keeps neither)
+    passes: np.ndarray | None = None    # (C,) int
+    max_pg: np.ndarray | None = None    # (C,)
 
     def __post_init__(self):
         if self.weights.shape[0] != len(self.classes) or self.bias.shape[0] != len(self.classes):
@@ -38,7 +42,8 @@ def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
 
     Deterministic given (data, seed): coordinate orders are drawn from the
     seed and the solver stops after ``_MAX_PASSES`` passes or when the
-    largest projected gradient falls below ``_TOL``.
+    largest projected gradient falls below ``_TOL``. The model's ``passes``
+    and ``max_pg`` say, per class, which of the two ended the fit.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -55,27 +60,40 @@ def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
 
     rng = np.random.default_rng(seed)
     weights = np.zeros((len(classes), d))
+    passes = np.zeros(len(classes), dtype=np.int64)
+    max_pg = np.zeros(len(classes))
     for ci, cls in enumerate(classes):
         yb = np.where(y == cls, 1.0, -1.0)
-        weights[ci] = _dual_cd(x, yb, sq, c, rng)
+        weights[ci], passes[ci], max_pg[ci] = _dual_cd(x, yb, sq, c, rng)
 
-    return LinearModel(classes, weights, np.zeros(len(classes)), counts)
+    return LinearModel(classes, weights, np.zeros(len(classes)), counts, passes, max_pg)
 
 
 def _dual_cd(x, y, sq, c, rng):
-    """Dual coordinate descent for min 1/2 w.w + C sum hinge(1 - y w.x)."""
+    """Dual coordinate descent for min 1/2 w.w + C sum hinge(1 - y w.x).
+
+    Returns the weights, the passes used and the last pass's largest
+    projected gradient. The per-coordinate logic runs on Python floats; the
+    weight products and updates are the same numpy operations on the same
+    rows, so every weight is bitwise that of a loop on numpy scalars.
+    """
     n = x.shape[0]
-    alpha = np.zeros(n)
+    rows = list(x)
+    ys = y.tolist()
+    sqs = sq.tolist()
+    c = float(c)
+    alpha = [0.0] * n
     w = np.zeros(x.shape[1])
-    for _ in range(_MAX_PASSES):
+    for passes in range(1, _MAX_PASSES + 1):
         worst = 0.0
-        for i in rng.permutation(n):
-            if sq[i] == 0.0:
+        for i in rng.permutation(n).tolist():
+            if sqs[i] == 0.0:
                 continue  # zero row: cannot move the objective
-            g = y[i] * (w @ x[i]) - 1.0
-            if alpha[i] == 0.0:
+            xi, yi, prev = rows[i], ys[i], alpha[i]
+            g = yi * float(w @ xi) - 1.0
+            if prev == 0.0:
                 pg = min(g, 0.0)
-            elif alpha[i] == c:
+            elif prev == c:
                 pg = max(g, 0.0)
             else:
                 pg = g
@@ -83,13 +101,13 @@ def _dual_cd(x, y, sq, c, rng):
             if apg > worst:
                 worst = apg
             if apg > 1e-12:
-                prev = alpha[i]
-                alpha[i] = min(max(prev - g / sq[i], 0.0), c)
-                if alpha[i] != prev:
-                    w += (alpha[i] - prev) * y[i] * x[i]
+                new = min(max(prev - g / sqs[i], 0.0), c)
+                if new != prev:
+                    alpha[i] = new
+                    w += (new - prev) * yi * xi
         if worst < _TOL:
             break
-    return w
+    return w, passes, worst
 
 
 def decision_scores(model: LinearModel, features: np.ndarray) -> np.ndarray:

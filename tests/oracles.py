@@ -195,6 +195,64 @@ class DenseSimulator:
         return fires
 
 
+def column_reference(network, index, grid, policy, trace=None):
+    """Fire-time grid of conv or fc layer ``index`` for one input grid under a
+    column-scope policy (or none), exact to the bit: one column at a time.
+
+    Each output position gets its window's input spikes one by one in (time,
+    map, y, x) order and adds each weight to every unfired map's potential,
+    ``v = v + w``. The maps crossing after a delivery then fire in map order,
+    each one rechecked first: under winner-take-all the first fire ends the
+    column, under soft inhibition (``v_inh > 0``) it lowers every unfired map
+    of the column to ``max(v - v_inh, 0)``. A fire takes the input's time.
+    A ``trace`` list receives (map, potential) for every unfired map after
+    every delivery and every floor.
+    """
+    layer = network.spec.layers[index]
+    weights, thresholds = network.weights[index], network.thresholds[index]
+    maps, out_h, out_w = network.spec.shapes[index + 1].astuple()
+    depth, height, width = grid.shape
+    mode = policy.mode
+    if policy.layers == "output" and index != len(network.spec.layers) - 1:
+        mode = "none"
+    out = np.full((maps, out_h, out_w), np.inf)
+    for oy in range(out_h):
+        for ox in range(out_w):
+            events = []
+            for m in range(depth):
+                for ky in range(layer.filter_h):
+                    for kx in range(layer.filter_w):
+                        y = oy * layer.stride - layer.padding + ky
+                        x = ox * layer.stride - layer.padding + kx
+                        if 0 <= y < height and 0 <= x < width and grid[m, y, x] < np.inf:
+                            events.append((float(grid[m, y, x]), m, y, x, ky, kx))
+            v = [0.0] * maps
+            fired = [False] * maps
+            for t, m, _, _, ky, kx in sorted(events):
+                for d in range(maps):
+                    if not fired[d]:
+                        v[d] = v[d] + float(weights[d, m, ky, kx])
+                        if trace is not None:
+                            trace.append((d, v[d]))
+                candidates = [d for d in range(maps) if not fired[d] and v[d] >= thresholds[d]]
+                for d in candidates:
+                    if v[d] < thresholds[d]:
+                        continue  # an earlier fire at this input inhibited it
+                    out[d, oy, ox] = t
+                    fired[d] = True
+                    if mode == "wta":
+                        break
+                    if mode == "soft" and policy.v_inh > 0.0:
+                        for e in range(maps):
+                            if not fired[e]:
+                                v[e] = max(v[e] - policy.v_inh, 0.0)
+                                if trace is not None:
+                                    trace.append((e, v[e]))
+                if mode == "wta" and any(fired):
+                    break
+    return out
+
+
 def stdp_delta(rule, t_pre, t_post: float, w: float,
                w_min: float = 0.0, w_max: float = 1.0, *, t_end: float) -> float:
     """Raw weight change for one synapse, before clipping.

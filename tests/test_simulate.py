@@ -16,7 +16,7 @@ from spikeconv import (
 import spikeconv.simulate as sim
 from spikeconv.simulate import forward_layer, forward_times
 
-from oracles import DenseSimulator
+from oracles import DenseSimulator, column_reference
 from util import drawn_network, random_grid, random_network
 
 INF = np.inf
@@ -294,7 +294,7 @@ class TestOracleEquivalence:
 
 
 @st.composite
-def _column_cases(draw):
+def _column_policy_cases(draw):
     """A conv layer of several positions, a tie-heavy grid and a column policy.
 
     Weights are signed or non-negative; thresholds are low enough that a
@@ -321,13 +321,41 @@ def _column_cases(draw):
     return net, grid, policy
 
 
+@st.composite
+def _exact_column_cases(draw):
+    """A ``_column_policy_cases`` case where up to three maps get as threshold
+    a potential one of their columns reaches under the policy, or the next
+    float above it, so a fire there turns on the rounding of every float
+    addition and floor before it."""
+    net, grid, policy = draw(_column_policy_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        trace = []
+        column_reference(net, 0, grid, policy, trace)
+        reached = [(d, v) for d, v in trace if v > 0.0]  # thresholds are positive
+        if reached:
+            d, v = reached[int(rng.integers(len(reached)))]
+            thresholds = net.thresholds[0].copy()
+            thresholds[d] = np.nextafter(v, np.inf) if draw(st.booleans()) else v
+            net.thresholds[0] = thresholds
+    return net, grid, policy
+
+
 class TestSoftColumnRounds:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_column_cases())
+    @given(_column_policy_cases())
     def test_rounds_match_dense_simulator(self, case):
         net, grid, policy = case
         assert net.spec.shapes[1].height * net.spec.shapes[1].width > 1
         _compare_with_oracle(net, grid, policy)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_exact_column_cases())
+    def test_bitwise_the_column_reference(self, case):
+        net, grid, policy = case
+        for pol in (policy, NO_INHIBITION):
+            want = column_reference(net, 0, grid, pol)
+            assert np.array_equal(forward_layer(net, 0, grid, pol), want), pol
 
     def test_route_follows_policy_and_layer_shape(self, monkeypatch):
         import spikeconv.simulate as sim
@@ -371,6 +399,108 @@ class TestSoftColumnRounds:
         assert got[:, 0, :].tolist() == [[0.1, 0.2], [0.4, 0.5], [INF, INF], [0.2, 0.3]]
         free = forward_layer(net, 0, times)
         assert free[:, 0, :].tolist() == [[0.1, 0.2], [0.2, 0.3], [0.4, 0.5], [0.1, 0.2]]
+
+
+def _soft_calls(monkeypatch):
+    """Column counts of every lockstep scan ``forward_layer`` makes from now on."""
+    calls = []
+    real = sim._soft_columns
+    monkeypatch.setattr(sim, "_soft_columns",
+                        lambda order, *a: calls.append(order.shape[0]) or real(order, *a))
+    return calls
+
+
+class TestLockstep:
+    def test_ragged_columns_in_one_chunk(self, monkeypatch):
+        # a 1x3 filter over [0.1, silent, 0.2, 0.3, 0.4]: the first two
+        # columns get two inputs and the third three. In each, map 0 fires
+        # on its second input and floors map 1 by 0.3. The first two columns
+        # fire there on their last input and run out; map 1 of the third
+        # climbs back and fires on the third input, alone in the scan.
+        times = np.array([[[0.1, INF, 0.2, 0.3, 0.4]]])
+        weights = np.array([[0.5, 0.5, 0.5], [0.2, 0.2, 1.0]]).reshape(2, 1, 1, 3)
+        net = _one_layer(times, weights, np.array([1.0, 1.0]))
+        policy = InhibitionPolicy("soft", v_inh=0.3)
+        calls = _soft_calls(monkeypatch)
+        got = forward_layer(net, 0, times, policy)
+        assert calls == [3]
+        assert got[:, 0, :].tolist() == [[0.2, 0.3, 0.3], [INF, INF, 0.4]]
+        assert np.array_equal(got, column_reference(net, 0, times, policy))
+        free = forward_layer(net, 0, times)
+        assert free[:, 0, :].tolist() == [[0.2, 0.3, 0.3], [0.2, 0.3, 0.4]]
+
+    def test_soft_chunk_cut_inside_a_sample(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 4, 1, 0)])
+        net = Network(spec, -0.3)
+        net.weights[0] = rng.uniform(-0.3, 1.0, spec.weight_shape(0))
+        net.thresholds[0] = rng.uniform(0.5, 2.0, 4)
+        stack = np.stack([random_grid(rng, spec.input_shape, n, tie_heavy=True)
+                          for n in (50, 72, 20)])
+        policy = InhibitionPolicy("soft", v_inh=0.6)
+        whole = forward_layer(net, 0, stack, policy)
+        # a soft chunk counts each position's 18-slot window and 4 maps: 3
+        # positions a chunk cuts each sample's 16 positions into 6 chunks
+        monkeypatch.setattr(sim, "_CHUNK_ELEMS", 3 * (18 + 4))
+        calls = _soft_calls(monkeypatch)
+        cut = forward_layer(net, 0, stack, policy)
+        assert len(calls) == 18 and max(calls) == 3
+        assert np.array_equal(cut, whole)
+        for got, grid in zip(cut, stack):
+            assert np.array_equal(got, column_reference(net, 0, grid, policy))
+
+    def test_all_silent_chunk(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        spec = NetworkSpec(Shape3(1, 5, 5), [LayerSpec("conv", 2, 2, 3, 1, 0)])
+        net = Network(spec)
+        net.weights[0] = rng.uniform(0.0, 1.0, spec.weight_shape(0))
+        net.thresholds[0] = rng.uniform(0.3, 1.5, 3)
+        silent = np.full((1, 5, 5), INF)
+        grid = random_grid(rng, spec.input_shape, 12, tie_heavy=True)
+        stack = np.stack([silent, grid, silent])
+        policy = InhibitionPolicy("soft", v_inh=0.5)
+        # one sample a chunk: the first and last chunks hold no input at all
+        monkeypatch.setattr(sim, "_CHUNK_ELEMS", 16 * (4 + 3))
+        calls = _soft_calls(monkeypatch)
+        out = forward_layer(net, 0, stack, policy)
+        assert calls[0] == calls[2] == 0 and calls[1] > 0
+        assert np.isinf(out[[0, 2]]).all()
+        assert np.array_equal(out[1], column_reference(net, 0, grid, policy))
+        assert np.isinf(forward_layer(net, 0, silent, policy)).all()
+
+    def test_rechecks_fire_in_map_order(self):
+        # one input per column, on which all four maps cross. Map 0 fires
+        # and lowers the rest by 0.25; maps 1-3 still cross, so map 1 fires
+        # next, which leaves map 2 below its threshold and map 3 exactly on
+        # its own, where it fires
+        times = np.array([[[0.1, 0.2]]])
+        weights = np.array([1.0, 1.5, 1.5, 1.5]).reshape(4, 1, 1, 1)
+        net = _one_layer(times, weights, np.array([1.0, 1.25, 1.25, 1.0]))
+        policy = InhibitionPolicy("soft", v_inh=0.25)
+        got = forward_layer(net, 0, times, policy)
+        assert got[:, 0, :].tolist() == [[0.1, 0.2], [0.1, 0.2], [INF, INF], [0.1, 0.2]]
+        assert np.array_equal(got, column_reference(net, 0, times, policy))
+
+    def test_v_inh_that_floors_the_whole_column(self):
+        # a 1x4 filter over five inputs 0.1 apart. Maps 0-2 all cross on the
+        # second input; map 0 fires and floors the others to 0 exactly, so
+        # map 1 needs two more inputs, and its fire floors map 2 again, which
+        # never fires. Map 3's negative potential is lifted to 0 by the first
+        # floor, and its 0.45 per input then reach 0.9 on the fourth input,
+        # where map 1 fires first and floors it once more.
+        per_tap = np.array([[0.6] * 4, [0.5] * 4, [0.5] * 4, [-0.5, 0.45, 0.45, 0.45]])
+        weights = per_tap.reshape(4, 1, 1, 4)
+        times = np.array([[[0.1, 0.2, 0.3, 0.4, 0.5]]])
+        net = _one_layer(times, weights, np.array([1.0, 1.0, 0.9, 0.85]))
+        policy = InhibitionPolicy("soft", v_inh=1e6)
+        got = forward_layer(net, 0, times, policy)
+        assert got[:, 0, :].tolist() == [[0.2, 0.3], [0.4, 0.5], [INF, INF], [INF, INF]]
+        assert np.array_equal(got, column_reference(net, 0, times, policy))
+        # a blow that leaves map 2 at 0.5 lets it fire on the next input
+        policy = InhibitionPolicy("soft", v_inh=0.5)
+        mild = forward_layer(net, 0, times, policy)
+        assert mild[:3, 0, :].tolist() == [[0.2, 0.3], [0.3, 0.4], [0.4, 0.5]]
+        assert np.array_equal(mild, column_reference(net, 0, times, policy))
 
 
 class TestColumnResponse:

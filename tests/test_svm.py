@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spikeconv import LinearModel, accuracy, fit, predict
-from spikeconv.svm import decision_scores
+from spikeconv.modelio import load_svm, save_svm
+from spikeconv.svm import _MAX_PASSES, _TOL, decision_scores
 
 from oracles import hinge_objective, subgradient_svm
 
@@ -68,6 +69,94 @@ class TestFit:
         b = fit(x, y, seed=3)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
+
+
+def _reference_fit(x, y, c=1.0, seed=0):
+    """One-vs-rest dual coordinate descent with its per-coordinate logic on
+    numpy scalars, which ``fit`` must match bit for bit: per class the
+    weights, the passes used, the last pass's largest projected gradient and
+    the dual variables."""
+    x = np.asarray(x, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", x, x)
+    rng = np.random.default_rng(seed)
+    out = []
+    for cls in np.unique(y):
+        yb = np.where(y == cls, 1.0, -1.0)
+        alpha = np.zeros(x.shape[0])
+        w = np.zeros(x.shape[1])
+        for passes in range(1, _MAX_PASSES + 1):
+            worst = 0.0
+            for i in rng.permutation(x.shape[0]):
+                if sq[i] == 0.0:
+                    continue
+                g = yb[i] * (w @ x[i]) - 1.0
+                if alpha[i] == 0.0:
+                    pg = min(g, 0.0)
+                elif alpha[i] == c:
+                    pg = max(g, 0.0)
+                else:
+                    pg = g
+                apg = abs(pg)
+                if apg > worst:
+                    worst = apg
+                if apg > 1e-12:
+                    prev = alpha[i]
+                    alpha[i] = min(max(prev - g / sq[i], 0.0), c)
+                    if alpha[i] != prev:
+                        w += (alpha[i] - prev) * yb[i] * x[i]
+            if worst < _TOL:
+                break
+        out.append((w, passes, worst, alpha))
+    return out
+
+
+def _solver_cases():
+    """Seeded problems: (features, labels, c, seed, what the case must show)."""
+    rng = np.random.default_rng(21)
+    easy, easy_y = _blobs(rng, [(3.0, 3.0), (-3.0, -3.0)], 20, spread=0.3)
+    hard, hard_y = _blobs(rng, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 40, spread=1.5)
+    zero = hard.copy()
+    zero[[3, 17, 50]] = 0.0
+    noise, noise_y = rng.random((60, 8)), rng.integers(0, 3, 60)
+    return [
+        (easy, easy_y, 1.0, 0, "early stop"),
+        (hard, hard_y, 0.5, 1, "alpha at c"),
+        (zero, hard_y, 1.0, 2, "zero row"),
+        (noise, noise_y, 10.0, 3, "pass cap"),
+        (hard[:, :2] * 40.0, hard_y, 0.01, 4, "alpha at c"),
+    ]
+
+
+class TestSolver:
+    @pytest.mark.parametrize("case", _solver_cases(), ids=lambda case: case[-1])
+    def test_weights_bitwise_those_of_the_numpy_scalar_loop(self, case):
+        x, y, c, seed, what = case
+        model = fit(x, y, c=c, seed=seed)
+        ref = _reference_fit(x, y, c, seed)
+        for ci, (w, passes, worst, alpha) in enumerate(ref):
+            assert np.array_equal(model.weights[ci], w)
+            assert model.passes[ci] == passes and model.max_pg[ci] == worst
+        alphas = np.concatenate([alpha for *_, alpha in ref])
+        shown = {
+            "early stop": max(p for _, p, _, _ in ref) < _MAX_PASSES,
+            "alpha at c": bool(np.any(alphas == c)),
+            "zero row": bool(np.any(~x.any(axis=1))),
+            "pass cap": any(p == _MAX_PASSES and g >= _TOL for _, p, g, _ in ref),
+        }
+        assert shown[what]
+
+    def test_convergence_report_is_not_written(self, tmp_path):
+        rng = np.random.default_rng(22)
+        x, y = _blobs(rng, [(2, 0), (0, 2), (-2, -2)], 20)
+        model = fit(x, y, seed=3)
+        assert model.passes.dtype == np.int64 and model.passes.shape == (3,)
+        assert np.all((model.passes >= 1) & (model.passes <= _MAX_PASSES))
+        assert np.all(model.max_pg >= 0.0)
+        save_svm(tmp_path / "a.svm", model)
+        back = load_svm(tmp_path / "a.svm")
+        assert back.passes is None and back.max_pg is None
+        save_svm(tmp_path / "b.svm", back)
+        assert (tmp_path / "a.svm").read_bytes() == (tmp_path / "b.svm").read_bytes()
 
 
 class TestPredict:
