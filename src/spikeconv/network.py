@@ -131,7 +131,10 @@ class _Slots(Sequence):
 
     def __setitem__(self, index, value) -> None:
         index = range(len(self._items))[operator.index(index)]  # IndexError past the end
-        self._items[index] = self.check(index, value)
+        self._store(index, self.check(index, value))
+
+    def _store(self, index: int, value) -> None:
+        self._items[index] = value
 
     def check(self, index: int, value):
         """``value`` as layer ``index`` holds it: None, a float or a read-only
@@ -160,6 +163,32 @@ class _Slots(Sequence):
         return value
 
 
+class _Weights(_Slots):
+    """The weight slots, each with its input-major rows made on first use and
+    dropped by every write to the slot."""
+
+    def __init__(self, spec: NetworkSpec, w_min: float, w_max: float):
+        super().__init__("weights", spec, w_min, w_max)
+        self._rows = [None] * len(self._items)
+
+    def _store(self, index: int, value) -> None:
+        super()._store(index, value)
+        self._rows[index] = None
+
+    def input_major(self, index: int) -> np.ndarray:
+        """Layer ``index``'s weights as a read-only, C-contiguous (window, maps)
+        array: row k holds every map's weight for window slot k. Made from the
+        slot on the first call after a write and kept until the next one."""
+        rows = self._rows[index]
+        if rows is None:
+            if (w := self._items[index]) is None:
+                raise ValueError(f"layer {index} holds no weights")
+            rows = np.ascontiguousarray(w.reshape(len(w), -1).T)
+            rows.setflags(write=False)
+            self._rows[index] = rows
+        return rows
+
+
 class Network:
     """Architecture plus per-layer weights, thresholds and firing targets.
 
@@ -171,6 +200,10 @@ class Network:
     (``net.weights[i] = w``): weights in ``[w_min, w_max]``, thresholds finite
     and > 0, a firing target finite or None, None only on a pooling layer. It
     stores read-only float64 copies, and no attribute can be rebound.
+
+    ``weights.input_major(i)`` is the one input-major copy of layer ``i``'s
+    weights that the simulator reads rows from: derived from the slot, made
+    on first use, dropped by every write and never saved.
     """
 
     def __init__(self, spec: NetworkSpec, w_min: float = 0.0, w_max: float = 1.0):
@@ -178,7 +211,7 @@ class Network:
             raise ValueError(f"need finite w_min < w_max, got {w_min}, {w_max}")
         w_min, w_max = float(w_min), float(w_max)
         self.__dict__.update(spec=spec, w_min=w_min, w_max=w_max,
-                             weights=_Slots("weights", spec, w_min, w_max),
+                             weights=_Weights(spec, w_min, w_max),
                              thresholds=_Slots("thresholds", spec, w_min, w_max),
                              t_targets=_Slots("firing target", spec, w_min, w_max))
 
@@ -198,7 +231,7 @@ class Network:
         slots = (self.weights, self.thresholds, self.t_targets)
         values = [s.check(index, v) for s, v in zip(slots, (weights, thresholds, t_target))]
         for s, value in zip(slots, values):
-            s._items[index] = value
+            s._store(index, value)
 
     @property
     def output_t_target(self) -> float | None:

@@ -10,16 +10,17 @@ potentials start at zero for each sample.
 Two engines compute a conv/fc layer, and each takes a stack of samples, an
 (N, depth, H, W) array; one grid is the stack of N = 1, so ``forward_times``
 runs the same code as a batched caller. Samples never interact, and a
-stack's outputs are bitwise each sample's alone. A competition that spans
-the layer (winner-take-all, or soft inhibition with ``v_inh > 0``, at layer
-scope or in a one-position layer, whose one column is the layer) runs on
-the event engine; everything else runs on the crossing engine.
+stack's outputs are bitwise each sample's alone. A competition at layer
+scope (winner-take-all, or soft inhibition with ``v_inh > 0``) runs on the
+event engine, and so does winner-take-all in a one-position layer, whose
+one column is the layer; everything else runs on the crossing engine.
 
 - The crossing engine serves no inhibition (soft inhibition with
-  ``v_inh == 0`` is the same thing) and every competition confined to a
-  column. Inside a window the global event order is the order of the
-  sites' ranks in (time, site); a neuron's potential is a plain running
-  sum of its weights in that order until a fire in its column. When the
+  ``v_inh == 0`` is the same thing) and every other competition confined
+  to a column, soft inhibition in a one-position layer included. Inside a
+  window the global event order is the order of the sites' ranks in
+  (time, site); a neuron's potential is a plain running sum of its
+  weights in that order until a fire in its column. When the
   network's bounds admit no negative weight the engine first drops every
   neuron whose total input, one matrix product widened by a margin larger
   than the rounding of any summation order, stays below its threshold: such
@@ -36,12 +37,15 @@ the event engine; everything else runs on the crossing engine.
   events one by one. Soft inhibition steps every column of a chunk through
   its own inputs in lockstep instead: step k adds each column's k-th input
   weights to its maps, ``v = v + w``, the additions one-by-one delivery
-  makes; in each column the crossing maps then fire in map order, each
-  lowering the column to ``max(v - v_inh, 0)`` before the next map is
-  rechecked, and a fire takes the time of the column's k-th input. Columns
+  makes, one row gather per column from the layer's input-major weights
+  (``Network.weights.input_major``); in each column the crossing maps
+  then fire in map order, each lowering the column to
+  ``max(v - v_inh, 0)`` before the next map is rechecked, and a fire
+  takes the time of the column's k-th input. Columns
   never interact, so their steps need not line up in time. The columns
   are kept in falling order of input count, so the columns with a k-th
-  input are a leading run of the arrays. The positions of a stack are
+  input are a leading run of the arrays; in a one-position layer the
+  columns are the samples of the stack. The positions of a stack are
   those of its samples one after the other, scanned in chunks of whole
   samples or of one sample's positions. A chunk counts the window of each
   of its positions plus, for the scan, the first block of each of its rows
@@ -55,8 +59,8 @@ the event engine; everything else runs on the crossing engine.
   stack in one gather; each sample's crossings then resolve in (map, y, x)
   order with the recheck between fires, a fire inhibiting its own sample
   only, and under winner-take-all a sample leaves the stack at its one
-  spike. A one-position soft layer stays here: its one column per sample
-  gives the lockstep too little to share at one sample.
+  spike. A delivery gathers one row of the input-major weights for each
+  (position, window slot) it reaches.
 
 A pooling neuron fires at the earliest input time in its window.
 
@@ -322,12 +326,13 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     """Soft column inhibition, every column in lockstep.
 
     order, count: window slots in event order and input counts of C columns
-    (``_live_rows``); w_in: (K, D) weights, one row of map weights per
-    window slot; th: (C, D) thresholds, +inf where a map cannot fire. Step k
-    adds to every column the weights of its own k-th input; in each column
-    the crossing maps then fire in map order, each lowering the column to
-    ``max(v - v_inh, 0)`` before the next is rechecked. Returns the (C, D)
-    slot each neuron fired at, -1 if it never did.
+    (``_live_rows``), the positions of one or more samples; w_in: (K, D)
+    input-major weights (``Network.weights.input_major``), one row of map
+    weights per window slot; th: (C, D) thresholds, +inf where a map cannot
+    fire. Step k adds to every column the weights of its own k-th input; in
+    each column the crossing maps then fire in map order, each lowering the
+    column to ``max(v - v_inh, 0)`` before the next is rechecked. Returns
+    the (C, D) slot each neuron fired at, -1 if it never did.
     """
     maps = th.shape[1]
     # columns by falling input count, so the columns with a k-th input lead
@@ -372,14 +377,16 @@ def _fire_times(ranked_t, wr, pos, order, rp, slot):
     return ranked_t[wr[pos[rp], order[rp, slot]].astype(np.int64)]
 
 
-def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan,
-                  nonneg: bool):
+def _column_times(times_in, weights, w_in, thresholds, policy: InhibitionPolicy,
+                  plan: _Plan, nonneg: bool):
     """Crossing engine: no competition, or one confined to each column.
 
     The N samples of the stack are one layer of N x P positions, sample by
     sample. One crossing scan per chunk of them, stopping each column at its
     earliest crossing under winner-take-all; soft inhibition steps every
     column of a chunk through its inputs in lockstep (module docstring).
+    ``w_in``: the layer's input-major weights (``Network.weights.input_major``),
+    which the lockstep reads and the scan does not (None there).
     ``nonneg``: no weight is negative.
     """
     n, d_out, positions = times_in.shape[0], weights.shape[0], plan.positions
@@ -389,7 +396,6 @@ def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan:
     w2 = weights.reshape(d_out, -1)
     out = np.full((d_out, n * positions), np.inf)
     if v_inh > 0.0:  # a chunk lays out its windows and its (position, map) state
-        w_in = np.ascontiguousarray(w2.T)
         chunk = max(1, _CHUNK_ELEMS // (plan.window + d_out))
     else:  # its windows and the first block of each of its rows
         chunk = max(1, _CHUNK_ELEMS // (d_out * _BLOCK0 + plan.window))
@@ -421,7 +427,7 @@ def _column_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan:
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
-def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: _Plan):
+def _event_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _Plan):
     """Event engine: competition across the whole layer, soft or winner-take-all.
 
     Each sample of the stack gets its input sites one at a time in (time,
@@ -430,13 +436,14 @@ def _event_times(times_in, weights, thresholds, policy: InhibitionPolicy, plan: 
     crossing is checked. Step k delivers the k-th event of every sample that
     has one in one gather; samples never interact. The deliveries are laid
     out for blocks of steps of doubling size, so a stack that winner-take-all
-    settles early lays out little.
+    settles early lays out little. ``w_in``: the layer's (window, maps)
+    input-major weights (``Network.weights.input_major``), so a delivery
+    gathers one row per (position, slot) it reaches.
     """
-    n, d_out, positions = times_in.shape[0], weights.shape[0], plan.positions
+    n, d_out, positions = times_in.shape[0], w_in.shape[1], plan.positions
     starts, rev_p, rev_k = plan.reverse
     flat = plan.flat_stack(times_in)
     f = _event_order(flat)
-    w_in = weights.reshape(d_out, -1).T  # one row of map weights per window slot
     sample = f // flat.shape[1]
     count = np.bincount(sample, minlength=n)
     step = np.arange(f.size) - (np.cumsum(count) - count)[sample]
@@ -533,12 +540,17 @@ def forward_layer(
             raise ValueError(f"layer {index} has uninitialized parameters")
         if policy.layers == "output" and index != len(spec.layers) - 1:
             policy = NO_INHIBITION
-        compete = policy.mode == "wta" or policy.mode == "soft" and policy.v_inh > 0.0
-        # in a one-position layer the one column is the whole layer
-        if compete and (policy.scope == "layer" or plan.positions == 1):
-            out = _event_times(stack, weights, thresholds, policy, plan)
+        wta, soft = policy.mode == "wta", policy.mode == "soft" and policy.v_inh > 0.0
+        # winner-take-all in a one-position layer settles its one column, the
+        # whole layer, at the first crossing, where the event engine stops
+        event = (wta or soft) and policy.scope == "layer" or wta and plan.positions == 1
+        # the scan of no inhibition and column WTA reads map-major weights
+        w_in = network.weights.input_major(index) if event or soft else None
+        if event:
+            out = _event_times(stack, w_in, thresholds, policy, plan)
         else:
-            out = _column_times(stack, weights, thresholds, policy, plan, network.w_min >= 0.0)
+            out = _column_times(stack, weights, w_in, thresholds, policy, plan,
+                                network.w_min >= 0.0)
     return out if times.ndim == 4 else out[0]
 
 

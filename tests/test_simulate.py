@@ -14,20 +14,22 @@ from spikeconv import (
     column_response,
 )
 import spikeconv.simulate as sim
+from spikeconv.modelio import network_bytes
 from spikeconv.simulate import forward_layer, forward_times
 
 from oracles import DenseSimulator, column_reference
 from util import drawn_network, random_grid, random_network
 
 INF = np.inf
-# a lone neuron has no competitor, so each policy gives the same output: the
-# first runs the crossing engine, the other two the event engine
+# a lone neuron has no competitor, so each policy gives the same output: no
+# inhibition runs the crossing scan, soft inhibition the lockstep and
+# layer-scope WTA the event engine
 ONE_NEURON_POLICIES = [NO_INHIBITION, InhibitionPolicy("soft", v_inh=0.5),
                        InhibitionPolicy("wta", scope="layer")]
 # every policy, so both routes (crossing engine: none, soft with v_inh=0,
-# column WTA and column soft in a conv layer; event engine: layer scope, and
-# WTA or soft in a one-position fc layer) meet the same strides, paddings,
-# time ties and one-position fc layers
+# column WTA in a layer of several positions and column soft in any layer;
+# event engine: layer scope, and WTA in a one-position fc layer) meet the same
+# strides, paddings, time ties and one-position fc layers
 SWEEP_POLICIES = [
     InhibitionPolicy("none"),
     InhibitionPolicy("soft", v_inh=0.0),
@@ -321,30 +323,72 @@ def _column_policy_cases(draw):
     return net, grid, policy
 
 
-@st.composite
-def _exact_column_cases(draw):
-    """A ``_column_policy_cases`` case where up to three maps get as threshold
-    a potential one of their columns reaches under the policy, or the next
-    float above it, so a fire there turns on the rounding of every float
-    addition and floor before it."""
-    net, grid, policy = draw(_column_policy_cases())
+def _pin_thresholds(draw, net, grids, policy):
+    """Give up to three maps as threshold a potential one of their columns
+    reaches under the policy on one of ``grids``, or the next float above it,
+    so a fire there turns on the rounding of every float addition and floor
+    before it."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     for _ in range(draw(st.integers(0, 3))):
         trace = []
-        column_reference(net, 0, grid, policy, trace)
+        column_reference(net, 0, grids[int(rng.integers(len(grids)))], policy, trace)
         reached = [(d, v) for d, v in trace if v > 0.0]  # thresholds are positive
         if reached:
             d, v = reached[int(rng.integers(len(reached)))]
             thresholds = net.thresholds[0].copy()
             thresholds[d] = np.nextafter(v, np.inf) if draw(st.booleans()) else v
             net.thresholds[0] = thresholds
+
+
+@st.composite
+def _exact_column_cases(draw):
+    """A ``_column_policy_cases`` case with thresholds pinned to reached
+    potentials (``_pin_thresholds``)."""
+    net, grid, policy = draw(_column_policy_cases())
+    _pin_thresholds(draw, net, [grid], policy)
     return net, grid, policy
 
 
-class TestSoftColumnRounds:
+@st.composite
+def _one_position_cases(draw):
+    """A layer of one position, a stack of 2-5 tie-heavy grids and a column
+    policy, with thresholds pinned to reached potentials.
+
+    The layer is fc, or conv whose stride and padding leave one output
+    position; weights, thresholds and policies are drawn as in
+    ``_column_policy_cases``, so a column fires several times.
+    """
+    d_in, maps = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        stride = draw(st.integers(1, 3))
+        pad = draw(st.integers(0, 1)) if min(fh, fw) >= 3 else 0
+        # (h + 2 pad - fh) // stride == 0: the filter fits once down and across
+        h = fh - 2 * pad + draw(st.integers(0, stride - 1))
+        w = fw - 2 * pad + draw(st.integers(0, stride - 1))
+        layer = LayerSpec("conv", fh, fw, maps, stride, pad)
+    else:
+        h, w = fh, fw
+        layer = LayerSpec("fc", fh, fw, maps, 1, 0)
+    signed = draw(st.booleans())
+    v_inh = draw(st.one_of(st.sampled_from([0.05, 0.5, 1.0, 5.0]), st.floats(0.001, 10.0)))
+    policy = draw(st.sampled_from([InhibitionPolicy("soft", v_inh=v_inh), InhibitionPolicy("wta")]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spec = NetworkSpec(Shape3(d_in, h, w), [layer])
+    net = Network(spec, -0.6 if signed else 0.0)
+    net.weights[0] = rng.uniform(-0.6 if signed else 0.0, 1.0, spec.weight_shape(0))
+    window = d_in * fh * fw
+    net.thresholds[0] = rng.uniform(0.1, 0.3 * window + 0.2, maps)
+    counts = draw(st.lists(st.integers(0, spec.input_shape.size), min_size=2, max_size=5))
+    stack = np.stack([random_grid(rng, spec.input_shape, n, tie_heavy=True) for n in counts])
+    _pin_thresholds(draw, net, stack, policy)
+    return net, stack, policy
+
+
+class TestColumnPolicies:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_column_policy_cases())
-    def test_rounds_match_dense_simulator(self, case):
+    def test_column_policies_match_dense_simulator(self, case):
         net, grid, policy = case
         assert net.spec.shapes[1].height * net.spec.shapes[1].width > 1
         _compare_with_oracle(net, grid, policy)
@@ -357,6 +401,15 @@ class TestSoftColumnRounds:
             want = column_reference(net, 0, grid, pol)
             assert np.array_equal(forward_layer(net, 0, grid, pol), want), pol
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_one_position_cases())
+    def test_one_position_stack_bitwise_the_column_reference(self, case):
+        net, stack, policy = case
+        assert net.spec.shapes[1].height * net.spec.shapes[1].width == 1
+        got = forward_layer(net, 0, stack, policy)
+        for out, grid in zip(got, stack):
+            assert np.array_equal(out, column_reference(net, 0, grid, policy)), policy
+
     def test_route_follows_policy_and_layer_shape(self, monkeypatch):
         import spikeconv.simulate as sim
 
@@ -366,11 +419,14 @@ class TestSoftColumnRounds:
             monkeypatch.setattr(sim, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
         conv = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 2, 2)), np.ones(2))
         fc = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 3, 3)), np.ones(2), kind="fc")
+        conv1x1 = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 3, 3)), np.ones(2))
         soft = InhibitionPolicy("soft", v_inh=0.5)
         cases = [
             (conv, soft, "_column_times"),
-            # one position: its column is the whole layer
-            (fc, soft, "_event_times"),
+            # one position: the lockstep steps one column per sample
+            (fc, soft, "_column_times"),
+            (conv1x1, soft, "_column_times"),
+            (conv1x1, InhibitionPolicy("wta"), "_event_times"),
             (conv, InhibitionPolicy("soft", v_inh=0.5, scope="layer"), "_event_times"),
             (conv, InhibitionPolicy("wta", scope="layer"), "_event_times"),
             (conv, InhibitionPolicy("soft", v_inh=0.0), "_column_times"),
@@ -501,6 +557,108 @@ class TestLockstep:
         mild = forward_layer(net, 0, times, policy)
         assert mild[:3, 0, :].tolist() == [[0.2, 0.3], [0.3, 0.4], [0.4, 0.5]]
         assert np.array_equal(mild, column_reference(net, 0, times, policy))
+
+
+class TestInputMajorRows:
+    """``Network.weights.input_major``, the one input-major copy of a layer's
+    weights that the lockstep and the event engine read."""
+
+    def _net(self):
+        rng = np.random.default_rng(93)
+        spec = NetworkSpec(Shape3(2, 7, 7), [
+            LayerSpec("conv", 3, 3, 4, 1, 0),
+            LayerSpec("pool", 2, 2, 4, 2, 0),
+            LayerSpec("fc", 2, 2, 5, 1, 0),
+        ])
+        net = Network(spec)
+        for i in (0, 2):
+            net.install_column(i, rng.uniform(0.0, 1.0, spec.weight_shape(i)),
+                               rng.uniform(0.5, 2.0, spec.layers[i].maps))
+        stack = np.stack([random_grid(rng, spec.input_shape, n, tie_heavy=True)
+                          for n in (30, 60, 0, 90)])
+        return net, stack
+
+    @staticmethod
+    def _inputs(net, stack, index):
+        for i in range(index):
+            stack = forward_layer(net, i, stack)
+        return stack
+
+    def test_rows_are_the_transposed_weights(self):
+        net, _ = self._net()
+        for i in (0, 2):
+            w = net.weights[i]
+            rows = net.weights.input_major(i)
+            assert np.array_equal(rows, w.reshape(len(w), -1).T)
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+            assert net.weights.input_major(i) is rows  # made once
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.5
+        with pytest.raises(ValueError, match="layer 1 holds no weights"):
+            net.weights.input_major(1)  # pooling
+        unready = Network(net.spec)
+        with pytest.raises(ValueError, match="layer 2 holds no weights"):
+            unready.weights.input_major(2)
+
+    @pytest.mark.parametrize("write", ["slot", "install"])
+    def test_a_write_reaches_the_next_forward(self, write):
+        # conv and fc soft run the lockstep, fc column WTA the event engine;
+        # each reads the rows of the weights written last, never a stale copy
+        net, stack = self._net()
+        cases = [(0, InhibitionPolicy("soft", v_inh=0.4)),
+                 (2, InhibitionPolicy("soft", v_inh=0.4)),
+                 (2, InhibitionPolicy("wta"))]
+        for index, policy in cases:
+            grids = self._inputs(net, stack, index)
+            before = forward_layer(net, index, grids, policy)
+            new = 1.0 - net.weights[index][::-1]
+            if write == "slot":
+                net.weights[index] = new
+            else:
+                net.install_column(index, new, net.thresholds[index])
+            assert np.array_equal(net.weights.input_major(index),
+                                  new.reshape(len(new), -1).T)
+            got = forward_layer(net, index, grids, policy)
+            assert not np.array_equal(got, before)
+            for out, grid in zip(got, grids):
+                assert np.array_equal(out, column_reference(net, index, grid, policy))
+
+    def test_rows_are_not_saved(self):
+        net, stack = self._net()
+        before = network_bytes(net)
+        for grid in stack:
+            forward_times(net, grid, InhibitionPolicy("soft", v_inh=0.4))
+        assert network_bytes(net) == before
+
+    def test_dropped_network_with_rows_is_freed_at_once(self):
+        import gc
+        import weakref
+
+        net, stack = self._net()
+        forward_times(net, stack[0], InhibitionPolicy("soft", v_inh=0.4))
+        ref = weakref.ref(net)
+        gc.disable()
+        try:
+            del net
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_only_an_engine_that_reads_rows_makes_them(self, monkeypatch):
+        net, stack = self._net()
+        made = []
+        real = type(net.weights).input_major
+        monkeypatch.setattr(type(net.weights), "input_major",
+                            lambda slots, i: made.append(i) or real(slots, i))
+        # no inhibition and column WTA in a conv layer scan map-major weights
+        for policy in (NO_INHIBITION, InhibitionPolicy("wta")):
+            forward_layer(net, 0, stack, policy)
+        forward_layer(net, 2, self._inputs(net, stack, 2))
+        assert made == [] and net.weights._rows == [None] * 3  # none made at install either
+        times = stack
+        for i in range(3):
+            times = forward_layer(net, i, times, InhibitionPolicy("soft", v_inh=0.4))
+        assert made == [0, 2]
 
 
 class TestColumnResponse:
