@@ -30,12 +30,22 @@ one column is the layer; everything else runs on the crossing engine.
   column (``column_response``) walks every map through the same blocks. The
   remaining neurons walk their sorted inputs in blocks of doubling size and
   leave at their first crossing; under winner-take-all a column leaves at
-  its first, where its lowest crossing map fires. Each block's cumulative
-  sum starts from the running sum the block before ended with, so every
-  partial sum is the same sequence of float additions a single cumulative
-  sum would make, and the outputs are bitwise those of delivering the
-  events one by one. Soft inhibition steps every column of a chunk through
-  its own inputs in lockstep instead: step k adds each column's k-th input
+  its first, where its lowest crossing map fires. Each block's running
+  sums start from the sum the block before ended with, so every partial
+  sum is the same sequence of float additions a single cumulative sum
+  would make, and the outputs are bitwise those of delivering the events
+  one by one. A block is slot-major, one row per input slot and one column
+  per neuron, so its sums are one vector ``np.add`` per slot across all its
+  neurons; ``np.cumsum`` down the slots makes the same additions one after
+  another, latency-bound, and serves only blocks of fewer than
+  ``_VECTOR_ROWS`` neurons, where the per-call cost of the adds would
+  dominate. Slots past a row's last input hold silent slots' weights and
+  are never masked: running sums only rise when no weight is negative
+  (under signed weights the scan counts their running maximum instead), so
+  the count of a row's sums below its threshold is its first crossing
+  slot, and the row crossed if that slot is at most its last input. Soft
+  inhibition steps every column of a chunk through its own
+  inputs in lockstep instead: step k adds each column's k-th input
   weights to its maps, ``v = v + w``, the additions one-by-one delivery
   makes, one row gather per column from the layer's input-major weights
   (``Network.weights.input_major``); in each column the crossing maps
@@ -96,6 +106,13 @@ __all__ = [
 # or under soft inhibition one element per (position, map) of its state
 _CHUNK_ELEMS = 200_000
 _BLOCK0 = 16  # first block of the crossing scan; each next block doubles
+# a slot-major block of at least this many neurons takes its running sums as
+# one vector np.add per slot, one call each; a narrower one takes one
+# np.cumsum down the slots, one call whose additions run one after another
+# (about 4 ns each). In alternating pairs on a 2-CPU host the per-slot adds
+# won 10 of 10 at 256 neurons and at most 2 of 10 at 192, over blocks of
+# 16 and of 64 slots
+_VECTOR_ROWS = 256
 _EPS = np.finfo(np.float64).eps
 
 
@@ -268,8 +285,22 @@ def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray, nonneg: b
     return pos, order, count, rd, rp
 
 
+def _running(ufunc, v: np.ndarray) -> np.ndarray:
+    """Running ``ufunc`` (``np.add``: the sums) down the slots of a slot-major
+    (slots, neurons) block, in place, each step the one float operation
+    delivering the slot's input one by one makes."""
+    if v.shape[1] < _VECTOR_ROWS:
+        ufunc.accumulate(v, axis=0, out=v)
+    else:
+        rows = list(v)
+        for before, row in zip(rows, rows[1:]):
+            ufunc(before, row, out=row)
+    return v
+
+
 def _first_crossings(order: np.ndarray, count: np.ndarray, w2: np.ndarray,
-                     rd: np.ndarray, rp: np.ndarray, th_r: np.ndarray, column: bool):
+                     rd: np.ndarray, rp: np.ndarray, th_r: np.ndarray, column: bool,
+                     nonneg: bool):
     """Each row's first threshold crossing over its position's inputs.
 
     order, count: window slots in event order and input counts of the
@@ -277,8 +308,17 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w2: np.ndarray,
     map ``rd[r]``'s weights in event order and stops at the first slot where
     the running sum reaches ``th_r[r]``. With ``column`` the rows of a
     position move together and all stop at the position's earliest crossing.
-    Returns each row's stop slot (-1 if it never stops) and, with ``column``,
-    its potential there (-inf if it never stops).
+    ``nonneg``: no weight is negative. Returns each row's stop slot (-1 if it
+    never stops) and, with ``column``, its potential there (-inf if it never
+    stops).
+
+    Each block is slot-major, one row per input slot and one column per
+    neuron row, gathered from the columns of ``order``. Slots past a row's
+    last input hold the weights of silent slots, so the running sums (the
+    running maximum of them when a weight may be negative, which rises as
+    they do) are only tested against the threshold: a row's count of them
+    below its threshold is its first crossing slot in the block, and the
+    row crossed there if that slot is at most its last input.
     """
     window = w2.shape[1]
     w_flat = w2.ravel()
@@ -291,32 +331,32 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w2: np.ndarray,
     k0, size = 0, _BLOCK0
     while k0 < kmax:
         k1 = min(k0 + size, kmax)
-        ws = order[rp, k0:k1]
-        ws += base[:, None]
-        c = w_flat[ws]
+        v = order[:, k0:k1].T.take(rp, axis=1)  # row k: each row's (k0 + k)-th slot
+        v += base
+        v = w_flat[v]
         if carry is not None:
-            c[:, 0] += carry  # the same addition delivering this input one by one makes
-        v = np.cumsum(c, axis=1, out=c)
-        crossed = v >= th_r[:, None]
+            v[0] += carry  # the same addition delivering this input one by one makes
+        _running(np.add, v)
+        top = v if nonneg else _running(np.maximum, v.copy())
+        kk = np.less(top, th_r).sum(axis=0)
+        hit = kk < np.minimum(n, k1) - k0  # the crossing is at one of the row's inputs
         done = n <= k1
-        if done.any():  # slots past a row's last input hold no input of its own
-            crossed &= np.arange(k0, k1) < n[:, None]
-        kk = crossed.argmax(axis=1)
-        hit = crossed[np.arange(kk.size), kk]
         if hit.any():
+            kk = kk[hit]
             if column:  # every row of a position stops at its earliest crossing
                 first = np.full(order.shape[0], k1 - k0)
-                np.minimum.at(first, rp[hit], kk[hit])
+                np.minimum.at(first, rp[hit], kk)
                 kk = first[rp]
                 hit = kk < k1 - k0
-                v_stop[row[hit]] = v[hit, kk[hit]]
-            slot[row[hit]] = k0 + kk[hit]
+                kk = kk[hit]
+                v_stop[row[hit]] = v[kk, np.flatnonzero(hit)]
+            slot[row[hit]] = k0 + kk
             done |= hit
         keep = ~done
         if not keep.any():
             break
         row, rp, base, th_r, n = row[keep], rp[keep], base[keep], th_r[keep], n[keep]
-        carry = v[keep, -1]
+        carry = v[-1, keep]
         k0, size = k1, 2 * size
     return slot, v_stop
 
@@ -414,7 +454,7 @@ def _column_times(times_in, weights, w_in, thresholds, policy: InhibitionPolicy,
             slot = slot[rp, rd]
         else:
             th_r = thresholds[rd]
-            slot, v_stop = _first_crossings(order, count, w2, rd, rp, th_r, wta)
+            slot, v_stop = _first_crossings(order, count, w2, rd, rp, th_r, wta, nonneg)
             fire = slot >= 0
             if wta:  # of the maps crossing at a column's stop, the lowest fires
                 fire &= v_stop >= th_r
@@ -605,10 +645,14 @@ def column_response(
     ``weights`` is (maps, in_maps, F_h, F_w) and ``thresholds`` (maps,),
     finite. The winner is the earliest crossing, ties resolved by lowest map
     index. Every map walks the inputs in event order in the crossing scan's
-    blocks (module docstring), so the cost is maps x inputs up to the first
-    crossing. Once the first block decides nothing, one bound, the sums so
-    far plus each map's remaining inputs with the scan's margin, ends a call
-    on which no map can fire, if no weight is negative.
+    slot-major blocks (module docstring), whose rows are the weight rows of
+    the block's inputs, ``weights.reshape(maps, -1).T[order[k0:k1]]``, so the
+    cost is maps x inputs up to the first crossing. A (window, maps)
+    input-major copy passed as its map-major view ``w_in.T.reshape(shape)``,
+    as ``train_layer`` does, makes those rows contiguous gathers; the answer
+    is the same for either layout. Once the first block decides nothing, one
+    bound, the sums so far plus each map's remaining inputs with the scan's
+    margin, ends a call on which no map can fire, if no weight is negative.
     """
     maps = weights.shape[0]
     thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -619,20 +663,21 @@ def column_response(
         raise ValueError(f"thresholds must be finite, got {thresholds}")
     order = _event_order(patch_times.reshape(1, -1))
     w2 = weights.reshape(maps, -1)
+    rows = w2.T  # one row of map weights per window slot
     carry = None
     k0, size = 0, _BLOCK0
     while k0 < order.size:
         k1 = min(k0 + size, order.size)
-        v = w2[:, order[k0:k1]]
+        v = rows[order[k0:k1]]
         if carry is not None:
-            v[:, 0] += carry  # the same addition delivering this input one by one makes
-        np.cumsum(v, axis=1, out=v)
-        crossed = v >= thresholds[:, None]
+            v[0] += carry  # the same addition delivering this input one by one makes
+        _running(np.add, v)
+        crossed = v >= thresholds
         if crossed.any():  # at the first input any map crosses at, the lowest such map wins
-            k = int(crossed.any(axis=0).argmax())
+            k = int(crossed.any(axis=1).argmax())
             t = patch_times.ravel()[order[k0 + k]]
-            return ColumnResult(int(crossed[:, k].argmax()), float(t))
-        carry = v[:, -1]
+            return ColumnResult(int(crossed[k].argmax()), float(t))
+        carry = v[-1]
         if k0 == 0 and k1 < order.size:
             rest = np.zeros(w2.shape[1])
             rest[order[k1:]] = 1.0

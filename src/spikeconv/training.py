@@ -7,7 +7,9 @@ column of IF neurons competes (WTA) over it: the first neuron to fire
 applies STDP and both threshold updates. After each epoch the learning
 rates decay by the annealing factor. The trained column is then broadcast
 onto every position of the layer (shared filters) before the next layer
-starts.
+starts. While it trains, the column's weights are held input-major, one
+row of map weights per window slot (``train_layer``), at the cost of one
+transposed copy of that layer's weights.
 """
 
 from __future__ import annotations
@@ -194,7 +196,15 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
     ``input_grids`` are the frozen prefix's outputs, one (D, H, W) fire-time
     grid per training sample; a grid whose shape is not the layer input's, or
     that holds NaN or -inf, is rejected before training starts. Returns the
-    column's (weights, thresholds).
+    column's (weights, thresholds), the weights a C-contiguous map-major
+    (maps, in_maps, F_h, F_w) array.
+
+    The column is kept input-major while it trains, one row of map weights
+    per window slot, so ``column_response`` gathers each block's slots as
+    contiguous rows; it and ``apply_stdp`` get the map-major view
+    ``w_in.T.reshape(shape)`` and the winner's update is a strided write.
+    That costs one transposed copy of the layer being trained: 2 MB for an
+    fc512 over a 512-site window, 67 MB for the published fc4096.
     """
     layer = spec.layers[index]
     if layer.kind == POOL:
@@ -209,7 +219,9 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
     patch_rng = streams.stream("patches", index)
     order_rng = streams.stream("order", index)
 
-    weights = w_rng.uniform(cfg.w_min, cfg.w_max, spec.weight_shape(index))
+    shape = spec.weight_shape(index)
+    w_in = np.ascontiguousarray(w_rng.uniform(cfg.w_min, cfg.w_max, shape).reshape(d_out, -1).T)
+    weights = w_in.T.reshape(shape)
     thresholds = np.maximum(
         cfg.th_min, th_rng.normal(cfg.v_th_mean, cfg.v_th_std, d_out)
     )
@@ -249,7 +261,7 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
             log.add(index, epoch, rule.eta_w, params.eta_th, n, no_winner,
                     mean_t, wins)
 
-    return weights, thresholds
+    return np.ascontiguousarray(weights), thresholds
 
 
 def broadcast_column(network: Network, index: int, weights: np.ndarray,

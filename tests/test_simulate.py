@@ -889,12 +889,13 @@ def _column_winner(times, weights, thresholds):
 
 
 def _gather_counter():
-    """An ndarray type whose instances count the column gathers made from them."""
+    """An ndarray type whose instances count the slot-major row gathers
+    (``rows[order[k0:k1]]``, one index array) made from them."""
     class Counted(np.ndarray):
         gathers = 0
 
         def __getitem__(self, key):
-            if isinstance(key, tuple) and isinstance(key[-1], np.ndarray):
+            if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
                 Counted.gathers += 1
             return super().__getitem__(key)
     return Counted
@@ -957,6 +958,96 @@ class TestColumnScan:
         w[59] = -1.5
         weights = w.reshape(1, 1, 6, 10)
         assert _column_winner(times, weights, np.array([1.0])) == (0, 20 / 64)
+
+
+def _widths(monkeypatch):
+    """The neuron counts of every slot-major block the scans sum, as they run."""
+    seen = []
+    real = sim._running
+
+    def running(ufunc, v):
+        seen.append(v.shape[1])
+        return real(ufunc, v)
+    monkeypatch.setattr(sim, "_running", running)
+    return seen
+
+
+class TestSlotMajorScan:
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_slots_past_a_rows_last_input_never_fire_it(self, signed):
+        # three positions of one 64-slot window see 20, 47 and 60 inputs, so
+        # with blocks of 16, 32 and 12 slots the first two rows end inside a
+        # block; their silent slots carry weights that would cross at once,
+        # and a map whose threshold is one ulp above the running sums up to
+        # its k-th input fires only where the position has a k-th input
+        counts = (20, 47, 60)
+        rng = np.random.default_rng(5)
+        w = np.concatenate([rng.uniform(0.1, 0.3, 20), np.full(44, 3.0)])
+        if signed:
+            w[[3, 11]] = -0.25
+        times = np.full((1, 1, 192), np.inf)
+        for p, n in enumerate(counts):
+            times[0, 0, 64 * p:64 * p + n] = np.arange(1, n + 1) / 128
+        th = np.array([np.nextafter(np.maximum.accumulate(np.cumsum(w[:k]))[-1], np.inf)
+                       for k in counts])
+        free = np.array([[np.inf if n <= k else (k + 1) / 128 for n in counts] for k in counts])
+        # under column WTA map 0 wins every column it fires in, at its 21st input
+        wta = np.full((3, 3), np.inf)
+        wta[0] = free[0]
+        # maps 1 and 2 alone: the rows of 20 and 47 inputs end inside a block
+        for maps in ([0, 1, 2], [1], [2]):
+            spec = NetworkSpec(Shape3(1, 1, 192), [LayerSpec("conv", 1, 64, len(maps), 64, 0)])
+            net = Network(spec, -1.0 if signed else 0.0, 3.0)
+            net.weights[0] = np.tile(w, (len(maps), 1)).reshape(len(maps), 1, 1, 64)
+            net.thresholds[0] = th[maps]
+            for policy, want in ((NO_INHIBITION, free), (InhibitionPolicy("wta"), wta)):
+                got = forward_layer(net, 0, times, policy)
+                assert np.array_equal(got, column_reference(net, 0, times, policy))
+                oracle = DenseSimulator(net, policy).simulate(times)[0]
+                assert np.array_equal(np.isfinite(got), np.isfinite(oracle))
+                assert np.array_equal(got[:, 0], (free if len(maps) == 1 else want)[maps])
+
+    def test_stack_and_single_grid_on_both_sides_of_the_vector_cutoff(self, monkeypatch):
+        # a single grid holds fewer (map, position) rows than the cutoff and
+        # takes np.cumsum; the stack's chunk holds more and adds slot by slot
+        rng = np.random.default_rng(17)
+        spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 8, 1, 0)])
+        net = Network(spec)
+        net.weights[0] = rng.uniform(0.0, 1.0, spec.weight_shape(0))
+        net.thresholds[0] = rng.uniform(0.5, 4.0, 8)
+        stack = np.stack([random_grid(rng, spec.input_shape, n, tie_heavy=True)
+                          for n in (50, 20, 72, 35, 60, 44)])
+        assert 8 * 16 < sim._VECTOR_ROWS < len(stack) * 8 * 16
+        for policy in (NO_INHIBITION, InhibitionPolicy("wta")):
+            widths = _widths(monkeypatch)
+            _check_stack(net, stack, policy)
+            assert max(widths) >= sim._VECTOR_ROWS
+            widths.clear()
+            forward_layer(net, 0, stack[2], policy)
+            assert 0 < max(widths) < sim._VECTOR_ROWS
+
+    @pytest.mark.parametrize("maps, shape", [(512, (32, 4, 4)), (16, (2, 5, 5))])
+    def test_column_response_of_fc_wide_and_conv1_sized_columns(self, maps, shape, monkeypatch):
+        # fc512 sums its blocks slot by slot, a conv1 column with np.cumsum;
+        # thresholds put the winner in the first block, a later one, or nowhere
+        rng = np.random.default_rng(maps)
+        widths = _widths(monkeypatch)
+        seen = set()
+        for scale in (0.05, 0.2, 0.5, 2.0):
+            size = int(np.prod(shape))  # distinct times: one event order
+            times = np.where(rng.random(shape) < 0.3, np.inf,
+                             rng.permutation(size).reshape(shape) / size)
+            weights = rng.uniform(0.0, 1.0, (maps,) + shape)
+            inputs = np.isfinite(times).sum()
+            thresholds = rng.uniform(0.5, 1.0, maps) * scale * inputs
+            winner, t = _column_winner(times, weights, thresholds)
+            if winner is None:
+                seen.add("none")
+            else:
+                k = np.count_nonzero(times < t)  # the winning input's slot
+                seen.add("first block" if k < sim._BLOCK0 else "later block")
+        assert seen == {"first block", "later block", "none"}
+        assert (min(widths) >= sim._VECTOR_ROWS) == (maps >= sim._VECTOR_ROWS)
 
 
 @st.composite

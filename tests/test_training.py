@@ -21,7 +21,8 @@ from spikeconv import (
     train_network,
 )
 from spikeconv.modelio import network_bytes
-from spikeconv.simulate import forward_layer
+from spikeconv.plasticity import apply_stdp
+from spikeconv.simulate import column_response, forward_layer
 from spikeconv.training import layer_t_targets, train_layer
 
 from oracles import naive_patch
@@ -196,6 +197,54 @@ class TestTrainLayer:
         for y, x in ((1, 0), (1, 1)):
             want = max(0.0, w0[0, 0, y, x] - 0.01 * np.exp(2.0 - t_post))
             assert w[0, 0, y, x] == pytest.approx(want, abs=1e-15)
+
+
+class TestInputMajorColumn:
+    """``train_layer`` keeps its column input-major and hands ``column_response``
+    and ``apply_stdp`` the map-major view of it."""
+
+    @staticmethod
+    def _layouts(rng, maps=12, shape=(3, 4, 4)):
+        weights = rng.uniform(0.0, 1.0, (maps,) + shape)
+        w_in = np.ascontiguousarray(weights.reshape(maps, -1).T)
+        view = w_in.T.reshape(weights.shape)
+        assert np.shares_memory(view, w_in) and np.array_equal(view, weights)
+        return weights, w_in, view
+
+    def test_column_response_reads_both_layouts_alike(self):
+        rng = np.random.default_rng(21)
+        weights, _, view = self._layouts(rng)
+        results = set()
+        for scale in (0.05, 0.3, 1.5):
+            for _ in range(10):
+                patch = np.where(rng.random((3, 4, 4)) < 0.4, np.inf, rng.random((3, 4, 4)))
+                thresholds = rng.uniform(0.5, 1.0, 12) * scale * np.isfinite(patch).sum()
+                res = column_response(patch, weights, thresholds)
+                assert column_response(patch, view, thresholds) == res
+                results.add(res.winner is None)
+        assert results == {True, False}
+
+    def test_stdp_on_the_view_changes_only_the_winner(self):
+        rng = np.random.default_rng(22)
+        weights, w_in, view = self._layouts(rng)
+        patch = np.where(rng.random((3, 4, 4)) < 0.4, np.inf, rng.random((3, 4, 4)))
+        rule = BiologicalStdp(0.1, 0.2)
+        before = view.copy()
+        apply_stdp(view, 5, patch, 0.4, rule, t_end=1.0)
+        apply_stdp(weights, 5, patch, 0.4, rule, t_end=1.0)
+        assert np.array_equal(view, weights)  # the update reached the input-major copy
+        changed = np.nonzero((view != before).reshape(12, -1).any(axis=1))[0]
+        assert changed.tolist() == [5]
+        assert np.array_equal(w_in.T.reshape(weights.shape), weights)
+
+    def test_returns_c_contiguous_map_major_weights(self):
+        spec = _tiny_spec()
+        rng = np.random.default_rng(23)
+        grids = [np.where(rng.random((2, 8, 8)) < 0.5, rng.random((2, 8, 8)), np.inf)
+                 for _ in range(4)]
+        w, th = train_layer(spec, 0, grids, _quick_cfg(), RngStreams(3), 0.7)
+        assert w.shape == spec.weight_shape(0) and w.flags.c_contiguous
+        assert th.shape == (4,)
 
 
 class TestTrainNetwork:
