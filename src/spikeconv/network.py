@@ -4,7 +4,9 @@ A network is a stack of convolution / pooling / fully-connected layers over
 a 2-channel (on/off) input field. Convolution and fully-connected layers
 share one filter bank and one threshold vector across all spatial positions
 (column broadcast semantics); pooling layers hold no parameters: a pooling
-neuron fires at the earliest input time in its window.
+neuron fires at the earliest input time in its window. A layer's filter bank
+is stored once, input-major: one row of every map's weight per window slot,
+the layout every simulator engine reads.
 """
 
 from __future__ import annotations
@@ -137,8 +139,9 @@ class _Slots(Sequence):
         self._items[index] = value
 
     def check(self, index: int, value):
-        """``value`` as layer ``index`` holds it: None, a float or a read-only
-        float64 copy; a ValueError naming the layer and the kind if it may not."""
+        """``value`` as layer ``index`` holds it: None, a float or a read-only,
+        C-contiguous float64 copy, input-major for weights (``_Weights``); a
+        ValueError naming the layer and the kind if it may not."""
         layer, kind = self._spec.layers[index], self._kind
         if value is None and (kind == "firing target" or not layer.trainable):
             return None
@@ -148,7 +151,7 @@ class _Slots(Sequence):
             if not np.isfinite(value := float(value)):
                 raise ValueError(f"layer {index} firing target must be finite, got {value}")
             return value
-        value = np.array(value, dtype=np.float64)
+        value = np.asarray(value, dtype=np.float64)
         expect = self._spec.weight_shape(index) if kind == "weights" else (layer.maps,)
         if value.shape != expect:
             raise ValueError(f"layer {index} {kind} must have shape {expect}, got {value.shape}")
@@ -159,33 +162,29 @@ class _Slots(Sequence):
             ok, span = (value > 0.0) & (value < np.inf), "(0, inf)"
         if not ok.all():  # NaN fails either
             raise ValueError(f"layer {index} {kind} must lie in {span}, got {value[~ok][0]}")
+        # weights are stored input-major, one row of map weights per window slot
+        value = np.array(value.reshape(layer.maps, -1).T if kind == "weights" else value,
+                         order="C")
         value.setflags(write=False)
         return value
 
 
 class _Weights(_Slots):
-    """The weight slots, each with its input-major rows made on first use and
-    dropped by every write to the slot."""
+    """The weight slots. Each holds its layer's weights once, input-major: a
+    read-only, C-contiguous (window, maps) array whose row k holds every
+    map's weight for window slot k. ``weights[i]`` reads it as its map-major
+    (maps, in_maps, F_h, F_w) view."""
 
-    def __init__(self, spec: NetworkSpec, w_min: float, w_max: float):
-        super().__init__("weights", spec, w_min, w_max)
-        self._rows = [None] * len(self._items)
-
-    def _store(self, index: int, value) -> None:
-        super()._store(index, value)
-        self._rows[index] = None
+    def __getitem__(self, index):
+        rows, layer = self._items[index], self._spec.layers[index]
+        return None if rows is None else rows.T.reshape(layer.maps, -1, layer.filter_h,
+                                                        layer.filter_w)
 
     def input_major(self, index: int) -> np.ndarray:
-        """Layer ``index``'s weights as a read-only, C-contiguous (window, maps)
-        array: row k holds every map's weight for window slot k. Made from the
-        slot on the first call after a write and kept until the next one."""
-        rows = self._rows[index]
-        if rows is None:
-            if (w := self._items[index]) is None:
-                raise ValueError(f"layer {index} holds no weights")
-            rows = np.ascontiguousarray(w.reshape(len(w), -1).T)
-            rows.setflags(write=False)
-            self._rows[index] = rows
+        """Layer ``index``'s weights as stored, the (window, maps) array that
+        every engine reads."""
+        if (rows := self._items[index]) is None:
+            raise ValueError(f"layer {index} holds no weights")
         return rows
 
 
@@ -201,9 +200,10 @@ class Network:
     and > 0, a firing target finite or None, None only on a pooling layer. It
     stores read-only float64 copies, and no attribute can be rebound.
 
-    ``weights.input_major(i)`` is the one input-major copy of layer ``i``'s
-    weights that the simulator reads rows from: derived from the slot, made
-    on first use, dropped by every write and never saved.
+    Each layer's weights are stored once, input-major, one row of map weights
+    per window slot: ``weights.input_major(i)`` is that (window, maps) array,
+    the one every simulator engine reads, and ``weights[i]`` a map-major view
+    of it.
     """
 
     def __init__(self, spec: NetworkSpec, w_min: float = 0.0, w_max: float = 1.0):
@@ -211,7 +211,7 @@ class Network:
             raise ValueError(f"need finite w_min < w_max, got {w_min}, {w_max}")
         w_min, w_max = float(w_min), float(w_max)
         self.__dict__.update(spec=spec, w_min=w_min, w_max=w_max,
-                             weights=_Weights(spec, w_min, w_max),
+                             weights=_Weights("weights", spec, w_min, w_max),
                              thresholds=_Slots("thresholds", spec, w_min, w_max),
                              t_targets=_Slots("firing target", spec, w_min, w_max))
 

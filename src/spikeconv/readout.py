@@ -161,7 +161,8 @@ def _project_down(canvas: np.ndarray, layer, weights) -> np.ndarray:
     per_pos = canvas.reshape(d_out, plan.positions)
     if layer.kind == POOL:  # a pooling plan indexes the sites of one map
         np.add.at(out.reshape(d_out, -1), (slice(None), plan.win_index), per_pos[:, :, None])
-    else:
+    else:  # a map-major copy: BLAS sums over maps in that layout's order
+        weights = np.ascontiguousarray(weights)
         contrib = [np.tensordot(per_pos[:, p], weights, axes=(0, 0)).ravel()
                    for p in range(plan.positions)]
         np.add.at(out.reshape(-1), plan.win_index, np.array(contrib))

@@ -14,18 +14,22 @@ stack's outputs are bitwise each sample's alone. A competition at layer
 scope (winner-take-all, or soft inhibition with ``v_inh > 0``) runs on the
 event engine, and so does winner-take-all in a one-position layer, whose
 one column is the layer; everything else runs on the crossing engine.
+Every engine reads a layer's weights as the network stores them,
+input-major (``Network.weights.input_major``): a (window, maps) array, one
+row of every map's weight per window slot.
 
 - The crossing engine serves no inhibition (soft inhibition with
   ``v_inh == 0`` is the same thing) and every other competition confined
   to a column, soft inhibition in a one-position layer included. Inside a
   window the global event order is the order of the sites' ranks in
   (time, site); a neuron's potential is a plain running sum of its
-  weights in that order until a fire in its column. When the
-  network's bounds admit no negative weight the engine first drops every
-  neuron whose total input, one matrix product widened by a margin larger
-  than the rounding of any summation order, stays below its threshold: such
-  a neuron can never fire, inhibition only lowers a non-negative potential,
-  and the bound never decides a fire. Without inhibition and under
+  weights in that order until a fire in its column, map d's weight for
+  window slot k being ``w_in[k, d]``. When the network's bounds admit no
+  negative weight the engine first drops every neuron whose total input,
+  one matrix product widened by a margin larger than the rounding of any
+  summation order, stays below its threshold: such a neuron can never
+  fire, inhibition only lowers a non-negative potential, and the bound
+  never decides a fire. Without inhibition and under
   winner-take-all, one scan finds the first crossings; training's single
   column (``column_response``) walks every map through the same blocks. The
   remaining neurons walk their sorted inputs in blocks of doubling size and
@@ -44,12 +48,11 @@ one column is the layer; everything else runs on the crossing engine.
   (under signed weights the scan counts their running maximum instead), so
   the count of a row's sums below its threshold is its first crossing
   slot, and the row crossed if that slot is at most its last input. Soft
-  inhibition steps every column of a chunk through its own
-  inputs in lockstep instead: step k adds each column's k-th input
-  weights to its maps, ``v = v + w``, the additions one-by-one delivery
-  makes, one row gather per column from the layer's input-major weights
-  (``Network.weights.input_major``); in each column the crossing maps
-  then fire in map order, each lowering the column to
+  inhibition steps every column of a chunk through its own inputs in
+  lockstep instead: step k adds each column's k-th input weights to its
+  maps, ``v = v + w``, the additions one-by-one delivery makes, one row of
+  the input-major weights gathered per column; in each column the crossing
+  maps then fire in map order, each lowering the column to
   ``max(v - v_inh, 0)`` before the next map is rechecked, and a fire
   takes the time of the column's k-th input. Columns
   never interact, so their steps need not line up in time. The columns
@@ -256,15 +259,16 @@ def _event_ranks(flat: np.ndarray):
     return rank, flat.ravel()[f]
 
 
-def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray, nonneg: bool):
+def _live_rows(wr: np.ndarray, w_in: np.ndarray, thresholds: np.ndarray, nonneg: bool):
     """The (map, position) rows of P windows that can fire, and their event order.
 
-    wr: (P, K) event ranks of the window slots (``_event_ranks``); w2: (D, K)
-    weights in window order. A position without input cannot fire. When
+    wr: (P, K) event ranks of the window slots (``_event_ranks``); w_in: the
+    (K, D) input-major weights. A position without input cannot fire. When
     ``nonneg`` says no weight is negative, neither can a row whose total
-    input, widened past the rounding of any summation order, stays below its
-    threshold: inhibition only lowers a non-negative potential, so this bound
-    never decides a fire. Returns the positions ``pos`` holding a live row, their
+    input, ``finite @ w_in`` (taken transposed, one row per map) widened past
+    the rounding of any summation order, stays below its threshold:
+    inhibition only lowers a non-negative potential, so this bound never
+    decides a fire. Returns the positions ``pos`` holding a live row, their
     window slots in event order (``order``, one row per kept position) and
     input counts, and the rows ``rd``, ``rp`` in (map, position) order,
     ``rp`` indexing ``pos``.
@@ -273,10 +277,10 @@ def _live_rows(wr: np.ndarray, w2: np.ndarray, thresholds: np.ndarray, nonneg: b
     count = finite.sum(axis=1)
     live = count > 0
     if nonneg:
-        bound = (w2 @ finite.T.astype(np.float64)) * (1.0 + 4 * w2.shape[1] * _EPS)
+        bound = (w_in.T @ finite.T.astype(np.float64)) * (1.0 + 4 * len(w_in) * _EPS)
         live = ~(bound < thresholds[:, None]) & live
     else:
-        live = np.broadcast_to(live, (w2.shape[0], wr.shape[0]))
+        live = np.broadcast_to(live, (w_in.shape[1], wr.shape[0]))
     pos = np.nonzero(live.any(axis=0))[0]
     rd, rp = np.nonzero(live[:, pos])
     count = count[pos]
@@ -298,41 +302,40 @@ def _running(ufunc, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _first_crossings(order: np.ndarray, count: np.ndarray, w2: np.ndarray,
+def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
                      rd: np.ndarray, rp: np.ndarray, th_r: np.ndarray, column: bool,
                      nonneg: bool):
-    """Each row's first threshold crossing over its position's inputs.
+    """The slot at which each row fires, -1 if it never does.
 
     order, count: window slots in event order and input counts of the
-    positions ``rp`` indexes (``_live_rows``); w2: (D, K) weights. Row r adds
-    map ``rd[r]``'s weights in event order and stops at the first slot where
-    the running sum reaches ``th_r[r]``. With ``column`` the rows of a
-    position move together and all stop at the position's earliest crossing.
-    ``nonneg``: no weight is negative. Returns each row's stop slot (-1 if it
-    never stops) and, with ``column``, its potential there (-inf if it never
-    stops).
+    positions ``rp`` indexes (``_live_rows``); w_in: (K, D) input-major
+    weights. Row r adds map ``rd[r]``'s weights, ``w_in[slot, rd[r]]``, in
+    event order and fires at the first slot where the running sum reaches
+    ``th_r[r]``. With ``column`` the rows of a position stop together at the
+    position's earliest crossing, and only the rows crossing there fire.
+    ``nonneg``: no weight is negative.
 
     Each block is slot-major, one row per input slot and one column per
-    neuron row, gathered from the columns of ``order``. Slots past a row's
-    last input hold the weights of silent slots, so the running sums (the
-    running maximum of them when a weight may be negative, which rises as
-    they do) are only tested against the threshold: a row's count of them
-    below its threshold is its first crossing slot in the block, and the
-    row crossed there if that slot is at most its last input.
+    neuron row, gathered from the flat input-major weights at
+    ``slot * maps + map``. Slots past a row's last input hold the weights of
+    silent slots, so the running sums (the running maximum of them when a
+    weight may be negative, which rises as they do) are only tested against
+    the threshold: a row's count of them below its threshold is its first
+    crossing slot in the block, and the row crossed there if that slot is at
+    most its last input.
     """
-    window = w2.shape[1]
-    w_flat = w2.ravel()
+    w_flat = w_in.ravel()
     n = count[rp]  # inputs left
     slot = np.full(rp.size, -1)
-    v_stop = np.full(rp.size, -np.inf) if column else None
-    row, base = np.arange(rp.size), rd * window
+    row = np.arange(rp.size)
     kmax = int(n.max(initial=0))
+    at = order * w_in.shape[1]  # where each slot's row of map weights starts in w_flat
     carry = None
     k0, size = 0, _BLOCK0
     while k0 < kmax:
         k1 = min(k0 + size, kmax)
-        v = order[:, k0:k1].T.take(rp, axis=1)  # row k: each row's (k0 + k)-th slot
-        v += base
+        v = at[:, k0:k1].T.take(rp, axis=1)  # row k: each row's (k0 + k)-th slot
+        v += rd
         v = w_flat[v]
         if carry is not None:
             v[0] += carry  # the same addition delivering this input one by one makes
@@ -342,23 +345,21 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w2: np.ndarray,
         hit = kk < np.minimum(n, k1) - k0  # the crossing is at one of the row's inputs
         done = n <= k1
         if hit.any():
-            kk = kk[hit]
             if column:  # every row of a position stops at its earliest crossing
                 first = np.full(order.shape[0], k1 - k0)
-                np.minimum.at(first, rp[hit], kk)
-                kk = first[rp]
-                hit = kk < k1 - k0
-                kk = kk[hit]
-                v_stop[row[hit]] = v[kk, np.flatnonzero(hit)]
-            slot[row[hit]] = k0 + kk
+                np.minimum.at(first, rp[hit], kk[hit])
+                first = first[rp]
+                done |= first < k1 - k0
+                hit &= kk == first
+            slot[row[hit]] = k0 + kk[hit]
             done |= hit
         keep = ~done
         if not keep.any():
             break
-        row, rp, base, th_r, n = row[keep], rp[keep], base[keep], th_r[keep], n[keep]
+        row, rp, rd, th_r, n = row[keep], rp[keep], rd[keep], th_r[keep], n[keep]
         carry = v[-1, keep]
         k0, size = k1, 2 * size
-    return slot, v_stop
+    return slot
 
 
 def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
@@ -417,23 +418,21 @@ def _fire_times(ranked_t, wr, pos, order, rp, slot):
     return ranked_t[wr[pos[rp], order[rp, slot]].astype(np.int64)]
 
 
-def _column_times(times_in, weights, w_in, thresholds, policy: InhibitionPolicy,
-                  plan: _Plan, nonneg: bool):
+def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _Plan,
+                  nonneg: bool):
     """Crossing engine: no competition, or one confined to each column.
 
     The N samples of the stack are one layer of N x P positions, sample by
     sample. One crossing scan per chunk of them, stopping each column at its
     earliest crossing under winner-take-all; soft inhibition steps every
     column of a chunk through its inputs in lockstep (module docstring).
-    ``w_in``: the layer's input-major weights (``Network.weights.input_major``),
-    which the lockstep reads and the scan does not (None there).
-    ``nonneg``: no weight is negative.
+    Both read ``w_in``, the layer's (window, maps) input-major weights
+    (``Network.weights.input_major``). ``nonneg``: no weight is negative.
     """
-    n, d_out, positions = times_in.shape[0], weights.shape[0], plan.positions
+    n, d_out, positions = times_in.shape[0], w_in.shape[1], plan.positions
     wta = policy.mode == "wta"
     v_inh = policy.v_inh if policy.mode == "soft" else 0.0
     rank, ranked_t = _event_ranks(plan.flat_stack(times_in))
-    w2 = weights.reshape(d_out, -1)
     out = np.full((d_out, n * positions), np.inf)
     if v_inh > 0.0:  # a chunk lays out its windows and its (position, map) state
         chunk = max(1, _CHUNK_ELEMS // (plan.window + d_out))
@@ -445,7 +444,7 @@ def _column_times(times_in, weights, w_in, thresholds, policy: InhibitionPolicy,
         lo = s0 * positions + p0
         wr = rank[s0:s0 + samples].take(plan.win_index[p0:p0 + span], axis=1)
         wr = wr.reshape(-1, plan.window)
-        pos, order, count, rd, rp = _live_rows(wr, w2, thresholds, nonneg)
+        pos, order, count, rd, rp = _live_rows(wr, w_in, thresholds, nonneg)
         if v_inh > 0.0:
             th = np.full((pos.size, d_out), np.inf)
             th[rp, rd] = thresholds[rd]
@@ -453,11 +452,9 @@ def _column_times(times_in, weights, w_in, thresholds, policy: InhibitionPolicy,
             rp, rd = np.nonzero(slot >= 0)
             slot = slot[rp, rd]
         else:
-            th_r = thresholds[rd]
-            slot, v_stop = _first_crossings(order, count, w2, rd, rp, th_r, wta, nonneg)
+            slot = _first_crossings(order, count, w_in, rd, rp, thresholds[rd], wta, nonneg)
             fire = slot >= 0
             if wta:  # of the maps crossing at a column's stop, the lowest fires
-                fire &= v_stop >= th_r
                 lowest = np.full(pos.size, d_out)
                 np.minimum.at(lowest, rp[fire], rd[fire])
                 fire &= rd == lowest[rp]
@@ -560,7 +557,8 @@ def forward_layer(
     Pooling ignores ``policy``. A policy with ``layers="output"`` applies
     only when ``index`` is the network's last layer; elsewhere the layer
     runs without inhibition. The samples of a stack never interact: each
-    output grid is the one its input grid gives alone.
+    output grid is the one its input grid gives alone. A grid holding NaN or
+    -inf is rejected, naming its sample in a stack.
     """
     spec = network.spec
     layer = spec.layers[index]
@@ -571,12 +569,15 @@ def forward_layer(
             f"layer {index} input {in_shape}"
         )
     stack = times if times.ndim == 4 else times[None]
+    if not np.min(stack, initial=np.inf) > -np.inf:  # a NaN or -inf site: name its sample
+        for i, grid in enumerate(stack):
+            check_fire_times(grid, f"sample {i}: " if times.ndim == 4 else "")
     plan = window_plan(in_shape, layer)
     if layer.kind == POOL:
         out = _pool_times(stack, plan)
     else:
-        weights, thresholds = network.weights[index], network.thresholds[index]
-        if weights is None or thresholds is None:
+        thresholds = network.thresholds[index]
+        if network.weights[index] is None or thresholds is None:
             raise ValueError(f"layer {index} has uninitialized parameters")
         if policy.layers == "output" and index != len(spec.layers) - 1:
             policy = NO_INHIBITION
@@ -584,13 +585,11 @@ def forward_layer(
         # winner-take-all in a one-position layer settles its one column, the
         # whole layer, at the first crossing, where the event engine stops
         event = (wta or soft) and policy.scope == "layer" or wta and plan.positions == 1
-        # the scan of no inhibition and column WTA reads map-major weights
-        w_in = network.weights.input_major(index) if event or soft else None
+        w_in = network.weights.input_major(index)
         if event:
             out = _event_times(stack, w_in, thresholds, policy, plan)
         else:
-            out = _column_times(stack, weights, w_in, thresholds, policy, plan,
-                                network.w_min >= 0.0)
+            out = _column_times(stack, w_in, thresholds, policy, plan, network.w_min >= 0.0)
     return out if times.ndim == 4 else out[0]
 
 
@@ -616,7 +615,6 @@ def forward_times(
     """
     if input_times.ndim != 3:
         raise ValueError(f"input grid shape {input_times.shape} is not one (depth, H, W) grid")
-    check_fire_times(input_times)
     network.require_ready()
     grids = []
     times = input_times
@@ -641,18 +639,20 @@ def column_response(
 ) -> ColumnResult:
     """WTA response of one column to a patch of its receptive field.
 
-    ``patch_times`` is (in_maps, F_h, F_w) with +inf for silent sites;
-    ``weights`` is (maps, in_maps, F_h, F_w) and ``thresholds`` (maps,),
-    finite. The winner is the earliest crossing, ties resolved by lowest map
-    index. Every map walks the inputs in event order in the crossing scan's
-    slot-major blocks (module docstring), whose rows are the weight rows of
-    the block's inputs, ``weights.reshape(maps, -1).T[order[k0:k1]]``, so the
-    cost is maps x inputs up to the first crossing. A (window, maps)
-    input-major copy passed as its map-major view ``w_in.T.reshape(shape)``,
-    as ``train_layer`` does, makes those rows contiguous gathers; the answer
-    is the same for either layout. Once the first block decides nothing, one
-    bound, the sums so far plus each map's remaining inputs with the scan's
-    margin, ends a call on which no map can fire, if no weight is negative.
+    ``patch_times`` is (in_maps, F_h, F_w) with +inf for silent sites, and a
+    NaN or -inf site is rejected; ``weights`` is (maps, in_maps, F_h, F_w)
+    and ``thresholds`` (maps,), finite. The winner is the earliest crossing,
+    ties resolved by lowest map index. Every map walks the inputs in event
+    order in the crossing scan's slot-major blocks (module docstring), whose
+    rows are the input-major weight rows of the block's inputs,
+    ``w_in[order[k0:k1]]`` with ``w_in = weights.reshape(maps, -1).T``, so
+    the cost is maps x inputs up to the first crossing. A network's
+    ``weights[i]`` and ``train_layer``'s column are map-major views of a
+    C-contiguous (window, maps) array, whose rows are contiguous gathers;
+    the answer is the same for any layout. Once the first block decides
+    nothing, one bound, the sums so far plus each map's remaining inputs with
+    the scan's margin, ends a call on which no map can fire, if no weight is
+    negative.
     """
     maps = weights.shape[0]
     thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -661,14 +661,15 @@ def column_response(
                          f"fit weights {weights.shape}: need {weights.shape[1:]} and ({maps},)")
     if not np.isfinite(thresholds).all():
         raise ValueError(f"thresholds must be finite, got {thresholds}")
+    if not patch_times.min() > -np.inf:  # one pass finds a NaN or -inf site
+        check_fire_times(patch_times)
     order = _event_order(patch_times.reshape(1, -1))
-    w2 = weights.reshape(maps, -1)
-    rows = w2.T  # one row of map weights per window slot
+    w_in = weights.reshape(maps, -1).T  # one row of map weights per window slot
     carry = None
     k0, size = 0, _BLOCK0
     while k0 < order.size:
         k1 = min(k0 + size, order.size)
-        v = rows[order[k0:k1]]
+        v = w_in[order[k0:k1]]
         if carry is not None:
             v[0] += carry  # the same addition delivering this input one by one makes
         _running(np.add, v)
@@ -679,10 +680,10 @@ def column_response(
             return ColumnResult(int(crossed[k].argmax()), float(t))
         carry = v[-1]
         if k0 == 0 and k1 < order.size:
-            rest = np.zeros(w2.shape[1])
+            rest = np.zeros(len(w_in))
             rest[order[k1:]] = 1.0
-            bound = (carry + w2 @ rest) * (1.0 + 4 * w2.shape[1] * _EPS)
-            if not (bound >= thresholds).any() and w2.min() >= 0.0:
+            bound = (carry + rest @ w_in) * (1.0 + 4 * len(w_in) * _EPS)
+            if not (bound >= thresholds).any() and w_in.min() >= 0.0:
                 break
         k0, size = k1, 2 * size
     return ColumnResult(None, None)

@@ -7,9 +7,8 @@ column of IF neurons competes (WTA) over it: the first neuron to fire
 applies STDP and both threshold updates. After each epoch the learning
 rates decay by the annealing factor. The trained column is then broadcast
 onto every position of the layer (shared filters) before the next layer
-starts. While it trains, the column's weights are held input-major, one
-row of map weights per window slot (``train_layer``), at the cost of one
-transposed copy of that layer's weights.
+starts. The column trains in the layout the network stores, input-major,
+one row of map weights per window slot (``train_layer``).
 """
 
 from __future__ import annotations
@@ -196,15 +195,14 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
     ``input_grids`` are the frozen prefix's outputs, one (D, H, W) fire-time
     grid per training sample; a grid whose shape is not the layer input's, or
     that holds NaN or -inf, is rejected before training starts. Returns the
-    column's (weights, thresholds), the weights a C-contiguous map-major
-    (maps, in_maps, F_h, F_w) array.
+    column's (weights, thresholds), the weights (maps, in_maps, F_h, F_w).
 
-    The column is kept input-major while it trains, one row of map weights
-    per window slot, so ``column_response`` gathers each block's slots as
-    contiguous rows; it and ``apply_stdp`` get the map-major view
-    ``w_in.T.reshape(shape)`` and the winner's update is a strided write.
-    That costs one transposed copy of the layer being trained: 2 MB for an
-    fc512 over a 512-site window, 67 MB for the published fc4096.
+    The column is a C-contiguous (window, maps) array, one row of map weights
+    per window slot: the layout ``Network.weights`` stores, so
+    ``install_column`` copies it as it is. ``column_response`` gathers each
+    block's slots as contiguous rows of it; it and ``apply_stdp`` get its
+    map-major view ``w_in.T.reshape(shape)``, which is also what this returns,
+    and the winner's update is a strided write.
     """
     layer = spec.layers[index]
     if layer.kind == POOL:
@@ -261,7 +259,7 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
             log.add(index, epoch, rule.eta_w, params.eta_th, n, no_winner,
                     mean_t, wins)
 
-    return np.ascontiguousarray(weights), thresholds
+    return weights, thresholds
 
 
 def broadcast_column(network: Network, index: int, weights: np.ndarray,

@@ -560,8 +560,8 @@ class TestLockstep:
 
 
 class TestInputMajorRows:
-    """``Network.weights.input_major``, the one input-major copy of a layer's
-    weights that the lockstep and the event engine read."""
+    """``Network.weights.input_major``, the one stored (input-major) array of
+    a layer's weights that every engine reads."""
 
     def _net(self):
         rng = np.random.default_rng(93)
@@ -586,7 +586,10 @@ class TestInputMajorRows:
 
     def test_rows_are_the_transposed_weights(self):
         net, _ = self._net()
+        rng = np.random.default_rng(94)
         for i in (0, 2):
+            installed = rng.uniform(0.0, 1.0, net.spec.weight_shape(i))
+            net.weights[i] = installed
             w = net.weights[i]
             rows = net.weights.input_major(i)
             assert np.array_equal(rows, w.reshape(len(w), -1).T)
@@ -594,11 +597,35 @@ class TestInputMajorRows:
             assert net.weights.input_major(i) is rows  # made once
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 0.5
+            # the map-major slot is a read-only view of the same array
+            assert w.shape == net.spec.weight_shape(i) and np.array_equal(w, installed)
+            assert np.shares_memory(w, rows) and not w.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0, 0, 0] = 0.5
         with pytest.raises(ValueError, match="layer 1 holds no weights"):
             net.weights.input_major(1)  # pooling
         unready = Network(net.spec)
         with pytest.raises(ValueError, match="layer 2 holds no weights"):
             unready.weights.input_major(2)
+
+    def test_every_engine_reads_the_stored_array(self, monkeypatch):
+        # the array is stored at install, and every engine of a conv or fc
+        # layer reads it as it is: nothing is made on first use or kept beside it
+        net, stack = self._net()
+        stored = [net.weights.input_major(i) for i in (0, 2)]
+        made = []
+        real = type(net.weights).input_major
+        monkeypatch.setattr(type(net.weights), "input_major",
+                            lambda slots, i: made.append(i) or real(slots, i))
+        policies = (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft", v_inh=0.4))
+        times = stack
+        for i in range(3):
+            for policy in policies:
+                out = forward_layer(net, i, times, policy)
+            times = out
+        assert made == [0, 0, 0, 2, 2, 2]
+        assert all(real(net.weights, i) is rows for i, rows in zip((0, 2), stored))
+        assert vars(net.weights).keys() == {"_kind", "_spec", "_bounds", "_items"}
 
     @pytest.mark.parametrize("write", ["slot", "install"])
     def test_a_write_reaches_the_next_forward(self, write):
@@ -643,22 +670,6 @@ class TestInputMajorRows:
             assert ref() is None
         finally:
             gc.enable()
-
-    def test_only_an_engine_that_reads_rows_makes_them(self, monkeypatch):
-        net, stack = self._net()
-        made = []
-        real = type(net.weights).input_major
-        monkeypatch.setattr(type(net.weights), "input_major",
-                            lambda slots, i: made.append(i) or real(slots, i))
-        # no inhibition and column WTA in a conv layer scan map-major weights
-        for policy in (NO_INHIBITION, InhibitionPolicy("wta")):
-            forward_layer(net, 0, stack, policy)
-        forward_layer(net, 2, self._inputs(net, stack, 2))
-        assert made == [] and net.weights._rows == [None] * 3  # none made at install either
-        times = stack
-        for i in range(3):
-            times = forward_layer(net, i, times, InhibitionPolicy("soft", v_inh=0.4))
-        assert made == [0, 2]
 
 
 class TestColumnResponse:
@@ -796,15 +807,16 @@ class TestCrossingScan:
         res = column_response(times, weights, thresholds)
         assert (res.winner, res.fire_time) == (0, 0.3)
 
-    def test_non_finite_input_times_are_silent_in_every_engine(self):
+    def test_silent_input_sites_are_silent_in_every_engine(self):
+        # the +inf twin of test_rejects_non_finite's fc grid: the silent site
+        # adds nothing, and the last input crosses in every engine
         weights, thresholds = np.ones((1, 1, 1, 3)), np.array([2.0])
-        for bad in (-np.inf, np.nan):
-            times = np.array([[[bad, 0.2, 0.5]]])
-            net = _one_layer(times, weights, thresholds, kind="fc")
-            for policy in (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft")):
-                assert forward_layer(net, 0, times, policy).ravel().tolist() == [0.5]
-            res = column_response(times, weights, thresholds)
-            assert (res.winner, res.fire_time) == (0, 0.5)
+        times = np.array([[[np.inf, 0.2, 0.5]]])
+        net = _one_layer(times, weights, thresholds, kind="fc")
+        for policy in (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft")):
+            assert forward_layer(net, 0, times, policy).ravel().tolist() == [0.5]
+        res = column_response(times, weights, thresholds)
+        assert (res.winner, res.fire_time) == (0, 0.5)
 
     def test_column_response_matches_forward_layer(self):
         rng = np.random.default_rng(99)
@@ -1200,11 +1212,26 @@ class TestForwardValidation:
         net = Network(NetworkSpec(Shape3(2, 4, 4), [LayerSpec("conv", 2, 2, 2, 1, 0)]))
         net.weights[0] = np.ones((2, 2, 2, 2))
         net.thresholds[0] = np.ones(2)
+        fc_times = np.array([[[0.0, 0.2, 0.5]]])
+        fc = _one_layer(fc_times, np.ones((1, 1, 1, 3)), np.array([2.0]), kind="fc")
         for bad, name in ((np.nan, "NaN"), (-np.inf, "-inf")):
             grid = np.full((2, 4, 4), np.inf)
             grid[1, 2, 3] = bad
             with pytest.raises(ValueError, match=name):
                 forward_times(net, grid)
+            with pytest.raises(ValueError, match=f"^input spike times contain {name};"):
+                forward_layer(net, 0, grid)
+            stack = np.full((3, 2, 4, 4), np.inf)
+            stack[2] = grid
+            with pytest.raises(ValueError, match=f"^sample 2: input spike times contain {name};"):
+                forward_layer(net, 0, stack)
+            # every engine of a one-position layer, and training's column
+            fc_times[0, 0, 0] = bad
+            for policy in (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft")):
+                with pytest.raises(ValueError, match=name):
+                    forward_layer(fc, 0, fc_times, policy)
+            with pytest.raises(ValueError, match=f"^input spike times contain {name};"):
+                column_response(fc_times, np.ones((1, 1, 1, 3)), np.array([2.0]))
         # the same grid with the site silent runs
         assert forward_times(net, np.full((2, 4, 4), np.inf))[0].shape == (2, 3, 3)
 

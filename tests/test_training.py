@@ -237,13 +237,14 @@ class TestInputMajorColumn:
         assert changed.tolist() == [5]
         assert np.array_equal(w_in.T.reshape(weights.shape), weights)
 
-    def test_returns_c_contiguous_map_major_weights(self):
+    def test_returns_the_map_major_view_of_an_input_major_column(self):
         spec = _tiny_spec()
         rng = np.random.default_rng(23)
         grids = [np.where(rng.random((2, 8, 8)) < 0.5, rng.random((2, 8, 8)), np.inf)
                  for _ in range(4)]
         w, th = train_layer(spec, 0, grids, _quick_cfg(), RngStreams(3), 0.7)
-        assert w.shape == spec.weight_shape(0) and w.flags.c_contiguous
+        # the map-major view of the input-major column the network stores
+        assert w.shape == spec.weight_shape(0) and w.reshape(4, -1).T.flags.c_contiguous
         assert th.shape == (4,)
 
 
