@@ -22,9 +22,10 @@ row of every map's weight per window slot.
   ``v_inh == 0`` is the same thing) and every other competition confined
   to a column, soft inhibition in a one-position layer included. Inside a
   window the global event order is the order of the sites' ranks in
-  (time, site); a neuron's potential is a plain running sum of its
-  weights in that order until a fire in its column, map d's weight for
-  window slot k being ``w_in[k, d]``. When the network's bounds admit no
+  (time, site), found by one sort of the window's packed (rank, slot)
+  keys (``_live_rows``). A neuron's potential is a plain running sum of
+  its weights in that order until a fire in its column, map d's weight
+  for window slot k being ``w_in[k, d]``. When the network's bounds admit no
   negative weight the engine first drops every neuron whose total input,
   one matrix product widened by a margin larger than the rounding of any
   summation order, stays below its threshold: such a neuron can never
@@ -43,8 +44,8 @@ row of every map's weight per window slot.
   neurons; ``np.cumsum`` down the slots makes the same additions one after
   another, latency-bound, and serves only blocks of fewer than
   ``_VECTOR_ROWS`` neurons, where the per-call cost of the adds would
-  dominate. Slots past a row's last input hold silent slots' weights and
-  are never masked: running sums only rise when no weight is negative
+  dominate. Slots past a row's last input hold slot 0's weights and are
+  never masked: running sums only rise when no weight is negative
   (under signed weights the scan counts their running maximum instead), so
   the count of a row's sums below its threshold is its first crossing
   slot, and the row crossed if that slot is at most its last input. Soft
@@ -79,7 +80,7 @@ A pooling neuron fires at the earliest input time in its window.
 
 Every window comes from the layer's cached ``window_plan``, which
 inference, training's random patches and filter reconstruction all read;
-``_event_order`` is the one sort of the (time, site) event order.
+``_event_order`` is the one sort of a stack's events, in (time, site) order.
 """
 
 from __future__ import annotations
@@ -236,57 +237,72 @@ def _event_order(flat: np.ndarray) -> np.ndarray:
     """Flat indices of the finite entries of an (N, S) stack in event order.
 
     Sample by sample; within a sample in (time, site) order, ties keeping
-    (map, y, x) order.
+    (map, y, x) order. A stack regroups by a stable sort of sample indices in
+    the narrowest unsigned type, a radix sort up to 65,536 samples.
     """
     times = flat.ravel()
     f = np.nonzero(np.isfinite(times))[0]
     f = f[np.argsort(times[f], kind="stable")]
-    if flat.shape[0] > 1:  # regroup sample by sample; a stable sort keeps each one's order
-        f = f[np.argsort(f // flat.shape[1], kind="stable")]
+    n = flat.shape[0]
+    if n > 1:  # regroup sample by sample; a stable sort keeps each one's order
+        f = f[np.argsort((f // flat.shape[1]).astype(np.min_scalar_type(n - 1)), kind="stable")]
     return f
 
 
-def _event_ranks(flat: np.ndarray):
-    """Rank of every finite entry of an (N, S) stack in its sample's event order,
-    +inf if silent.
+def _event_ranks(flat: np.ndarray, window: int):
+    """Rank of every finite entry of an (N, S) stack in its sample's event order
+    times ``2**shift``, the bit length of ``window - 1``, so a window slot
+    fits the low bits; +inf if silent.
 
     Each sample's ranks start where the sample before it ended, so ranks are
     distinct across the stack and index the returned times in rank order.
+    A rank plus its slot is an exact float64 integer while ``events *
+    2**shift + window < 2**53``: at windows of up to 4,096 slots, for every
+    stack below 2**40 sites.
     """
     f = _event_order(flat)
+    shift = (window - 1).bit_length()
     rank = np.full(flat.shape, np.inf)
-    rank.ravel()[f] = np.arange(f.size)
+    rank.ravel()[f] = np.arange(0, f.size << shift, 1 << shift)
     return rank, flat.ravel()[f]
 
 
-def _live_rows(wr: np.ndarray, w_in: np.ndarray, thresholds: np.ndarray, nonneg: bool):
+def _live_rows(wr: np.ndarray, events: int, w_in: np.ndarray, thresholds: np.ndarray,
+               nonneg: bool):
     """The (map, position) rows of P windows that can fire, and their event order.
 
-    wr: (P, K) event ranks of the window slots (``_event_ranks``); w_in: the
-    (K, D) input-major weights. A position without input cannot fire. When
-    ``nonneg`` says no weight is negative, neither can a row whose total
-    input, ``finite @ w_in`` (taken transposed, one row per map) widened past
-    the rounding of any summation order, stays below its threshold:
-    inhibition only lowers a non-negative potential, so this bound never
-    decides a fire. Returns the positions ``pos`` holding a live row, their
-    window slots in event order (``order``, one row per kept position) and
-    input counts, and the rows ``rd``, ``rp`` in (map, position) order,
-    ``rp`` indexing ``pos``.
+    wr: (P, K) scaled event ranks of the window slots (``_event_ranks``)
+    of a stack of ``events`` events; w_in: the (K, D) input-major weights.
+    A position without input cannot fire. When ``nonneg`` says no weight is
+    negative, neither can a row whose total input, ``finite @ w_in`` (taken
+    transposed, one row per map) widened past the rounding of any summation
+    order, stays below its threshold: inhibition only lowers a non-negative
+    potential, so this bound never decides a fire. One ``np.sort`` of a
+    kept window's keys, rank plus slot, gives its event order: finite keys
+    are distinct and silent ones stay +inf, so any sort gives the same keys.
+    Returns the positions ``pos`` holding a live row; their keys' low and
+    high bits in that order, ``order`` and ``ranks`` (+inf: slot 0, rank
+    ``events``), and input counts; and the rows ``rd``, ``rp`` in (map,
+    position) order, ``rp`` indexing ``pos``.
     """
+    shift = (wr.shape[1] - 1).bit_length()
     finite = np.isfinite(wr)
-    count = finite.sum(axis=1)
-    live = count > 0
-    if nonneg:
+    if nonneg:  # a window without input has bound 0, below every (positive) threshold
         bound = (w_in.T @ finite.T.astype(np.float64)) * (1.0 + 4 * len(w_in) * _EPS)
-        live = ~(bound < thresholds[:, None]) & live
+        live = ~(bound < thresholds[:, None])
     else:
-        live = np.broadcast_to(live, (w_in.shape[1], wr.shape[0]))
+        live = np.broadcast_to(finite.any(axis=1), (w_in.shape[1], wr.shape[0]))
     pos = np.nonzero(live.any(axis=0))[0]
-    rd, rp = np.nonzero(live[:, pos])
-    count = count[pos]
-    # finite ranks are distinct, so any sort gives the one event order
-    order = np.argsort(wr[pos], axis=1)[:, :int(count.max(initial=0))]
-    return pos, order, count, rd, rp
+    rp = np.flatnonzero(live[:, pos])
+    rd = rp // pos.size
+    rp -= rd * pos.size
+    count = finite[pos].sum(axis=1)
+    keys = wr[pos]
+    keys += np.arange(wr.shape[1], dtype=np.float64)  # each slot's index in the low bits
+    keys.sort(axis=1)
+    keys = keys[:, :int(count.max(initial=0))]  # clamped past every rank while cast
+    keys = np.minimum(keys, events << shift, out=np.empty(keys.shape, np.int64), casting="unsafe")
+    return pos, keys & ((1 << shift) - 1), keys >> shift, count, rd, rp
 
 
 def _running(ufunc, v: np.ndarray) -> np.ndarray:
@@ -316,27 +332,26 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     ``nonneg``: no weight is negative.
 
     Each block is slot-major, one row per input slot and one column per
-    neuron row, gathered from the flat input-major weights at
-    ``slot * maps + map``. Slots past a row's last input hold the weights of
-    silent slots, so the running sums (the running maximum of them when a
-    weight may be negative, which rises as they do) are only tested against
-    the threshold: a row's count of them below its threshold is its first
-    crossing slot in the block, and the row crossed there if that slot is at
-    most its last input.
+    neuron row: ``take`` from the flat input-major weights at ``slot * maps
+    + map``, its slots a row slice of ``order`` laid out step by step. Slots
+    past a row's last input hold slot 0's weights, so the running sums (the
+    running maximum of them when a weight may be negative, which rises as
+    they do) are only tested against the threshold: a row's count of them
+    below its threshold is its first crossing slot in the block, and the
+    row crossed there if that slot is at most its last input.
     """
     w_flat = w_in.ravel()
     n = count[rp]  # inputs left
     slot = np.full(rp.size, -1)
     row = np.arange(rp.size)
-    kmax = int(n.max(initial=0))
-    at = order * w_in.shape[1]  # where each slot's row of map weights starts in w_flat
+    at = np.multiply(order.T, w_in.shape[1], order="C")  # row k: k-th slots' rows in w_flat
     carry = None
     k0, size = 0, _BLOCK0
-    while k0 < kmax:
-        k1 = min(k0 + size, kmax)
-        v = at[:, k0:k1].T.take(rp, axis=1)  # row k: each row's (k0 + k)-th slot
+    while k0 < len(at):
+        k1 = min(k0 + size, len(at))
+        v = at[k0:k1].take(rp, axis=1)  # row k: each row's (k0 + k)-th slot
         v += rd
-        v = w_flat[v]
+        v = w_flat.take(v)
         if carry is not None:
             v[0] += carry  # the same addition delivering this input one by one makes
         _running(np.add, v)
@@ -348,16 +363,16 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
             if column:  # every row of a position stops at its earliest crossing
                 first = np.full(order.shape[0], k1 - k0)
                 np.minimum.at(first, rp[hit], kk[hit])
-                first = first[rp]
+                first = first.take(rp)
                 done |= first < k1 - k0
                 hit &= kk == first
             slot[row[hit]] = k0 + kk[hit]
             done |= hit
-        keep = ~done
-        if not keep.any():
+        keep = np.flatnonzero(~done)
+        if not keep.size:
             break
-        row, rp, rd, th_r, n = row[keep], rp[keep], rd[keep], th_r[keep], n[keep]
-        carry = v[-1, keep]
+        row, rp, rd, th_r, n = (a.take(keep) for a in (row, rp, rd, th_r, n))
+        carry = v[-1].take(keep)
         k0, size = k1, 2 * size
     return slot
 
@@ -413,9 +428,9 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     return out
 
 
-def _fire_times(ranked_t, wr, pos, order, rp, slot):
-    """Times of the inputs at ``slot`` of the kept positions ``rp`` (``_live_rows``)."""
-    return ranked_t[wr[pos[rp], order[rp, slot]].astype(np.int64)]
+def _fire_times(ranked_t, ranks, rp, slot):
+    """Times of the inputs at ``slot`` of the kept positions ``rp``: one rank gather."""
+    return ranked_t[ranks[rp, slot]]
 
 
 def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _Plan,
@@ -432,7 +447,7 @@ def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _P
     n, d_out, positions = times_in.shape[0], w_in.shape[1], plan.positions
     wta = policy.mode == "wta"
     v_inh = policy.v_inh if policy.mode == "soft" else 0.0
-    rank, ranked_t = _event_ranks(plan.flat_stack(times_in))
+    rank, ranked_t = _event_ranks(plan.flat_stack(times_in), plan.window)
     out = np.full((d_out, n * positions), np.inf)
     if v_inh > 0.0:  # a chunk lays out its windows and its (position, map) state
         chunk = max(1, _CHUNK_ELEMS // (plan.window + d_out))
@@ -444,7 +459,7 @@ def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _P
         lo = s0 * positions + p0
         wr = rank[s0:s0 + samples].take(plan.win_index[p0:p0 + span], axis=1)
         wr = wr.reshape(-1, plan.window)
-        pos, order, count, rd, rp = _live_rows(wr, w_in, thresholds, nonneg)
+        pos, order, ranks, count, rd, rp = _live_rows(wr, ranked_t.size, w_in, thresholds, nonneg)
         if v_inh > 0.0:
             th = np.full((pos.size, d_out), np.inf)
             th[rp, rd] = thresholds[rd]
@@ -459,7 +474,7 @@ def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _P
                 np.minimum.at(lowest, rp[fire], rd[fire])
                 fire &= rd == lowest[rp]
             rd, rp, slot = rd[fire], rp[fire], slot[fire]
-        out[rd, lo + pos[rp]] = _fire_times(ranked_t, wr, pos, order, rp, slot)
+        out[rd, lo + pos[rp]] = _fire_times(ranked_t, ranks, rp, slot)
     out = out.reshape(d_out, n, plan.out_shape.height, plan.out_shape.width)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 

@@ -1138,6 +1138,67 @@ class TestStacks:
         assert forward_layer(net, 0, np.empty((0, 1, 3, 3))).shape == (0, 2, 2, 2)
 
 
+class TestPackedKeys:
+    """Window order from one sort of packed (rank, slot) keys."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 16, 17, 50, 400])
+    def test_live_rows_order_is_a_stable_argsort_of_the_ranks(self, window):
+        # each sample of the stack is one window; the first is all silent,
+        # the second all firing, the rest hold tie-heavy ragged inputs
+        rng = np.random.default_rng(window)
+        shape = Shape3(1, 1, window)
+        counts = [0, window] + rng.integers(0, window + 1, 6).tolist()
+        flat = np.stack([random_grid(rng, shape, n, tie_heavy=True).ravel() for n in counts])
+        wr, ranked_t = sim._event_ranks(flat, window)
+        events = ranked_t.size
+        assert events == sum(counts) and np.isfinite(ranked_t).all()
+        assert np.array_equal(np.isinf(wr), np.isinf(flat))
+        plain = wr / 2 ** (window - 1).bit_length()  # ranks scaled past the slot bits
+        assert (plain[np.isfinite(plain)] % 1 == 0).all()
+        pos, order, ranks, count, rd, rp = sim._live_rows(wr, events, np.zeros((window, 1)),
+                                                          np.ones(1), False)
+        assert pos.tolist() == [i for i, n in enumerate(counts) if n]
+        assert count.tolist() == [n for n in counts if n]
+        assert order.shape == ranks.shape == (pos.size, window)
+        for p, o, r, n in zip(pos, order, ranks, count):
+            # a stable argsort puts the inputs in rank order, silent slots after them
+            want = np.argsort(plain[p], kind="stable")[:n]
+            assert o[:n].tolist() == want.tolist()
+            assert r[:n].tolist() == plain[p, want].tolist()
+            assert np.array_equal(ranked_t[r[:n]], flat[p, o[:n]])
+            # past its inputs a window holds slot 0 and the rank after every event
+            assert (o[n:] == 0).all() and (r[n:] == events).all()
+
+    @pytest.mark.parametrize("n", [2, 300, 70_000])
+    def test_event_order_keeps_each_sample_together(self, n):
+        # one site a sample, in falling time: the time sort reverses the
+        # stack, and the regroup (uint8, uint16, then a wider sample key)
+        # must put every sample's event back in its place
+        rng = np.random.default_rng(n)
+        flat = np.linspace(1.0, 0.0, n)[:, None]
+        flat[rng.random(n) < 0.25] = INF
+        assert np.array_equal(sim._event_order(flat), np.flatnonzero(np.isfinite(flat)))
+
+    def test_seventy_thousand_sample_stack_equals_its_single_grids(self):
+        net = _one_layer(np.zeros((1, 1, 1)), np.array([1.0, 0.5]).reshape(2, 1, 1, 1),
+                         np.array([0.75, 0.75]), kind="fc")
+        rng = np.random.default_rng(70)
+        stack = np.round(rng.random((70_000, 1, 1, 1)) * 64) / 64
+        stack[rng.random(70_000) < 0.25] = INF
+        # a sample's output depends on its one input time alone, so one
+        # single grid per distinct time stands for every sample holding it
+        times, which = np.unique(stack, return_inverse=True)
+        assert times.size == 66 and np.isinf(times[-1])
+        for policy in (NO_INHIBITION, InhibitionPolicy("soft", v_inh=0.5),
+                       InhibitionPolicy("wta")):
+            out = forward_layer(net, 0, stack, policy)
+            singles = np.stack([forward_layer(net, 0, np.full((1, 1, 1), t), policy)
+                                for t in times])
+            assert np.array_equal(out, singles[which.ravel()])
+            # map 0 fires at its one input, map 1 never
+            assert np.array_equal(out[:, 0], stack[:, 0]) and np.isinf(out[:, 1]).all()
+
+
 @st.composite
 def _bound_cases(draw):
     """A drawn network with non-negative weights under bounds [0, 1], the same
@@ -1174,7 +1235,7 @@ class TestSignFromBounds:
         flags = []
         real = sim._live_rows
         monkeypatch.setattr(sim, "_live_rows",
-                            lambda *a: flags.append(a[3]) or real(*a))
+                            lambda *a: flags.append(a[4]) or real(*a))
         grid = np.full((1, 3, 3), 0.25)
         for w_min, nonneg in ((0.0, True), (0.5, True), (-0.1, False)):
             net = Network(NetworkSpec(Shape3(1, 3, 3), [LayerSpec("conv", 2, 2, 2, 1, 0)]),
