@@ -20,7 +20,6 @@ from .plasticity import (
     ThresholdParams,
     adapt_threshold_target,
     adapt_threshold_winner,
-    adapt_threshold_wta,
     apply_stdp,
 )
 from .readout import (

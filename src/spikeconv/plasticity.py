@@ -21,7 +21,6 @@ __all__ = [
     "stdp_delta_array",
     "apply_stdp",
     "adapt_threshold_target",
-    "adapt_threshold_wta",
     "adapt_threshold_winner",
 ]
 
@@ -134,19 +133,6 @@ def apply_stdp(weights: np.ndarray, winner: int, pre_times: np.ndarray,
 def adapt_threshold_target(v_th: float, t_fire: float, params: ThresholdParams) -> float:
     """Move a fired neuron's threshold to correct its timing error."""
     return max(params.th_min, v_th - params.eta_th * (t_fire - params.t_target))
-
-
-def adapt_threshold_wta(thresholds: np.ndarray, fire_times,
-                        eta_th: float, th_min: float) -> np.ndarray:
-    """``adapt_threshold_winner`` for the column's fire times (None = silent).
-
-    The winner is the earliest fire time, ties to the lowest index; at least
-    one neuron must have fired.
-    """
-    keyed = [(t, i) for i, t in enumerate(fire_times) if t is not None]
-    if not keyed:
-        raise ValueError("adapt_threshold_wta needs at least one fired neuron")
-    return adapt_threshold_winner(thresholds, min(keyed)[1], eta_th, th_min)
 
 
 def adapt_threshold_winner(thresholds: np.ndarray, winner: int,

@@ -32,10 +32,13 @@ row of every map's weight per window slot.
   fire, inhibition only lowers a non-negative potential, and the bound
   never decides a fire. Without inhibition and under
   winner-take-all, one scan finds the first crossings; training's single
-  column (``column_response``) walks every map through the same blocks. The
-  remaining neurons walk their sorted inputs in blocks of doubling size and
-  leave at their first crossing; under winner-take-all a column leaves at
-  its first, where its lowest crossing map fires. Each block's running
+  column (``column_response``) walks every map through the same blocks,
+  with no bound, until the first input any map crosses at or the end of
+  its inputs. The remaining neurons walk their sorted inputs in blocks of
+  doubling size and leave at their first crossing; under winner-take-all
+  a column leaves at its first, where its lowest crossing map fires: each
+  crossing is keyed ``slot * maps + map``, so the one reduction that finds
+  a column's earliest crossing also picks that map. Each block's running
   sums start from the sum the block before ended with, so every partial
   sum is the same sequence of float additions a single cumulative sum
   would make, and the outputs are bitwise those of delivering the events
@@ -328,8 +331,9 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     weights. Row r adds map ``rd[r]``'s weights, ``w_in[slot, rd[r]]``, in
     event order and fires at the first slot where the running sum reaches
     ``th_r[r]``. With ``column`` the rows of a position stop together at the
-    position's earliest crossing, and only the rows crossing there fire.
-    ``nonneg``: no weight is negative.
+    position's earliest crossing, and only its lowest crossing map fires:
+    one ``np.minimum.at`` over the keys ``slot * maps + map`` of a block's
+    crossings finds both. ``nonneg``: no weight is negative.
 
     Each block is slot-major, one row per input slot and one column per
     neuron row: ``take`` from the flat input-major weights at ``slot * maps
@@ -340,7 +344,7 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     below its threshold is its first crossing slot in the block, and the
     row crossed there if that slot is at most its last input.
     """
-    w_flat = w_in.ravel()
+    maps, w_flat = w_in.shape[1], w_in.ravel()
     n = count[rp]  # inputs left
     slot = np.full(rp.size, -1)
     row = np.arange(rp.size)
@@ -360,12 +364,13 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
         hit = kk < np.minimum(n, k1) - k0  # the crossing is at one of the row's inputs
         done = n <= k1
         if hit.any():
-            if column:  # every row of a position stops at its earliest crossing
-                first = np.full(order.shape[0], k1 - k0)
-                np.minimum.at(first, rp[hit], kk[hit])
+            if column:  # a position stops at its earliest crossing; its lowest map fires
+                key = kk * maps + rd
+                first = np.full(order.shape[0], (k1 - k0) * maps)
+                np.minimum.at(first, rp[hit], key[hit])
                 first = first.take(rp)
-                done |= first < k1 - k0
-                hit &= kk == first
+                done |= first < (k1 - k0) * maps
+                hit &= key == first
             slot[row[hit]] = k0 + kk[hit]
             done |= hit
         keep = np.flatnonzero(~done)
@@ -439,8 +444,9 @@ def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _P
 
     The N samples of the stack are one layer of N x P positions, sample by
     sample. One crossing scan per chunk of them, stopping each column at its
-    earliest crossing under winner-take-all; soft inhibition steps every
-    column of a chunk through its inputs in lockstep (module docstring).
+    earliest crossing under winner-take-all, where only its lowest crossing
+    map fires; soft inhibition steps every column of a chunk through its
+    inputs in lockstep (module docstring).
     Both read ``w_in``, the layer's (window, maps) input-major weights
     (``Network.weights.input_major``). ``nonneg``: no weight is negative.
     """
@@ -469,10 +475,6 @@ def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _P
         else:
             slot = _first_crossings(order, count, w_in, rd, rp, thresholds[rd], wta, nonneg)
             fire = slot >= 0
-            if wta:  # of the maps crossing at a column's stop, the lowest fires
-                lowest = np.full(pos.size, d_out)
-                np.minimum.at(lowest, rp[fire], rd[fire])
-                fire &= rd == lowest[rp]
             rd, rp, slot = rd[fire], rp[fire], slot[fire]
         out[rd, lo + pos[rp]] = _fire_times(ranked_t, ranks, rp, slot)
     out = out.reshape(d_out, n, plan.out_shape.height, plan.out_shape.width)
@@ -575,6 +577,7 @@ def forward_layer(
     output grid is the one its input grid gives alone. A grid holding NaN or
     -inf is rejected, naming its sample in a stack.
     """
+    times = np.asarray(times, dtype=np.float64)  # an integer grid has no +inf
     spec = network.spec
     layer = spec.layers[index]
     in_shape = spec.shapes[index].astuple()
@@ -664,10 +667,8 @@ def column_response(
     the cost is maps x inputs up to the first crossing. A network's
     ``weights[i]`` and ``train_layer``'s column are map-major views of a
     C-contiguous (window, maps) array, whose rows are contiguous gathers;
-    the answer is the same for any layout. Once the first block decides
-    nothing, one bound, the sums so far plus each map's remaining inputs with
-    the scan's margin, ends a call on which no map can fire, if no weight is
-    negative.
+    the answer is the same for any layout. The scan ends at the first input
+    any map crosses at, or when the inputs run out with no winner.
     """
     maps = weights.shape[0]
     thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -694,11 +695,5 @@ def column_response(
             t = patch_times.ravel()[order[k0 + k]]
             return ColumnResult(int(crossed[k].argmax()), float(t))
         carry = v[-1]
-        if k0 == 0 and k1 < order.size:
-            rest = np.zeros(len(w_in))
-            rest[order[k1:]] = 1.0
-            bound = (carry + rest @ w_in) * (1.0 + 4 * len(w_in) * _EPS)
-            if not (bound >= thresholds).any() and w_in.min() >= 0.0:
-                break
         k0, size = k1, 2 * size
     return ColumnResult(None, None)

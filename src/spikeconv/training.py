@@ -181,6 +181,7 @@ def sample_patch(rng: np.random.Generator, field_times: np.ndarray,
     """
     if layer.kind == POOL:
         raise ValueError("pooling layers have no receptive field to train")
+    field_times = np.asarray(field_times, dtype=np.float64)  # padded with +inf
     plan = window_plan(field_times.shape, layer)
     pos = int(rng.integers(plan.positions))
     patch = plan.pad_times(field_times).ravel()[plan.win_index[pos]]

@@ -280,6 +280,21 @@ def stdp_delta(rule, t_pre, t_post: float, w: float,
     raise TypeError(f"unknown STDP rule {rule!r}")
 
 
+def adapt_threshold_wta(thresholds: np.ndarray, fire_times,
+                        eta_th: float, th_min: float) -> np.ndarray:
+    """``adapt_threshold_winner`` for the column's fire times (None = silent).
+
+    The winner is the earliest fire time, ties to the lowest index; at least
+    one neuron must have fired.
+    """
+    from spikeconv.plasticity import adapt_threshold_winner
+
+    keyed = [(t, i) for i, t in enumerate(fire_times) if t is not None]
+    if not keyed:
+        raise ValueError("adapt_threshold_wta needs at least one fired neuron")
+    return adapt_threshold_winner(thresholds, min(keyed)[1], eta_th, th_min)
+
+
 def decode(t, t_target: float, t_end: float) -> float:
     """Inverse latency code in [0, 1]; ``t`` may be None / +inf (no spike).
 

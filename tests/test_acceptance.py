@@ -27,7 +27,6 @@ from spikeconv import (
     ThresholdParams,
     TrainConfig,
     adapt_threshold_target,
-    adapt_threshold_wta,
     apply_stdp,
     decode_grid,
     extract_features,
@@ -43,7 +42,7 @@ from spikeconv.modelio import network_bytes
 from spikeconv.simulate import forward_times
 from spikeconv.training import encode_dataset
 
-from oracles import DenseSimulator
+from oracles import DenseSimulator, adapt_threshold_wta
 from util import random_grid, random_network, synthetic_convergence_run
 
 MNIST_DIR = Path(os.environ.get("SPIKECONV_MNIST_DIR", "/root/data/mnist"))

@@ -90,11 +90,9 @@ def test_dataset_entry_signatures_are_pinned(module, name, params):
     ("training", "broadcast_column", "(network, index, weights, thresholds, t_target=None)"),
     ("network", "Network.__init__", "(self, spec, w_min=0.0, w_max=1.0)"),
     ("network", "Network.install_column", "(self, index, weights, thresholds, t_target=None)"),
-    ("plasticity", "adapt_threshold_wta", "(thresholds, fire_times, eta_th, th_min)"),
 ])
 def test_benchmark_entry_signatures_are_pinned(module, name, params):
     # benchmarks/workloads.py calls these, or wraps column_response with a
-    # function of the same three arguments, and the acceptance tests call
-    # adapt_threshold_wta, so their parameters may not move
+    # function of the same three arguments, so their parameters may not move
     func = functools.reduce(getattr, name.split("."), importlib.import_module(f"spikeconv.{module}"))
     assert _parameters(func) == params

@@ -8,12 +8,11 @@ from spikeconv import (
     ThresholdParams,
     adapt_threshold_target,
     adapt_threshold_winner,
-    adapt_threshold_wta,
     apply_stdp,
 )
 from spikeconv.plasticity import stdp_delta_array
 
-from oracles import stdp_delta
+from oracles import adapt_threshold_wta, stdp_delta
 
 SILENT = np.inf
 

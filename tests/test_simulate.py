@@ -15,7 +15,9 @@ from spikeconv import (
 )
 import spikeconv.simulate as sim
 from spikeconv.modelio import network_bytes
+from spikeconv.readout import extract_features
 from spikeconv.simulate import forward_layer, forward_times
+from spikeconv.training import sample_patch
 
 from oracles import DenseSimulator, column_reference
 from util import drawn_network, random_grid, random_network
@@ -788,6 +790,29 @@ class TestCrossingScan:
             want = _cumsum_reference(times, weights, thresholds, wta)
             assert np.array_equal(got, want)
 
+    def test_column_wta_stops_each_column_at_its_own_first_crossing(self):
+        # two columns of one 40-slot window, rows of a (1, 2, 40) field. The
+        # first sees its inputs in slot order: maps 1 and 2 tie at slot 20,
+        # in the second block, and map 0 crosses one slot later, so map 1
+        # wins. The second sees slots 32-39 first: map 2 crosses at its 7th
+        # input and map 0 at its 8th, both in the first block, so map 2 wins
+        w = np.ones((3, 40))
+        w[[0, 2], 32:] = 3.0
+        weights = w.reshape(3, 1, 1, 40)
+        thresholds = np.array([22.0, 21.0, 21.0])
+        times = np.empty((1, 2, 40))
+        times[0, 0] = np.arange(1, 41) / 128
+        times[0, 1] = np.concatenate([np.arange(9, 41), np.arange(1, 9)]) / 128
+        net = _one_layer(times, weights, thresholds)
+        free = forward_layer(net, 0, times)[:, :, 0]
+        assert free[:, 0].tolist() == [22 / 128, 21 / 128, 21 / 128]
+        assert free[:, 1].tolist() == [8 / 128, 21 / 128, 7 / 128]
+        want = np.full((3, 2, 1), np.inf)
+        want[1, 0, 0], want[2, 1, 0] = 21 / 128, 7 / 128
+        got = forward_layer(net, 0, times, InhibitionPolicy("wta"))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, _cumsum_reference(times, weights, thresholds, True))
+
     def test_threshold_at_exact_sequential_sum_fires(self):
         # in time order (slot 2, 1, 0) the running sum rounds up twice and
         # lands exactly on the threshold; summed in window order it rounds
@@ -855,7 +880,7 @@ def _column_cases(draw):
     """One column of up to 64 maps x 600 inputs over a tie-heavy patch, its
     weights signed or non-negative; a map's threshold often equals one of its
     exact sequential partial sums past the first block (often the whole
-    patch's), which the bound's margin must keep."""
+    patch's), which only the scan's own order of additions reaches."""
     d_in = draw(st.integers(1, 6))
     fh, fw = draw(st.sampled_from([(1, 3), (3, 3), (5, 5), (4, 10), (10, 10)]))
     maps = draw(st.integers(1, 64))
@@ -874,7 +899,7 @@ def _column_cases(draw):
         reach = np.maximum(weights, 0.0).reshape(maps, -1).sum(axis=1)
         thresholds = reach + rng.uniform(0.01, 1.0, maps)
     exact = draw(st.sampled_from([0.0, 0.05, 0.6]))
-    whole = draw(st.booleans())  # whole-patch sums only: the margin alone keeps them
+    whole = draw(st.booleans())  # whole-patch sums only: a crossing at the last input
     for d in range(maps):
         if slots.size and rng.random() < exact:
             sums = np.cumsum(weights[d].ravel()[slots])
@@ -900,19 +925,6 @@ def _column_winner(times, weights, thresholds):
     return res.winner, res.fire_time
 
 
-def _gather_counter():
-    """An ndarray type whose instances count the slot-major row gathers
-    (``rows[order[k0:k1]]``, one index array) made from them."""
-    class Counted(np.ndarray):
-        gathers = 0
-
-        def __getitem__(self, key):
-            if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
-                Counted.gathers += 1
-            return super().__getitem__(key)
-    return Counted
-
-
 class TestColumnScan:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(_column_cases())
@@ -930,28 +942,23 @@ class TestColumnScan:
         thresholds[1] = k + 2.0  # map 2 alone crosses at k
         assert _column_winner(times, weights, thresholds) == (2, k / 128)
 
-    def test_bound_ends_a_column_no_map_can_fire_after_one_block(self):
+    def test_column_no_map_reaches_has_no_winner(self):
+        # every threshold sits just above its map's whole-patch sum, so the
+        # scan walks all 200 inputs in blocks of 16, 32, 64 and 88 and no
+        # map fires, with or without a negative weight
         rng = np.random.default_rng(31)
         times = rng.random((2, 10, 10))
         weights = rng.uniform(0.0, 1.0, (8, 2, 10, 10))
         thresholds = weights.reshape(8, -1).sum(axis=1) + 1e-9
-        counted = _gather_counter()
         assert _column_winner(times, weights, thresholds) == (None, None)
-        column_response(times, weights.view(counted), thresholds)
-        assert counted.gathers == 1
-        # one negative weight: the bound may not end the call, so the scan
-        # walks all 200 inputs in blocks of 16, 32, 64 and 88
         weights[3, 1, 9, 9] = -0.5
-        counted.gathers = 0
         assert _column_winner(times, weights, thresholds) == (None, None)
-        column_response(times, weights.view(counted), thresholds)
-        assert counted.gathers == 4
 
     def test_threshold_at_exact_sequential_sum_past_the_first_block_fires(self):
         # after a first block of zero weights, a weight of 1.0 and then 16
         # weights just over half its ulp: the running sum rounds up at each
         # of them and lands exactly on map 0's threshold, while any other
-        # summation order, the bound's product included, falls short of it
+        # summation order, a dot product included, falls short of it
         small = 2.0 ** -53 + 2.0 ** -60
         w = np.concatenate([np.full(16, small), np.zeros(16), [1.0]])
         times = np.concatenate([np.arange(16) / 64 + 0.5, np.zeros(16), [0.25]])
@@ -961,9 +968,9 @@ class TestColumnScan:
         thresholds = np.array([th, np.nextafter(th, np.inf)])
         assert _column_winner(times.reshape(1, 1, 33), weights, thresholds) == (0, 0.5 + 15 / 64)
 
-    def test_negative_weight_crossing_below_the_bound_is_found(self):
+    def test_negative_weight_crossing_above_the_final_sum_is_found(self):
         # the map's running sum reaches its threshold past the first block,
-        # and a late negative weight leaves its total, hence the bound, below
+        # and a late negative weight leaves its whole-patch sum below it
         times = (np.arange(60, dtype=float) / 64).reshape(1, 6, 10)
         w = np.zeros(60)
         w[20] = 2.0
@@ -1295,6 +1302,36 @@ class TestForwardValidation:
                 column_response(fc_times, np.ones((1, 1, 1, 3)), np.array([2.0]))
         # the same grid with the site silent runs
         assert forward_times(net, np.full((2, 4, 4), np.inf))[0].shape == (2, 3, 3)
+
+    def test_integer_grid_runs_as_its_float_copy(self):
+        # an integer grid cannot hold the +inf of a silent or padded site, so
+        # every entry reads it as float64 first
+        rng = np.random.default_rng(3)
+        spec = NetworkSpec(Shape3(2, 8, 8), [LayerSpec("conv", 3, 3, 4, 1, 1),
+                                             LayerSpec("pool", 2, 2, 4, 2, 0),
+                                             LayerSpec("fc", 4, 4, 5, 1, 0)])
+        net = Network(spec)
+        for i, th in ((0, 3.0), (2, 6.0)):
+            net.weights[i] = rng.uniform(0.0, 1.0, spec.weight_shape(i))
+            net.thresholds[i] = rng.uniform(1.0, th, spec.layers[i].maps)
+        net.t_targets[2] = 1.0
+        grids = rng.integers(0, 3, (3, 2, 8, 8))
+        floats = grids.astype(np.float64)
+        for policy in (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft")):
+            for got, want in zip(forward_times(net, grids[0], policy),
+                                 forward_times(net, floats[0], policy)):
+                assert got.dtype == np.float64 and np.array_equal(got, want)
+            assert np.array_equal(forward_layer(net, 0, grids, policy),
+                                  forward_layer(net, 0, floats, policy))
+            assert np.array_equal(extract_features(net, list(grids), 3.0, policy),
+                                  extract_features(net, list(floats), 3.0, policy))
+        padded = 0
+        for seed in range(20):
+            got = sample_patch(np.random.default_rng(seed), grids[0], spec.layers[0])
+            want = sample_patch(np.random.default_rng(seed), floats[0], spec.layers[0])
+            assert np.array_equal(got, want)
+            padded += np.isinf(got).any()
+        assert padded
 
     def test_unready_network_rejected(self):
         net = Network(NetworkSpec(Shape3(2, 4, 4), [LayerSpec("conv", 2, 2, 2, 1, 0)]))
