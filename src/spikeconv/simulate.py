@@ -25,18 +25,18 @@ row of every map's weight per window slot.
   (time, site), found by one sort of the window's packed (rank, slot)
   keys (``_live_rows``). A neuron's potential is a plain running sum of
   its weights in that order until a fire in its column, map d's weight
-  for window slot k being ``w_in[k, d]``. When the network's bounds admit no
-  negative weight the engine first drops every neuron whose total input,
-  one matrix product widened by a margin larger than the rounding of any
-  summation order, stays below its threshold: such a neuron can never
-  fire, inhibition only lowers a non-negative potential, and the bound
-  never decides a fire. Without inhibition and under
-  winner-take-all, one scan finds the first crossings; training's single
-  column (``column_response``) walks every map through the same blocks,
-  with no bound, until the first input any map crosses at or the end of
-  its inputs. The remaining neurons walk their sorted inputs in blocks of
-  doubling size and leave at their first crossing; under winner-take-all
-  a column leaves at its first, where its lowest crossing map fires: each
+  for window slot k being ``w_in[k, d]``. Without inhibition and under
+  winner-take-all, one scan finds the first crossings. In a layer of
+  several positions whose bounds admit no negative weight, it first drops
+  every neuron whose total input, one matrix product widened by a margin
+  larger than the rounding of any summation order, stays below its
+  threshold: such a neuron can never fire, and the bound never decides a
+  fire. Training's single column (``column_response``) walks every map
+  through the same blocks, with no bound, until the first input any map
+  crosses at or the end of its inputs. The remaining neurons walk their
+  sorted inputs in blocks of doubling size and leave at their first
+  crossing; under winner-take-all a column leaves at its first, where its
+  lowest crossing map fires: each
   crossing is keyed ``slot * maps + map``, so the one reduction that finds
   a column's earliest crossing also picks that map. Each block's running
   sums start from the sum the block before ended with, so every partial
@@ -271,16 +271,16 @@ def _event_ranks(flat: np.ndarray, window: int):
 
 
 def _live_rows(wr: np.ndarray, events: int, w_in: np.ndarray, thresholds: np.ndarray,
-               nonneg: bool):
+               bound: bool):
     """The (map, position) rows of P windows that can fire, and their event order.
 
     wr: (P, K) scaled event ranks of the window slots (``_event_ranks``)
     of a stack of ``events`` events; w_in: the (K, D) input-major weights.
-    A position without input cannot fire. When ``nonneg`` says no weight is
-    negative, neither can a row whose total input, ``finite @ w_in`` (taken
-    transposed, one row per map) widened past the rounding of any summation
-    order, stays below its threshold: inhibition only lowers a non-negative
-    potential, so this bound never decides a fire. One ``np.sort`` of a
+    A position without input cannot fire. With ``bound`` (the block scan of
+    a layer of several positions, where no weight is negative), neither can
+    a row whose total input, ``finite @ w_in`` (taken transposed, one row
+    per map) widened past the rounding of any summation order, stays below
+    its threshold; the bound never decides a fire. One ``np.sort`` of a
     kept window's keys, rank plus slot, gives its event order: finite keys
     are distinct and silent ones stay +inf, so any sort gives the same keys.
     Returns the positions ``pos`` holding a live row; their keys' low and
@@ -290,9 +290,9 @@ def _live_rows(wr: np.ndarray, events: int, w_in: np.ndarray, thresholds: np.nda
     """
     shift = (wr.shape[1] - 1).bit_length()
     finite = np.isfinite(wr)
-    if nonneg:  # a window without input has bound 0, below every (positive) threshold
-        bound = (w_in.T @ finite.T.astype(np.float64)) * (1.0 + 4 * len(w_in) * _EPS)
-        live = ~(bound < thresholds[:, None])
+    if bound:  # a window without input has bound 0, below every (positive) threshold
+        total = (w_in.T @ finite.T.astype(np.float64)) * (1.0 + 4 * len(w_in) * _EPS)
+        live = ~(total < thresholds[:, None])
     else:
         live = np.broadcast_to(finite.any(axis=1), (w_in.shape[1], wr.shape[0]))
     pos = np.nonzero(live.any(axis=0))[0]
@@ -383,24 +383,25 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
 
 
 def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
-                  th: np.ndarray, v_inh: float) -> np.ndarray:
+                  thresholds: np.ndarray, v_inh: float) -> np.ndarray:
     """Soft column inhibition, every column in lockstep.
 
     order, count: window slots in event order and input counts of C columns
     (``_live_rows``), the positions of one or more samples; w_in: (K, D)
     input-major weights (``Network.weights.input_major``), one row of map
-    weights per window slot; th: (C, D) thresholds, +inf where a map cannot
-    fire. Step k adds to every column the weights of its own k-th input; in
-    each column the crossing maps then fire in map order, each lowering the
-    column to ``max(v - v_inh, 0)`` before the next is rechecked. Returns
-    the (C, D) slot each neuron fired at, -1 if it never did.
+    weights per window slot; thresholds: (D,), raised to +inf in a column
+    once the map fires there. Step k adds to every column the weights of
+    its own k-th input; in each column the crossing maps then fire in map
+    order, each lowering the column to ``max(v - v_inh, 0)`` before the
+    next is rechecked. Returns the (C, D) slot each neuron fired at, -1 if
+    it never did.
     """
-    maps = th.shape[1]
+    maps = thresholds.size
     # columns by falling input count, so the columns with a k-th input lead
     by_count = np.argsort(-count, kind="stable")
     steps = np.ascontiguousarray(order[by_count].T)  # row k: each column's k-th slot
     active = np.searchsorted(-count[by_count], -np.arange(steps.shape[0]))
-    th = th[by_count]
+    th = np.repeat(thresholds[None, :], count.size, axis=0)
     v = np.zeros(th.shape)
     fired = np.full(th.shape, -1)
     crossed = np.empty(th.shape, dtype=bool)
@@ -453,6 +454,7 @@ def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _P
     n, d_out, positions = times_in.shape[0], w_in.shape[1], plan.positions
     wta = policy.mode == "wta"
     v_inh = policy.v_inh if policy.mode == "soft" else 0.0
+    bound = nonneg and v_inh == 0.0 and positions > 1
     rank, ranked_t = _event_ranks(plan.flat_stack(times_in), plan.window)
     out = np.full((d_out, n * positions), np.inf)
     if v_inh > 0.0:  # a chunk lays out its windows and its (position, map) state
@@ -465,11 +467,9 @@ def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _P
         lo = s0 * positions + p0
         wr = rank[s0:s0 + samples].take(plan.win_index[p0:p0 + span], axis=1)
         wr = wr.reshape(-1, plan.window)
-        pos, order, ranks, count, rd, rp = _live_rows(wr, ranked_t.size, w_in, thresholds, nonneg)
+        pos, order, ranks, count, rd, rp = _live_rows(wr, ranked_t.size, w_in, thresholds, bound)
         if v_inh > 0.0:
-            th = np.full((pos.size, d_out), np.inf)
-            th[rp, rd] = thresholds[rd]
-            slot = _soft_columns(order, count, w_in, th, v_inh)
+            slot = _soft_columns(order, count, w_in, thresholds, v_inh)
             rp, rd = np.nonzero(slot >= 0)
             slot = slot[rp, rd]
         else:
@@ -627,10 +627,11 @@ def forward_times(
 ) -> list[np.ndarray]:
     """Run one sample through every layer; returns per-layer fire-time grids.
 
-    ``input_times`` is a (depth, H, W) array of spike timestamps with +inf
+    ``input_times`` is a (depth, H, W) array-like of spike timestamps with +inf
     marking silent sites; NaN or -inf input is rejected. Inhibition applies
     to trainable layers only; pooling is a fixed passthrough.
     """
+    input_times = np.asarray(input_times, dtype=np.float64)
     if input_times.ndim != 3:
         raise ValueError(f"input grid shape {input_times.shape} is not one (depth, H, W) grid")
     network.require_ready()
@@ -659,7 +660,8 @@ def column_response(
 
     ``patch_times`` is (in_maps, F_h, F_w) with +inf for silent sites, and a
     NaN or -inf site is rejected; ``weights`` is (maps, in_maps, F_h, F_w)
-    and ``thresholds`` (maps,), finite. The winner is the earliest crossing,
+    and ``thresholds`` (maps,), finite; each argument is read as float64
+    (any array-like). The winner is the earliest crossing,
     ties resolved by lowest map index. Every map walks the inputs in event
     order in the crossing scan's slot-major blocks (module docstring), whose
     rows are the input-major weight rows of the block's inputs,
@@ -670,6 +672,9 @@ def column_response(
     the answer is the same for any layout. The scan ends at the first input
     any map crosses at, or when the inputs run out with no winner.
     """
+    # a float64 array, as training's strided column view, passes uncopied
+    patch_times = np.asarray(patch_times, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     maps = weights.shape[0]
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if patch_times.shape != weights.shape[1:] or thresholds.shape != (maps,):

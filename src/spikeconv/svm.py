@@ -43,7 +43,9 @@ def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
     Deterministic given (data, seed): coordinate orders are drawn from the
     seed and the solver stops after ``_MAX_PASSES`` passes or when the
     largest projected gradient falls below ``_TOL``. The model's ``passes``
-    and ``max_pg`` say, per class, which of the two ended the fit.
+    and ``max_pg`` say, per class, which of the two ended the fit. A feature
+    row holding NaN or +-inf, and a C that is not finite and > 0, are
+    rejected.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -51,6 +53,9 @@ def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
     if len(y) != x.shape[0]:
         raise ValueError(f"{x.shape[0]} feature rows vs {len(y)} labels")
+    _check_finite(x)
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"C must be finite and > 0, got {c}")
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) < 2:
         raise ValueError("need at least two classes to fit a classifier")
@@ -67,6 +72,15 @@ def fit(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
         weights[ci], passes[ci], max_pg[ci] = _dual_cd(x, yb, sq, c, rng)
 
     return LinearModel(classes, weights, np.zeros(len(classes)), counts, passes, max_pg)
+
+
+def _check_finite(x: np.ndarray) -> None:
+    """Reject a (samples, d) feature matrix holding NaN or +-inf, naming the
+    first such row: a NaN feature would drop its sample from a fit unseen,
+    and give every class a NaN score."""
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise ValueError(f"feature row {int(bad.argmax())} holds NaN or infinite values")
 
 
 def _dual_cd(x, y, sq, c, rng):
@@ -111,7 +125,8 @@ def _dual_cd(x, y, sq, c, rng):
 
 
 def decision_scores(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Per-class scores, shape (samples, classes)."""
+    """Per-class scores, shape (samples, classes); a row holding NaN or
+    +-inf is rejected."""
     x = np.asarray(features, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -121,6 +136,7 @@ def decision_scores(model: LinearModel, features: np.ndarray) -> np.ndarray:
             f"feature dimension {x.shape[1]} does not match model "
             f"dimension {model.weights.shape[1]}"
         )
+    _check_finite(x)
     scores = x @ model.weights.T + model.bias
     return scores[0] if squeeze else scores
 

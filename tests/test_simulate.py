@@ -561,6 +561,27 @@ class TestLockstep:
         assert np.array_equal(mild, column_reference(net, 0, times, policy))
 
 
+class TestLockstepThresholds:
+    def test_rows_that_never_reach_threshold_step_with_the_rest(self, monkeypatch):
+        # a 1x3 filter over [0.1, 0.2, 0.3, silent, silent]: position 2 gets
+        # one input, below both thresholds, and map 1 at position 1 two,
+        # below its own. The lockstep holds every map of every position with
+        # input at its threshold until it fires; these never do. Map 0 fires
+        # on the second input at positions 0 and 1, and at position 0 map 1
+        # climbs back from the 0.1 blow and fires on the third.
+        times = np.array([[[0.1, 0.2, 0.3, INF, INF]]])
+        weights = np.array([[0.5] * 3, [0.2] * 3]).reshape(2, 1, 1, 3)
+        thresholds = np.array([1.0, 0.5])
+        net = _one_layer(times, weights, thresholds)
+        assert 0.5 < thresholds[0] and 0.2 + 0.2 < thresholds[1]  # the two rows' total inputs
+        policy = InhibitionPolicy("soft", v_inh=0.1)
+        calls = _soft_calls(monkeypatch)
+        got = forward_layer(net, 0, times, policy)
+        assert calls == [3]
+        assert got[:, 0, :].tolist() == [[0.2, 0.3, INF], [0.3, INF, INF]]
+        assert np.array_equal(got, column_reference(net, 0, times, policy))
+
+
 class TestInputMajorRows:
     """``Network.weights.input_major``, the one stored (input-major) array of
     a layer's weights that every engine reads."""
@@ -831,6 +852,23 @@ class TestCrossingScan:
             assert out[:, 0, 0].tolist() == [0.3, np.inf]
         res = column_response(times, weights, thresholds)
         assert (res.winner, res.fire_time) == (0, 0.3)
+
+    def test_threshold_at_exact_sequential_sum_fires_in_a_multi_position_layer(self):
+        # the fc case above on a 1x3 conv over four sites, the layer of
+        # several positions whose block scan takes the bound: position 0 sees
+        # the three inputs in that time order, position 1 only two of them
+        small = 2.0 ** -53 + 2.0 ** -60
+        w = np.array([small, small, 1.0])
+        th = 1.0 + 2.0 ** -51
+        assert np.cumsum(w[::-1])[-1] == th and np.sum(w) < th
+        weights = np.stack([w, w]).reshape(2, 1, 1, 3)
+        thresholds = np.array([th, np.nextafter(th, np.inf)])
+        times = np.array([[[0.3, 0.2, 0.1, np.inf]]])
+        net = _one_layer(times, weights, thresholds)
+        for policy, wta in ((NO_INHIBITION, False), (InhibitionPolicy("wta"), True)):
+            out = forward_layer(net, 0, times, policy)
+            assert out[:, 0, :].tolist() == [[0.3, np.inf], [np.inf, np.inf]]
+            assert np.array_equal(out, _cumsum_reference(times, weights, thresholds, wta))
 
     def test_silent_input_sites_are_silent_in_every_engine(self):
         # the +inf twin of test_rejects_non_finite's fc grid: the silent site
@@ -1125,8 +1163,9 @@ class TestStacks:
         for i, w_low in ((0, -0.3), (2, 0.0)):
             net.weights[i] = rng.uniform(w_low, 1.0, spec.weight_shape(i))
             net.thresholds[i] = rng.uniform(0.5, 2.0, spec.layers[i].maps)
-        # signed bounds scan every layer without the bound pre-filter; the
-        # same fc layer under bounds [0, 1] scans with it
+        # signed bounds scan every layer without the bound pre-filter; under
+        # bounds [0, 1] the conv layer's block scan takes it (the one-position
+        # fc layer and every soft lockstep never do)
         unsigned = Network(spec)
         unsigned.install_column(0, np.abs(net.weights[0]), net.thresholds[0])
         unsigned.install_column(2, net.weights[2], net.thresholds[2])
@@ -1251,6 +1290,23 @@ class TestSignFromBounds:
             flags.clear()
             assert forward_layer(net, 0, grid).tolist() == [[[0.25] * 2] * 2] * 2
             assert flags == [nonneg]
+        # the bound runs only in the block scan of a layer of several
+        # positions: never in the soft lockstep, nor where one window is the
+        # whole input field (fc, or a conv with a 1x1 output)
+        soft, wta = InhibitionPolicy("soft", v_inh=0.5), InhibitionPolicy("wta")
+        cases = [(LayerSpec("conv", 2, 2, 2, 1, 0), wta, True),
+                 (LayerSpec("conv", 2, 2, 2, 1, 0), soft, False),
+                 (LayerSpec("fc", 3, 3, 2, 1, 0), NO_INHIBITION, False),
+                 (LayerSpec("fc", 3, 3, 2, 1, 0), soft, False),
+                 (LayerSpec("conv", 3, 3, 2, 1, 0), NO_INHIBITION, False)]
+        for w_min, nonneg in ((0.0, True), (-0.1, False)):
+            for layer, policy, bound in cases:
+                net = Network(NetworkSpec(Shape3(1, 3, 3), [layer]), w_min, 1.0)
+                net.install_column(0, np.full(net.spec.weight_shape(0), 0.5), np.ones(2))
+                flags.clear()
+                out = forward_layer(net, 0, grid, policy)
+                assert flags == [nonneg and bound], (layer, policy)
+                assert np.array_equal(out, column_reference(net, 0, grid, policy))
         # training's column holds no bounds: a column with one negative weight
         # and its non-negative twin each answer as the event engine does
         patch = np.array([[[0.1, 0.2], [0.3, 0.4]]])
@@ -1332,6 +1388,31 @@ class TestForwardValidation:
             assert np.array_equal(got, want)
             padded += np.isinf(got).any()
         assert padded
+
+    def test_nested_list_grid_runs_as_its_array(self):
+        # every entry reads an array-like as float64, as forward_layer does
+        rng = np.random.default_rng(5)
+        spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 3, 1, 0),
+                                             LayerSpec("fc", 4, 4, 4, 1, 0)])
+        net = Network(spec)
+        for i, th in ((0, 2.0), (1, 4.0)):
+            net.weights[i] = rng.uniform(0.0, 1.0, spec.weight_shape(i))
+            net.thresholds[i] = rng.uniform(0.5, th, spec.layers[i].maps)
+        grid = random_grid(rng, spec.input_shape, 40, tie_heavy=True)
+        for policy in (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft")):
+            for got, want in zip(forward_times(net, grid.tolist(), policy),
+                                 forward_times(net, grid, policy)):
+                assert np.array_equal(got, want)
+        patch, w, th = grid[:, :3, :3], net.weights[0], net.thresholds[0]
+        want = column_response(patch, w, th)
+        assert want.winner is not None
+        assert column_response(patch.tolist(), w.tolist(), th.tolist()) == want
+        bad = grid.tolist()
+        bad[1][2][3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            forward_times(net, bad)
+        with pytest.raises(ValueError, match="NaN"):
+            column_response(np.array(bad)[:, 1:4, 2:5].tolist(), w.tolist(), th)
 
     def test_unready_network_rejected(self):
         net = Network(NetworkSpec(Shape3(2, 4, 4), [LayerSpec("conv", 2, 2, 2, 1, 0)]))

@@ -219,3 +219,42 @@ class TestDegenerateFeatures:
         assert np.all(scores == 0.0)  # exact ties, not solver noise
         majority = np.argmax(np.bincount(y_train))
         assert np.all(predict(model, np.zeros((50, 32))) == majority)
+
+
+class TestNonFinite:
+    """A NaN feature would drop its sample from a fit and score every class
+    NaN (class 0 wins), so fit and every scoring entry refuse it by row."""
+
+    def _data(self):
+        rng = np.random.default_rng(13)
+        return rng.random((20, 4)), np.arange(20) % 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_names_the_first_non_finite_row(self, bad):
+        x, y = self._data()
+        x[7, 2] = x[12, 0] = bad
+        with pytest.raises(ValueError, match="^feature row 7 holds NaN or infinite values$"):
+            fit(x, y, seed=1)
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, np.nan, np.inf])
+    def test_fit_rejects_a_c_that_is_not_finite_and_positive(self, c):
+        x, y = self._data()
+        with pytest.raises(ValueError, match="C must be finite and > 0"):
+            fit(x, y, c=c, seed=1)
+
+    def test_scoring_names_the_non_finite_row(self):
+        x, y = self._data()
+        model = fit(x, y, seed=1)
+        bad = x.copy()
+        bad[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^feature row 3 holds NaN"):
+            decision_scores(model, bad)
+        with pytest.raises(ValueError, match="^feature row 3 holds NaN"):
+            predict(model, bad)
+        with pytest.raises(ValueError, match="^feature row 3 holds NaN"):
+            accuracy(model, bad, y)
+        with pytest.raises(ValueError, match="^feature row 0 holds NaN"):
+            predict(model, bad[3])  # a single vector is row 0
+        # every finite row still scores
+        assert np.array_equal(predict(model, np.delete(bad, 3, axis=0)),
+                              np.delete(predict(model, x), 3))
