@@ -266,8 +266,11 @@ def cmd_inspect(args) -> int:
         if layer.trainable:
             wts, th = net.weights[i], net.thresholds[i]
             one = int((wts.reshape(th.size, -1).max(axis=1) >= th).sum())
+            window = wts[0].size
+            dead = window - net.weights.live_slots(i).size
             line += (f" | W[{wts.min():.3f}, {wts.max():.3f}] "
                      f"mean {wts.mean():.3f} | th[{th.min():.2f}, {th.max():.2f}]"
+                     f" | {dead} of {window} window slots are zero in every map"
                      f" | {one} of {th.size} maps fire on one spike")
             if net.t_targets[i] is not None:
                 line += f" | target {net.t_targets[i]}"

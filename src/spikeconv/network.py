@@ -6,7 +6,9 @@ share one filter bank and one threshold vector across all spatial positions
 (column broadcast semantics); pooling layers hold no parameters: a pooling
 neuron fires at the earliest input time in its window. A layer's filter bank
 is stored once, input-major: one row of every map's weight per window slot,
-the layout every simulator engine reads.
+the layout every simulator engine reads. Storing it also records the
+layer's live slots, the window slots where some map's weight is not zero,
+which the engines scan in place of the whole window.
 """
 
 from __future__ import annotations
@@ -173,7 +175,20 @@ class _Weights(_Slots):
     """The weight slots. Each holds its layer's weights once, input-major: a
     read-only, C-contiguous (window, maps) array whose row k holds every
     map's weight for window slot k. ``weights[i]`` reads it as its map-major
-    (maps, in_maps, F_h, F_w) view."""
+    (maps, in_maps, F_h, F_w) view. Every store also records the layer's
+    live slots from the stored array (``live_slots``); they are never saved."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._live = [None] * len(self._items)
+
+    def _store(self, index: int, value) -> None:
+        super()._store(index, value)
+        live = None
+        if value is not None:
+            live = np.flatnonzero(value.any(axis=1))
+            live.setflags(write=False)
+        self._live[index] = live
 
     def __getitem__(self, index):
         rows, layer = self._items[index], self._spec.layers[index]
@@ -186,6 +201,15 @@ class _Weights(_Slots):
         if (rows := self._items[index]) is None:
             raise ValueError(f"layer {index} holds no weights")
         return rows
+
+    def live_slots(self, index: int) -> np.ndarray:
+        """The window slots of layer ``index`` where some map's weight is not
+        zero (-0.0 is zero), ascending: the rows of ``input_major(index)``
+        that are not all zero, read-only. A slot outside it adds exactly
+        zero to every potential."""
+        if (live := self._live[index]) is None:
+            raise ValueError(f"layer {index} holds no weights")
+        return live
 
 
 class Network:
@@ -203,7 +227,9 @@ class Network:
     Each layer's weights are stored once, input-major, one row of map weights
     per window slot: ``weights.input_major(i)`` is that (window, maps) array,
     the one every simulator engine reads, and ``weights[i]`` a map-major view
-    of it.
+    of it. Each write also records ``weights.live_slots(i)``, the rows of
+    that array that are not all zero, derived from the stored array and
+    never saved.
     """
 
     def __init__(self, spec: NetworkSpec, w_min: float = 0.0, w_max: float = 1.0):

@@ -63,6 +63,9 @@ def sparsity(y: np.ndarray) -> float:
     n = y.size
     if n < 2:
         raise ValueError(f"sparsity needs a vector of dimension >= 2, got {n}")
+    if not np.isfinite(y).all():  # NaN or ±inf would make the measure nan
+        at = int(np.argmin(np.isfinite(y)))
+        raise ValueError(f"sparsity needs finite values, got {y[at]} at entry {at}")
     l2 = np.sqrt(np.sum(y * y))
     if l2 == 0.0:
         return 0.0
@@ -112,9 +115,14 @@ def extract_features(
 
 
 def mean_sparsity(features: np.ndarray) -> float:
-    """Dataset mean of the Hoyer measure over feature rows."""
+    """Dataset mean of the Hoyer measure over feature rows; a row holding NaN
+    or ±inf is rejected by its index."""
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError(f"expected a non-empty (samples, dims) matrix, got {features.shape}")
+    if not np.isfinite(features).all():
+        row, at = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(f"feature row {row} holds {features[row, at]} at entry {at}; "
+                         "sparsity needs finite values")
     return float(np.mean([sparsity(row) for row in features]))
 
 

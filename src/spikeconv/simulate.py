@@ -16,7 +16,14 @@ event engine, and so does winner-take-all in a one-position layer, whose
 one column is the layer; everything else runs on the crossing engine.
 Every engine reads a layer's weights as the network stores them,
 input-major (``Network.weights.input_major``): a (window, maps) array, one
-row of every map's weight per window slot.
+row of every map's weight per window slot. It scans only the layer's live
+slots (``Network.weights.live_slots``), those where some map's weight is
+not zero: the window plan keeps those slots of every window
+(``_slot_plan``) and the weights those rows. A dead slot adds ±0.0 to
+every potential, which changes at most the sign of a zero, and a zero of
+either sign lies below every (positive) threshold and floors alike, so
+every crossing and fire time stays bitwise the same. A layer whose every
+weight is zero is silent and enters no engine.
 
 - The crossing engine serves no inhibition (soft inhibition with
   ``v_inh == 0`` is the same thing) and every other competition confined
@@ -82,7 +89,8 @@ row of every map's weight per window slot.
 A pooling neuron fires at the earliest input time in its window.
 
 Every window comes from the layer's cached ``window_plan``, which
-inference, training's random patches and filter reconstruction all read;
+inference, training's random patches and filter reconstruction all read,
+or for a layer with dead slots from its cached ``_slot_plan``;
 ``_event_order`` is the one sort of a stack's events, in (time, site) order.
 """
 
@@ -158,9 +166,10 @@ NO_INHIBITION = InhibitionPolicy("none")
 
 
 class _Plan:
-    """Precomputed gather indices mapping output windows to padded input sites."""
+    """Precomputed gather indices mapping output windows to padded input sites;
+    with ``slots``, only those window slots of every window, in window order."""
 
-    def __init__(self, in_shape: Shape3, layer: LayerSpec):
+    def __init__(self, in_shape: Shape3, layer: LayerSpec, slots: np.ndarray | None = None):
         self.in_shape = in_shape
         self.layer = layer
         self.out_shape = layer.out_shape(in_shape)
@@ -187,6 +196,8 @@ class _Plan:
         # (positions, window) indices; window enumeration order (m, ky, kx)
         # coincides with the global (map, y, x) site order inside one window
         self.win_index = origin[:, None] + site[None, :]
+        if slots is not None:
+            self.win_index = self.win_index.take(slots, axis=1)
         self.window = self.win_index.shape[1]
 
     def pad_times(self, times: np.ndarray) -> np.ndarray:
@@ -223,6 +234,13 @@ def window_plan(in_shape: tuple, layer: LayerSpec) -> _Plan:
     """
     depth, height, width = in_shape  # a ValueError for a field that is not 3-D
     return _Plan(Shape3(depth, height, width), layer)
+
+
+@lru_cache(maxsize=64)
+def _slot_plan(in_shape: tuple, layer: LayerSpec, slots: bytes) -> _Plan:
+    """``window_plan`` keeping only the window slots ``slots`` (the bytes of
+    ascending int64 slot indices) of every window, with its own ``reverse``."""
+    return _Plan(Shape3(*in_shape), layer, np.frombuffer(slots, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +621,12 @@ def forward_layer(
         # winner-take-all in a one-position layer settles its one column, the
         # whole layer, at the first crossing, where the event engine stops
         event = (wta or soft) and policy.scope == "layer" or wta and plan.positions == 1
-        w_in = network.weights.input_major(index)
-        if event:
+        w_in, live = network.weights.input_major(index), network.weights.live_slots(index)
+        if live.size < plan.window:  # a dead slot adds exactly ±0.0 to every potential
+            plan, w_in = _slot_plan(in_shape, layer, live.tobytes()), w_in[live]
+        if not live.size:  # every potential stays 0, below every threshold
+            out = np.full((len(stack), *plan.out_shape.astuple()), np.inf)
+        elif event:
             out = _event_times(stack, w_in, thresholds, policy, plan)
         else:
             out = _column_times(stack, w_in, thresholds, policy, plan, network.w_min >= 0.0)

@@ -575,6 +575,30 @@ class TestCliFeaturesInspect:
         assert lines[3].startswith("layer 2: fc") and lines[3].endswith(
             " | 1 of 3 maps fire on one spike | target 0.7")
 
+    def test_inspect_counts_window_slots_zero_in_every_map(self, tmp_path, capsys):
+        from spikeconv import LayerSpec, Network, NetworkSpec, Shape3
+        from spikeconv.modelio import save_network
+
+        spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 4, 1, 0),
+                                             LayerSpec("pool", 2, 2, 4, 2, 0),
+                                             LayerSpec("fc", 2, 2, 3, 1, 0)])
+        net = Network(spec)
+        # conv: 18 slots, 6 of them zero in every map (one of those -0.0),
+        # and one more zero in all but map 3; fc: 16 slots, none zero
+        weights = np.full((4, 2, 3, 3), 0.5)
+        weights[:, 0, 0, :] = 0.0
+        weights[:, 1, 2, 1:] = 0.0
+        weights[:, 1, 1, 1] = -0.0
+        weights[:3, 0, 2, 2] = 0.0
+        net.install_column(0, weights, [1.0] * 4, 0.7)
+        net.install_column(2, np.full((3, 4, 2, 2), 0.25), [1.0] * 3, 0.7)
+        save_network(tmp_path / "z.spknet", net)
+        assert main(["inspect", str(tmp_path / "z.spknet")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert " | 6 of 18 window slots are zero in every map | " in lines[1]
+        assert "window slots" not in lines[2]  # pooling holds no weights
+        assert " | 0 of 16 window slots are zero in every map | " in lines[3]
+
 
 class TestCrossProcessDeterminism:
     def test_two_processes_same_seed_identical_bytes(self, toy):

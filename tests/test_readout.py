@@ -100,6 +100,18 @@ class TestSparsity:
         with pytest.raises(ValueError):
             sparsity(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected_by_row(self, bad):
+        y = np.array([0.0, 0.5, bad, 1.0])
+        with pytest.raises(ValueError, match=f"got {bad} at entry 2"):
+            sparsity(y)
+        features = np.full((4, 3), 0.25)
+        features[2, 1] = bad
+        with pytest.raises(ValueError, match=f"feature row 2 holds {bad} at entry 1"):
+            mean_sparsity(features)
+        features[2, 1] = 0.25
+        assert mean_sparsity(features) == sparsity(features[2]) == pytest.approx(0.0, abs=1e-12)
+
 
 def _feature_net(out_maps=4, th=1.0, seed=0):
     spec = NetworkSpec(Shape3(2, 4, 4), [LayerSpec("fc", 4, 4, out_maps, 1, 0)])

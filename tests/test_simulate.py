@@ -14,7 +14,7 @@ from spikeconv import (
     column_response,
 )
 import spikeconv.simulate as sim
-from spikeconv.modelio import network_bytes
+from spikeconv.modelio import network_bytes, network_from_bytes
 from spikeconv.readout import extract_features
 from spikeconv.simulate import forward_layer, forward_times
 from spikeconv.training import sample_patch
@@ -632,10 +632,12 @@ class TestInputMajorRows:
             unready.weights.input_major(2)
 
     def test_every_engine_reads_the_stored_array(self, monkeypatch):
-        # the array is stored at install, and every engine of a conv or fc
-        # layer reads it as it is: nothing is made on first use or kept beside it
+        # the array and its live slots are stored at install, and every engine
+        # of a conv or fc layer reads them as they are: nothing is made on
+        # first use, and nothing but the live-slot index is kept beside it
         net, stack = self._net()
         stored = [net.weights.input_major(i) for i in (0, 2)]
+        live = [net.weights.live_slots(i) for i in (0, 2)]
         made = []
         real = type(net.weights).input_major
         monkeypatch.setattr(type(net.weights), "input_major",
@@ -648,7 +650,8 @@ class TestInputMajorRows:
             times = out
         assert made == [0, 0, 0, 2, 2, 2]
         assert all(real(net.weights, i) is rows for i, rows in zip((0, 2), stored))
-        assert vars(net.weights).keys() == {"_kind", "_spec", "_bounds", "_items"}
+        assert all(net.weights.live_slots(i) is s for i, s in zip((0, 2), live))
+        assert vars(net.weights).keys() == {"_kind", "_spec", "_bounds", "_items", "_live"}
 
     @pytest.mark.parametrize("write", ["slot", "install"])
     def test_a_write_reaches_the_next_forward(self, write):
@@ -672,6 +675,45 @@ class TestInputMajorRows:
             assert not np.array_equal(got, before)
             for out, grid in zip(got, grids):
                 assert np.array_equal(out, column_reference(net, index, grid, policy))
+
+    @pytest.mark.parametrize("write", ["slot", "install"])
+    def test_killing_or_reviving_a_slot_reaches_every_engine(self, write):
+        # the block scan, the lockstep and the event engine each scan the
+        # live slots of the weights written last, never a stale index
+        net, stack = self._net()
+        policies = (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft", v_inh=0.4),
+                    InhibitionPolicy("wta", scope="layer"),
+                    InhibitionPolicy("soft", v_inh=0.4, scope="layer"))
+        for index in (0, 2):
+            grids = self._inputs(net, stack, index)
+            whole = net.weights[index]
+            window = len(net.weights.input_major(index))
+            before = [forward_layer(net, index, grids, p) for p in policies]
+            killed = whole.reshape(len(whole), -1).copy()
+            killed[:, ::2] = 0.0
+            killed = killed.reshape(whole.shape)
+            outs = {}
+            for name, weights, live in (("killed", killed, np.arange(1, window, 2)),
+                                        ("revived", whole, np.arange(window))):
+                if write == "slot":
+                    net.weights[index] = weights
+                else:
+                    net.install_column(index, weights, net.thresholds[index])
+                assert np.array_equal(net.weights.live_slots(index), live)
+                outs[name] = [forward_layer(net, index, grids, p) for p in policies]
+                for policy, got in zip(policies, outs[name]):
+                    assert np.array_equal(got, _full_window(net, index, grids, policy))
+                    if _column_scoped(net, index, policy):
+                        for out, grid in zip(got, grids):
+                            assert np.array_equal(out, column_reference(net, index, grid, policy))
+            assert all(np.array_equal(a, b) for a, b in zip(outs["revived"], before))
+            assert not all(np.array_equal(a, b) for a, b in zip(outs["killed"], before))
+        # the index is never saved, and a loaded model records its own
+        data = network_bytes(net)
+        loaded = network_from_bytes(data)
+        assert network_bytes(loaded) == data
+        for index in (0, 2):
+            assert np.array_equal(loaded.weights.live_slots(index), net.weights.live_slots(index))
 
     def test_rows_are_not_saved(self):
         net, stack = self._net()
@@ -1182,6 +1224,142 @@ class TestStacks:
         assert forward_layer(net, 0, grid).shape == (2, 2, 2)
         assert forward_layer(net, 0, grid[None]).shape == (1, 2, 2, 2)
         assert forward_layer(net, 0, np.empty((0, 1, 3, 3))).shape == (0, 2, 2, 2)
+
+
+def _full_window(net, index, times, policy):
+    """``forward_layer`` scanning every window slot, the dead ones included."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(net.weights), "live_slots",
+                   lambda slots, i: np.arange(len(slots.input_major(i))))
+        return forward_layer(net, index, times, policy)
+
+
+def _column_scoped(net, index, policy):
+    """Whether ``column_reference`` gives layer ``index``'s answer under ``policy``."""
+    return (policy.scope == "column" or policy.mode == "none"
+            or policy.mode == "soft" and policy.v_inh == 0.0
+            or policy.layers == "output" and index != len(net.spec.layers) - 1)
+
+
+def _kill_slots(net, index, dead, rng):
+    """Zero layer ``index``'s weights at window slots ``dead`` in every map,
+    each weight +0.0 or -0.0 at random."""
+    rows = np.array(net.weights.input_major(index))
+    rows[dead] = np.where(rng.random(rows[dead].shape) < 0.5, -0.0, 0.0)
+    net.weights[index] = rows.T.reshape(net.spec.weight_shape(index))
+
+
+@st.composite
+def _dead_slot_cases(draw):
+    """A drawn network whose trainable layers have dead window slots, a
+    stack of 1-4 tie-heavy grids and a policy.
+
+    Weights are signed or non-negative, and non-negative weights sit under
+    bounds [0, 1] or signed bounds. Each trainable layer zeroes a drawn share
+    of its window slots in every map, with +0.0 and -0.0 mixed; a share of 1
+    zeroes the whole layer.
+    """
+    signed = draw(st.booleans())
+    net = drawn_network(lambda lo, hi: draw(st.integers(lo, hi - 1)),
+                        lambda options: draw(st.sampled_from(options)),
+                        np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform,
+                        w_low=-0.5 if signed else 0.0)
+    if not signed and draw(st.booleans()):
+        twin = Network(net.spec, draw(st.floats(-2.0, -1e-3)), 1.0)
+        for i in net.spec.trainable_indices():
+            twin.install_column(i, net.weights[i], net.thresholds[i])
+        net = twin
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for i in net.spec.trainable_indices():
+        share = draw(st.sampled_from([0.0, 0.3, 0.7, 0.9, 1.0]))
+        window = len(net.weights.input_major(i))
+        _kill_slots(net, i, rng.random(window) < share, rng)
+    counts = draw(st.lists(st.integers(0, net.spec.input_shape.size), min_size=1, max_size=4))
+    stack = np.stack([random_grid(rng, net.spec.input_shape, n, tie_heavy=True)
+                      for n in counts])
+    return net, stack, draw(st.sampled_from(SWEEP_POLICIES))
+
+
+class TestDeadSlots:
+    """A window slot where every map's weight is zero adds exactly zero to
+    every potential, so every engine scans only the live slots."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_dead_slot_cases())
+    def test_dead_slots_change_no_bit(self, case):
+        net, stack, policy = case
+        _check_stack(net, stack, policy)  # stack, single grids and the oracle
+        times = stack
+        for li, layer in enumerate(net.spec.layers):
+            out = forward_layer(net, li, times, policy)
+            if layer.trainable:
+                live = net.weights.live_slots(li)
+                rows = net.weights.input_major(li)
+                assert np.array_equal(live, np.flatnonzero(rows.any(axis=1)))
+                assert np.array_equal(out, _full_window(net, li, times, policy))
+                if _column_scoped(net, li, policy):
+                    for got, grid in zip(out, times):
+                        assert np.array_equal(got, column_reference(net, li, grid, policy))
+            times = out
+
+    def test_every_engine_gets_only_the_live_slots(self, monkeypatch):
+        # the block scan, the lockstep and the event engine each get the
+        # plan and the weight rows of the live slots; a layer with no dead
+        # slot gets the layer's own plan and stored array
+        seen = []
+        for name in ("_column_times", "_event_times"):
+            real = getattr(sim, name)
+            monkeypatch.setattr(sim, name, lambda s, w, th, pol, plan, *a, _f=real:
+                                seen.append((w, plan)) or _f(s, w, th, pol, plan, *a))
+        rng = np.random.default_rng(8)
+        spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 4, 1, 0),
+                                             LayerSpec("pool", 2, 2, 4, 2, 0),
+                                             LayerSpec("fc", 2, 2, 5, 1, 0)])
+        net = Network(spec)
+        for i in (0, 2):
+            net.install_column(i, rng.uniform(0.0, 1.0, spec.weight_shape(i)),
+                               rng.uniform(0.5, 2.0, spec.layers[i].maps))
+        stack = np.stack([random_grid(rng, spec.input_shape, n) for n in (20, 40)])
+        policies = (NO_INHIBITION, InhibitionPolicy("wta"), InhibitionPolicy("soft", v_inh=0.4),
+                    InhibitionPolicy("wta", scope="layer"))
+        for dead in (np.zeros(18, bool), np.arange(18) == 4, np.arange(18) % 3 == 0):
+            _kill_slots(net, 0, dead, rng)
+            live, rows = net.weights.live_slots(0), net.weights.input_major(0)
+            for policy in policies:
+                seen.clear()
+                forward_layer(net, 0, stack, policy)
+                (w, plan), = seen
+                assert np.array_equal(w, rows[live]) and plan.window == live.size
+                full = sim.window_plan(spec.input_shape.astuple(), spec.layers[0])
+                assert np.array_equal(plan.win_index, full.win_index[:, live])
+                assert (w is rows and plan is full) == (not dead.any())
+
+    @pytest.mark.parametrize("kind", ["conv", "fc"])
+    @pytest.mark.parametrize("policy", [
+        NO_INHIBITION,
+        InhibitionPolicy("soft", v_inh=0.5),
+        InhibitionPolicy("wta"),
+        InhibitionPolicy("soft", v_inh=0.5, scope="layer"),
+        InhibitionPolicy("wta", scope="layer"),
+    ])
+    def test_all_zero_layer_is_silent_without_an_engine(self, kind, policy, monkeypatch):
+        for name in ("_column_times", "_event_times"):
+            monkeypatch.setattr(sim, name, lambda *a, _n=name: pytest.fail(f"{_n} ran"))
+        rng = np.random.default_rng(7)
+        side = 5 if kind == "fc" else 3
+        spec = NetworkSpec(Shape3(2, 5, 5), [LayerSpec(kind, side, side, 3, 1, 0)])
+        for w_min in (0.0, -0.5):
+            net = Network(spec, w_min, 1.0)
+            net.install_column(0, np.full(spec.weight_shape(0), 0.5), np.full(3, 0.01))
+            _kill_slots(net, 0, slice(None), rng)
+            assert net.weights.live_slots(0).size == 0
+            stack = np.stack([random_grid(rng, spec.input_shape, n, tie_heavy=True)
+                              for n in (0, 12, 50)])
+            out = forward_layer(net, 0, stack, policy)
+            assert out.shape == (3,) + spec.shapes[1].astuple() and np.isinf(out).all()
+            grid = forward_layer(net, 0, stack[2], policy)
+            assert grid.shape == spec.shapes[1].astuple() and np.isinf(grid).all()
+            assert np.array_equal(grid, column_reference(net, 0, stack[2], NO_INHIBITION))
 
 
 class TestPackedKeys:
