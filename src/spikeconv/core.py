@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Shape3", "RngStreams", "check_fire_times", "check_grids"]
+__all__ = ["Shape3", "RngStreams", "check_count", "check_fire_times", "check_grids"]
+
+
+def check_count(name: str, value, low: int = 1) -> None:
+    """Refuse a ``value`` that is not an integer (Python or NumPy) of at
+    least ``low`` with a ValueError naming it ``name``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -25,9 +32,7 @@ class Shape3:
 
     def __post_init__(self):
         for name in ("depth", "height", "width"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v <= 0:
-                raise ValueError(f"Shape3.{name} must be a positive integer, got {v!r}")
+            check_count(f"Shape3.{name}", getattr(self, name))
 
     @property
     def size(self) -> int:

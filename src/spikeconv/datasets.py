@@ -45,6 +45,19 @@ def _read_be_header(f, path, words: int):
     return struct.unpack(f">{words}i", raw)
 
 
+def _read_body(f, path, size: int, what: str) -> np.ndarray:
+    """The ``size`` bytes after the header, as uint8.
+
+    Reads what the file holds, never what the header claims, so a header
+    claiming more bytes than are left is refused however large its claim.
+    """
+    body = f.read()
+    if len(body) < size:
+        raise ValueError(f"{path}: truncated {what} data "
+                         f"(the header claims {size} bytes, {len(body)} follow it)")
+    return np.frombuffer(body, dtype=np.uint8, count=size)
+
+
 def load_idx(images_path, labels_path) -> LabeledImageSet:
     """Parse a big-endian IDX image/label file pair (the MNIST format)."""
     with open(images_path, "rb") as f:
@@ -56,10 +69,7 @@ def load_idx(images_path, labels_path) -> LabeledImageSet:
         if min(count, rows, cols) < 0:
             raise ValueError(f"{images_path}: negative size in IDX header "
                              f"(count {count}, rows {rows}, cols {cols})")
-        raw = f.read(count * rows * cols)
-        if len(raw) < count * rows * cols:
-            raise ValueError(f"{images_path}: truncated pixel data")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
+        images = _read_body(f, images_path, count * rows * cols, "pixel").reshape(count, rows, cols)
     with open(labels_path, "rb") as f:
         magic, lcount = _read_be_header(f, labels_path, 2)
         if magic != IDX_LABEL_MAGIC:
@@ -68,10 +78,7 @@ def load_idx(images_path, labels_path) -> LabeledImageSet:
             )
         if lcount < 0:
             raise ValueError(f"{labels_path}: negative count {lcount} in IDX header")
-        raw = f.read(lcount)
-        if len(raw) < lcount:
-            raise ValueError(f"{labels_path}: truncated label data")
-        labels = np.frombuffer(raw, dtype=np.uint8)
+        labels = _read_body(f, labels_path, lcount, "label")
     if count != lcount:
         raise ValueError(
             f"image count {count} ({images_path}) != label count {lcount} ({labels_path})"

@@ -6,7 +6,11 @@ float64 arrays. One codec serves all three: ``_container`` writes, ``_header``
 checks magic, version and ``end``, ``_values`` parses a header line's numbers
 and ``_arrays`` checks the exact byte count before it reads. A bad file raises
 a ValueError that starts with the path and quotes the header line at fault.
-Header floats are written with repr, so round-trips are byte-exact.
+Header floats are written with repr, so round-trips are byte-exact. The
+feature, label and classifier writers parse the bytes they built with their
+reader's own code before they open the file (a network checks every write of
+its own), so what is written reads back, and a refused write leaves any
+existing file untouched.
 """
 
 from __future__ import annotations
@@ -126,12 +130,22 @@ def _prefix(text: str):
         raise ValueError(f"{text}: {exc}") from None
 
 
-@contextmanager
-def _reading(path):
-    """The file's bytes; a ValueError or overflow raised inside becomes a
-    ValueError that starts with the path."""
-    with open(path, "rb") as f, _prefix(str(path)):
-        yield f.read()
+def _read(path, parse):
+    """``parse`` of the file's bytes; a refusal is a ValueError that starts
+    with the path."""
+    with open(path, "rb") as f:
+        data = f.read()
+    with _prefix(str(path)):
+        return parse(data)
+
+
+def _write(path, data: bytes, parse) -> None:
+    """Write ``data`` once ``parse``, its reader's parser, accepts it; a
+    refusal is a ValueError that starts with the path."""
+    with _prefix(str(path)):
+        parse(data)
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def network_bytes(network: Network) -> bytes:
@@ -182,8 +196,7 @@ def network_from_bytes(data: bytes) -> Network:
 
 
 def load_network(path) -> Network:
-    with _reading(path) as data:
-        return network_from_bytes(data)
+    return _read(path, network_from_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -195,38 +208,43 @@ def save_features(path, features: np.ndarray, has_labels: bool = False) -> None:
     if feats.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {feats.shape}")
     head = f"{_FEATURES_MAGIC} {feats.shape[0]} {feats.shape[1]} {int(has_labels)}\n"
-    with open(path, "wb") as f:
-        f.write(head.encode() + feats.tobytes())
+    _write(path, head.encode() + feats.tobytes(), _features_from_bytes)
 
 
-def load_features(path):
-    with _reading(path) as data:
-        line, offset = _line(data, 0)
-        if line.split()[:2] != _FEATURES_MAGIC.split():
-            raise ValueError(f"bad magic: expected {_FEATURES_MAGIC!r}, got {line[:80]!r}")
-        rows, cols, has_labels = _values(line, int, 3, words=2, low=0)
-        if has_labels > 1:
-            raise ValueError(f"labels flag must be 0 or 1 in header line {line!r}")
-        (feats,) = _arrays(data, offset, [(line, (rows, cols))])
-        if not np.isfinite(feats).all():
-            raise ValueError("feature data holds NaN or infinite values")
+def _features_from_bytes(data: bytes):
+    line, offset = _line(data, 0)
+    if line.split()[:2] != _FEATURES_MAGIC.split():
+        raise ValueError(f"bad magic: expected {_FEATURES_MAGIC!r}, got {line[:80]!r}")
+    rows, cols, has_labels = _values(line, int, 3, words=2, low=0)
+    if has_labels > 1:
+        raise ValueError(f"labels flag must be 0 or 1 in header line {line!r}")
+    (feats,) = _arrays(data, offset, [(line, (rows, cols))])
+    if not np.isfinite(feats).all():
+        raise ValueError("feature data holds NaN or infinite values")
     return feats, bool(has_labels)
 
 
+def load_features(path):
+    return _read(path, _features_from_bytes)
+
+
 def save_labels(path, labels) -> None:
-    with open(path, "w") as f:
-        for v in labels:
-            f.write(f"{int(v)}\n")
+    """One label per line as ``str`` gives it, so a value the reader would
+    not read back as the same int64 (1.7, NaN, 2**63) is refused."""
+    _write(path, "".join(f"{v}\n" for v in labels).encode(), _labels_from_bytes)
+
+
+def _labels_from_bytes(data: bytes) -> np.ndarray:
+    labels = []
+    for n, raw in enumerate(data.split(b"\n"), 1):
+        if raw.strip():
+            with _prefix(f"line {n} is not an int64 label"):
+                labels.append(np.int64(int(raw)))
+    return np.array(labels, dtype=np.int64)
 
 
 def load_labels(path) -> np.ndarray:
-    labels = []
-    with _reading(path) as data:
-        for n, raw in enumerate(data.split(b"\n"), 1):
-            if raw.strip():
-                with _prefix(f"line {n} is not an int64 label"):
-                    labels.append(np.int64(int(raw)))
-    return np.array(labels, dtype=np.int64)
+    return _read(path, _labels_from_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +254,30 @@ def load_labels(path) -> np.ndarray:
 def save_svm(path, model: LinearModel) -> None:
     lines = [f"dim {model.weights.shape[1]}"]
     lines += [f"class {int(c)} {int(n)}" for c, n in zip(model.classes, model.class_counts)]
-    with open(path, "wb") as f:
-        f.write(_container(_SVM_MAGIC, lines, [model.weights, model.bias]))
+    _write(path, _container(_SVM_MAGIC, lines, [model.weights, model.bias]), _svm_from_bytes)
+
+
+def _svm_from_bytes(data: bytes) -> LinearModel:
+    lines, offset = _header(data, _SVM_MAGIC)
+    keyed = _keyed(lines, once=("dim",), many=("class",))
+    dims = [_values(line, int, 1, low=0)[0] for line in keyed["dim"]]
+    classes, counts = [], []
+    for line in keyed["class"]:
+        label, count = _values(line, int, 2)
+        if count < 0:
+            raise ValueError(f"negative class count in header line {line!r}")
+        if label in classes:
+            raise ValueError(f"repeated class label in header line {line!r}")
+        classes.append(label)
+        counts.append(count)
+    if not dims or not classes:
+        raise ValueError("classifier header is missing dim/class lines")
+    weights, bias = _arrays(data, offset, [(keyed["dim"][0], (len(classes), dims[0])),
+                                           (keyed["class"][-1], (len(classes),))])
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise ValueError("classifier weights or bias hold NaN or infinite values")
+    return LinearModel(np.array(classes), weights, bias, np.array(counts))
 
 
 def load_svm(path) -> LinearModel:
-    with _reading(path) as data:
-        lines, offset = _header(data, _SVM_MAGIC)
-        keyed = _keyed(lines, once=("dim",), many=("class",))
-        dims = [_values(line, int, 1, low=0)[0] for line in keyed["dim"]]
-        classes, counts = [], []
-        for line in keyed["class"]:
-            label, count = _values(line, int, 2)
-            if count < 0:
-                raise ValueError(f"negative class count in header line {line!r}")
-            if label in classes:
-                raise ValueError(f"repeated class label in header line {line!r}")
-            classes.append(label)
-            counts.append(count)
-        if not dims or not classes:
-            raise ValueError("classifier header is missing dim/class lines")
-        weights, bias = _arrays(data, offset, [(keyed["dim"][0], (len(classes), dims[0])),
-                                               (keyed["class"][-1], (len(classes),))])
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise ValueError("classifier weights or bias hold NaN or infinite values")
-        return LinearModel(np.array(classes), weights, bias, np.array(counts))
+    return _read(path, _svm_from_bytes)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Shape3
+from .core import Shape3, check_count
 
 __all__ = ["LayerSpec", "NetworkSpec", "Network", "CONV", "POOL", "FC"]
 
@@ -45,10 +45,8 @@ class LayerSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}, expected one of {_KINDS}")
         for name in ("filter_h", "filter_w", "maps", "stride"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{self.kind} layer: {name} must be >= 1")
-        if self.padding < 0:
-            raise ValueError(f"{self.kind} layer: padding must be >= 0")
+            check_count(f"{self.kind} layer: {name}", getattr(self, name))
+        check_count(f"{self.kind} layer: padding", self.padding, low=0)
 
     @property
     def trainable(self) -> bool:

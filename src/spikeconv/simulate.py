@@ -19,11 +19,11 @@ input-major (``Network.weights.input_major``): a (window, maps) array, one
 row of every map's weight per window slot. It scans only the layer's live
 slots (``Network.weights.live_slots``), those where some map's weight is
 not zero: the window plan keeps those slots of every window
-(``_slot_plan``) and the weights those rows. A dead slot adds ±0.0 to
-every potential, which changes at most the sign of a zero, and a zero of
-either sign lies below every (positive) threshold and floors alike, so
-every crossing and fire time stays bitwise the same. A layer whose every
-weight is zero is silent and enters no engine.
+(``window_plan(in_shape, layer, slots)``) and the weights those rows. A
+dead slot adds ±0.0 to every potential, which changes at most the sign of
+a zero, and a zero of either sign lies below every (positive) threshold
+and floors alike, so every crossing and fire time stays bitwise the same.
+A layer whose every weight is zero is silent and enters no engine.
 
 - The crossing engine serves no inhibition (soft inhibition with
   ``v_inh == 0`` is the same thing) and every other competition confined
@@ -89,8 +89,8 @@ weight is zero is silent and enters no engine.
 A pooling neuron fires at the earliest input time in its window.
 
 Every window comes from the layer's cached ``window_plan``, which
-inference, training's random patches and filter reconstruction all read,
-or for a layer with dead slots from its cached ``_slot_plan``;
+inference, training's random patches and filter reconstruction all read;
+a layer with dead slots reads the cached plan of its live slots.
 ``_event_order`` is the one sort of a stack's events, in (time, site) order.
 """
 
@@ -139,7 +139,9 @@ class InhibitionPolicy:
     "wta" (first spike in a scope suppresses the rest for the sample).
     scope: "column" (the maps at one position) or "layer".
     layers: "all" applies the policy in every trainable layer, "output"
-    only in the network's last layer (the one being read out).
+    only in the network's last layer (the one being read out). Pooling
+    ignores policies, so "output" on a network that ends in pooling
+    inhibits nowhere.
     """
 
     mode: str = "none"
@@ -213,34 +215,28 @@ class _Plan:
 
     @cached_property
     def reverse(self):
-        """CSR site -> (position, window-slot) map for the event engine."""
-        pk = np.repeat(np.arange(self.positions, dtype=np.int64), self.window)
-        kk = np.tile(np.arange(self.window, dtype=np.int64), self.positions)
+        """CSR site -> (position, window-slot) map of a conv or fc plan, for
+        the event engine."""
         flat = self.win_index.ravel()
         order = np.argsort(flat, kind="stable")
-        sites = flat[order]
-        d = 1 if self.layer.kind == POOL else self.in_shape.depth
-        starts = np.searchsorted(sites, np.arange(d * self.pad_h * self.pad_w + 1))
-        return starts, pk[order], kk[order]
+        sites = self.in_shape.depth * self.pad_h * self.pad_w
+        starts = np.searchsorted(flat[order], np.arange(sites + 1))
+        return (starts, *np.divmod(order, self.window))
 
 
 @lru_cache(maxsize=64)
-def window_plan(in_shape: tuple, layer: LayerSpec) -> _Plan:
+def window_plan(in_shape: tuple, layer: LayerSpec, slots: bytes | None = None) -> _Plan:
     """Cached window plan of ``layer`` over a (depth, H, W) input field.
 
     Row ``p`` of ``win_index`` lists the sites of the +inf-padded input
     (``pad_times``) that output position ``p`` sees, in (map, y, x) order;
-    a pooling plan indexes the sites of one map.
+    a pooling plan indexes the sites of one map. With ``slots``, the bytes
+    of ascending int64 window slot indices, the plan keeps only those slots
+    of every window, and its own ``reverse``.
     """
     depth, height, width = in_shape  # a ValueError for a field that is not 3-D
-    return _Plan(Shape3(depth, height, width), layer)
-
-
-@lru_cache(maxsize=64)
-def _slot_plan(in_shape: tuple, layer: LayerSpec, slots: bytes) -> _Plan:
-    """``window_plan`` keeping only the window slots ``slots`` (the bytes of
-    ascending int64 slot indices) of every window, with its own ``reverse``."""
-    return _Plan(Shape3(*in_shape), layer, np.frombuffer(slots, dtype=np.int64))
+    live = None if slots is None else np.frombuffer(slots, dtype=np.int64)
+    return _Plan(Shape3(depth, height, width), layer, live)
 
 
 # ---------------------------------------------------------------------------
@@ -452,33 +448,25 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     return out
 
 
-def _fire_times(ranked_t, ranks, rp, slot):
-    """Times of the inputs at ``slot`` of the kept positions ``rp``: one rank gather."""
-    return ranked_t[ranks[rp, slot]]
-
-
-def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _Plan,
+def _column_times(times_in, w_in, thresholds, plan: _Plan, wta: bool, v_inh: float,
                   nonneg: bool):
     """Crossing engine: no competition, or one confined to each column.
 
     The N samples of the stack are one layer of N x P positions, sample by
     sample. One crossing scan per chunk of them, stopping each column at its
-    earliest crossing under winner-take-all, where only its lowest crossing
-    map fires; soft inhibition steps every column of a chunk through its
-    inputs in lockstep (module docstring).
+    earliest crossing under winner-take-all (``wta``), where only its lowest
+    crossing map fires; soft inhibition (``v_inh > 0``) steps every column
+    of a chunk through its inputs in lockstep (module docstring).
     Both read ``w_in``, the layer's (window, maps) input-major weights
     (``Network.weights.input_major``). ``nonneg``: no weight is negative.
     """
     n, d_out, positions = times_in.shape[0], w_in.shape[1], plan.positions
-    wta = policy.mode == "wta"
-    v_inh = policy.v_inh if policy.mode == "soft" else 0.0
     bound = nonneg and v_inh == 0.0 and positions > 1
     rank, ranked_t = _event_ranks(plan.flat_stack(times_in), plan.window)
     out = np.full((d_out, n * positions), np.inf)
-    if v_inh > 0.0:  # a chunk lays out its windows and its (position, map) state
-        chunk = max(1, _CHUNK_ELEMS // (plan.window + d_out))
-    else:  # its windows and the first block of each of its rows
-        chunk = max(1, _CHUNK_ELEMS // (d_out * _BLOCK0 + plan.window))
+    # a chunk lays out its windows plus the first block of each of its rows
+    # for the scan, or its (position, map) state for the lockstep
+    chunk = max(1, _CHUNK_ELEMS // (plan.window + d_out * (_BLOCK0 if v_inh == 0.0 else 1)))
     # a chunk holds whole samples, or a run of one sample's positions
     samples, span = max(1, chunk // positions), min(chunk, positions)
     for s0, p0 in itertools.product(range(0, n, samples), range(0, positions, span)):
@@ -494,13 +482,14 @@ def _column_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _P
             slot = _first_crossings(order, count, w_in, rd, rp, thresholds[rd], wta, nonneg)
             fire = slot >= 0
             rd, rp, slot = rd[fire], rp[fire], slot[fire]
-        out[rd, lo + pos[rp]] = _fire_times(ranked_t, ranks, rp, slot)
+        out[rd, lo + pos[rp]] = ranked_t[ranks[rp, slot]]  # the times of the inputs at slot
     out = out.reshape(d_out, n, plan.out_shape.height, plan.out_shape.width)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
-def _event_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _Plan):
-    """Event engine: competition across the whole layer, soft or winner-take-all.
+def _event_times(times_in, w_in, thresholds, plan: _Plan, wta: bool, v_inh: float):
+    """Event engine: competition across the whole layer, winner-take-all
+    (``wta``) or soft (``v_inh > 0``).
 
     Each sample of the stack gets its input sites one at a time in (time,
     map, y, x) order; the crossings each delivery causes resolve in (map, y,
@@ -527,7 +516,6 @@ def _event_times(times_in, w_in, thresholds, policy: InhibitionPolicy, plan: _Pl
     v = np.zeros((n * positions, d_out))
     th = np.repeat(thresholds[None, :], v.shape[0], axis=0)
     out = np.full(v.shape, np.inf)
-    v_inh, wta = policy.v_inh, policy.mode == "wta"
     won = np.zeros(n, dtype=bool)  # under WTA a sample leaves at its one spike
     k0, size = 0, _BLOCK0
     while k0 < delivered.size and not won.all():
@@ -617,19 +605,19 @@ def forward_layer(
             raise ValueError(f"layer {index} has uninitialized parameters")
         if policy.layers == "output" and index != len(spec.layers) - 1:
             policy = NO_INHIBITION
-        wta, soft = policy.mode == "wta", policy.mode == "soft" and policy.v_inh > 0.0
+        wta, v_inh = policy.mode == "wta", policy.v_inh if policy.mode == "soft" else 0.0
         # winner-take-all in a one-position layer settles its one column, the
         # whole layer, at the first crossing, where the event engine stops
-        event = (wta or soft) and policy.scope == "layer" or wta and plan.positions == 1
+        event = (wta or v_inh > 0.0) and policy.scope == "layer" or wta and plan.positions == 1
         w_in, live = network.weights.input_major(index), network.weights.live_slots(index)
         if live.size < plan.window:  # a dead slot adds exactly ±0.0 to every potential
-            plan, w_in = _slot_plan(in_shape, layer, live.tobytes()), w_in[live]
+            plan, w_in = window_plan(in_shape, layer, live.tobytes()), w_in[live]
         if not live.size:  # every potential stays 0, below every threshold
             out = np.full((len(stack), *plan.out_shape.astuple()), np.inf)
         elif event:
-            out = _event_times(stack, w_in, thresholds, policy, plan)
+            out = _event_times(stack, w_in, thresholds, plan, wta, v_inh)
         else:
-            out = _column_times(stack, w_in, thresholds, policy, plan, network.w_min >= 0.0)
+            out = _column_times(stack, w_in, thresholds, plan, wta, v_inh, network.w_min >= 0.0)
     return out if times.ndim == 4 else out[0]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStreams, check_grids
+from .core import RngStreams, check_count, check_grids
 from .encoding import CodingWindow, DoGParams, encode_image_grid
 from .network import LayerSpec, Network, NetworkSpec, POOL
 from .plasticity import (
@@ -75,8 +75,7 @@ class TrainConfig:
     prefix_policy: str = "none"
 
     def __post_init__(self):
-        if self.n_epoch < 1:
-            raise ValueError("n_epoch must be >= 1")
+        check_count("n_epoch", self.n_epoch)
         if not 0 < self.anneal <= 1:
             raise ValueError("anneal factor must be in (0, 1]")
         if self.no_winner not in ("step", "share"):

@@ -359,6 +359,20 @@ class TestCliEval:
         assert "nope.spknet" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("dims", [(2**31 - 1,) * 3, (1, 2**31 - 1, 2**31 - 1)])
+    def test_oversized_idx_header_is_an_error(self, toy, capsys, dims):
+        # the dataset is read before the model, so no model is needed
+        crafted = toy["dir"] / "huge-images.idx3"
+        crafted.write_bytes(struct.pack(">4i", 0x803, *dims) + bytes(64))
+        rc = main([
+            "eval", "nope.spknet", "--config", toy["cfg"],
+            "--train-images", str(crafted), "--train-labels", toy["train"][1],
+            "--test-images", toy["test"][0], "--test-labels", toy["test"][1],
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {crafted}: truncated pixel data")
+
     def test_svm_out_of_several_models_needs_ensemble(self, toy, capsys):
         # rejected before any model or dataset is read
         svm = toy["dir"] / "s.svm"
@@ -602,9 +616,17 @@ class TestCliFeaturesInspect:
 
 class TestCrossProcessDeterminism:
     def test_two_processes_same_seed_identical_bytes(self, toy):
+        import os
         import subprocess
         import sys
 
+        import spikeconv
+
+        # each child imports the package this process tests, from a checkout
+        # as well as from an installed copy
+        home = str(Path(spikeconv.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
         blobs = []
         for name in ("p1.spknet", "p2.spknet"):
             out = toy["dir"] / name
@@ -614,7 +636,7 @@ class TestCrossProcessDeterminism:
                 "--train-images", toy["train"][0],
                 "--train-labels", toy["train"][1],
             ]
-            res = subprocess.run(cmd, capture_output=True, text=True)
+            res = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert res.returncode == 0, res.stderr
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]

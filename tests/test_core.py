@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from spikeconv import RngStreams, Shape3
+from spikeconv import LayerSpec, RngStreams, Shape3, TrainConfig
 
 
 class TestShape3:
@@ -13,6 +15,35 @@ class TestShape3:
 
     def test_size(self):
         assert Shape3(2, 3, 4).size == 24
+
+
+class TestIntegralCounts:
+    """A count that is not an integer fails at construction, naming its field."""
+
+    @pytest.mark.parametrize("make, named", [
+        (lambda: TrainConfig(n_epoch=2.5), "n_epoch must be an integer >= 1, got 2.5"),
+        (lambda: TrainConfig(n_epoch=0), "n_epoch must be an integer >= 1, got 0"),
+        (lambda: LayerSpec("conv", 3, 3, 4, 1, 0.5),
+         "conv layer: padding must be an integer >= 0, got 0.5"),
+        (lambda: LayerSpec("conv", 2.5, 3, 4, 1, 0),
+         "conv layer: filter_h must be an integer >= 1, got 2.5"),
+        (lambda: LayerSpec("fc", 3, 3.0, 4, 1, 0),
+         "fc layer: filter_w must be an integer >= 1, got 3.0"),
+        (lambda: LayerSpec("pool", 2, 2, 4, 2.0, 0),
+         "pool layer: stride must be an integer >= 1, got 2.0"),
+        (lambda: LayerSpec("conv", 3, 3, "4", 1, 0),
+         "conv layer: maps must be an integer >= 1, got '4'"),
+        (lambda: LayerSpec("conv", 3, 3, 4, 1, -1),
+         "conv layer: padding must be an integer >= 0, got -1"),
+        (lambda: Shape3(2, 7.0, 4), "Shape3.height must be an integer >= 1, got 7.0"),
+    ])
+    def test_non_integral_or_small_count_rejected(self, make, named):
+        with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        assert LayerSpec("conv", np.int64(3), 3, np.int32(4), 1, np.uint8(0)).maps == 4
+        assert TrainConfig(n_epoch=np.int64(2)).n_epoch == 2
 
 
 class TestRngStreams:

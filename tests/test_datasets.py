@@ -77,6 +77,18 @@ class TestIdx:
                 f"{ip}: negative size in IDX header (count {count}, rows {rows}, cols {cols})")):
             load_idx(ip, lp)
 
+    # astronomically large claims only: a claim of a few GB might be granted
+    @pytest.mark.parametrize("count, rows, cols", [(2**31 - 1,) * 3, (1, 2**31 - 1, 2**31 - 1)])
+    def test_oversized_image_header_rejected_before_reading(self, tmp_path, count, rows, cols):
+        ip, lp = _write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        with open(ip, "wb") as f:
+            f.write(struct.pack(">4i", 0x803, count, rows, cols))
+            f.write(bytes(8))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{ip}: truncated pixel data (the header claims {count * rows * cols} bytes, "
+                "8 follow it)")):
+            load_idx(ip, lp)
+
     def test_negative_label_count_rejected(self, tmp_path):
         ip, lp = _write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
         with open(lp, "wb") as f:

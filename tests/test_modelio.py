@@ -379,7 +379,7 @@ class TestFeatureContainer:
         feats = np.ones((2, 3))
         feats[1, 2] = value
         p = tmp_path / "f.spkfeat"
-        save_features(p, feats)
+        p.write_bytes(b"SPIKECONV FEATURES 2 3 0\n" + feats.astype("<f8").tobytes())
         with pytest.raises(ValueError, match="NaN or infinite"):
             load_features(p)
 
@@ -478,6 +478,75 @@ class TestSvmContainer:
         p.write_bytes(blob + b"xx")
         with pytest.raises(ValueError, match="2 trailing bytes"):
             load_svm(p)
+
+
+def _svm_with(**changes) -> LinearModel:
+    """The classifier of ``TestGoldenBytes.test_svm_file`` with some fields replaced."""
+    fields = dict(classes=np.array([3, 7]), weights=np.array([[0.5, -1.0], [2.0, 0.1]]),
+                  bias=np.array([0.125, -3.0]), class_counts=np.array([4, 6]))
+    return LinearModel(**{**fields, **changes})
+
+
+def _refused_features(value):
+    feats = np.ones((2, 3))
+    feats[1, 0] = value
+    return feats
+
+
+class TestRefusedWrites:
+    """A writer refuses what its reader refuses, before it opens the file."""
+
+    @pytest.mark.parametrize("save, what, named", [
+        pytest.param(lambda p: save_features(p, _refused_features(np.nan)),
+                     "features", "NaN or infinite", id="features-nan"),
+        pytest.param(lambda p: save_features(p, _refused_features(np.inf)),
+                     "features", "NaN or infinite", id="features-inf"),
+        pytest.param(lambda p: save_features(p, _refused_features(-np.inf), has_labels=True),
+                     "features", "NaN or infinite", id="features-minus-inf"),
+        pytest.param(lambda p: save_svm(p, _svm_with(weights=np.array([[0.5, np.nan],
+                                                                       [2.0, 0.1]]))),
+                     "svm", "NaN or infinite", id="svm-nan-weight"),
+        pytest.param(lambda p: save_svm(p, _svm_with(bias=np.array([np.inf, -3.0]))),
+                     "svm", "NaN or infinite", id="svm-inf-bias"),
+        pytest.param(lambda p: save_svm(p, _svm_with(classes=np.array([3, 3]))),
+                     "svm", "repeated class label in header line 'class 3 6'",
+                     id="svm-repeated-class"),
+        pytest.param(lambda p: save_svm(p, _svm_with(class_counts=np.array([4, -1]))),
+                     "svm", "negative class count in header line 'class 7 -1'",
+                     id="svm-negative-count"),
+        pytest.param(lambda p: save_labels(p, [3, 1.7, 4]), "labels",
+                     "line 2 is not an int64 label", id="labels-fraction"),
+        pytest.param(lambda p: save_labels(p, [3, 1, np.nan]), "labels",
+                     "line 3 is not an int64 label", id="labels-nan"),
+        pytest.param(lambda p: save_labels(p, [2**63]), "labels",
+                     "line 1 is not an int64 label", id="labels-overflow"),
+    ])
+    def test_refused_write_leaves_the_file_untouched(self, tmp_path, save, what, named):
+        p = tmp_path / "out.file"
+        if what == "features":
+            save_features(p, np.ones((1, 2)))
+        elif what == "svm":
+            save_svm(p, _svm_with())
+        else:
+            save_labels(p, [5, 6])
+        before = p.read_bytes()
+        with pytest.raises(ValueError) as info:
+            save(p)
+        assert str(info.value).startswith(f"{p}: ") and named in str(info.value)
+        assert p.read_bytes() == before
+
+    def test_refused_write_creates_no_file(self, tmp_path):
+        p = tmp_path / "never.spkfeat"
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            save_features(p, _refused_features(np.nan))
+        assert not p.exists()
+
+    def test_integral_labels_of_any_integer_type_round_trip(self, tmp_path):
+        p = tmp_path / "l.txt"
+        save_labels(p, np.array([0, 9, -4, 2**63 - 1], dtype=np.int64))
+        assert load_labels(p).tolist() == [0, 9, -4, 2**63 - 1]
+        save_labels(p, np.array([7, 255], dtype=np.uint8))
+        assert load_labels(p).tolist() == [7, 255]
 
 
 def _model_blob(old: bytes = b"", new: bytes = b"") -> bytes:

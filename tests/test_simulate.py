@@ -415,31 +415,52 @@ class TestColumnPolicies:
     def test_route_follows_policy_and_layer_shape(self, monkeypatch):
         import spikeconv.simulate as sim
 
+        # each engine gets the policy resolved once: (wta, v_inh), v_inh 0.0
+        # unless the mode is soft
         calls = []
         for name in ("_column_times", "_event_times"):
             real = getattr(sim, name)
-            monkeypatch.setattr(sim, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+            monkeypatch.setattr(sim, name, lambda s, w, th, plan, wta, v_inh, *a, _f=real, _n=name:
+                                calls.append((_n, wta, v_inh))
+                                or _f(s, w, th, plan, wta, v_inh, *a))
         conv = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 2, 2)), np.ones(2))
         fc = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 3, 3)), np.ones(2), kind="fc")
         conv1x1 = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 3, 3)), np.ones(2))
         soft = InhibitionPolicy("soft", v_inh=0.5)
         cases = [
-            (conv, soft, "_column_times"),
+            (conv, soft, "_column_times", False, 0.5),
             # one position: the lockstep steps one column per sample
-            (fc, soft, "_column_times"),
-            (conv1x1, soft, "_column_times"),
-            (conv1x1, InhibitionPolicy("wta"), "_event_times"),
-            (conv, InhibitionPolicy("soft", v_inh=0.5, scope="layer"), "_event_times"),
-            (conv, InhibitionPolicy("wta", scope="layer"), "_event_times"),
-            (conv, InhibitionPolicy("soft", v_inh=0.0), "_column_times"),
-            (conv, InhibitionPolicy("wta"), "_column_times"),
-            (fc, InhibitionPolicy("wta"), "_event_times"),
-            (fc, NO_INHIBITION, "_column_times"),
+            (fc, soft, "_column_times", False, 0.5),
+            (conv1x1, soft, "_column_times", False, 0.5),
+            (conv1x1, InhibitionPolicy("wta"), "_event_times", True, 0.0),
+            (conv, InhibitionPolicy("soft", v_inh=0.5, scope="layer"), "_event_times", False, 0.5),
+            (conv, InhibitionPolicy("wta", scope="layer"), "_event_times", True, 0.0),
+            (conv, InhibitionPolicy("soft", v_inh=0.0), "_column_times", False, 0.0),
+            # soft without a charge is no inhibition at any scope: the block scan
+            (conv, InhibitionPolicy("soft", v_inh=0.0, scope="layer"), "_column_times", False, 0.0),
+            (conv, InhibitionPolicy("wta"), "_column_times", True, 0.0),
+            # winner-take-all reads no v_inh
+            (conv, InhibitionPolicy("wta", v_inh=5.0), "_column_times", True, 0.0),
+            (conv, InhibitionPolicy("wta", v_inh=5.0, scope="layer"), "_event_times", True, 0.0),
+            (fc, InhibitionPolicy("wta"), "_event_times", True, 0.0),
+            (fc, NO_INHIBITION, "_column_times", False, 0.0),
+            (fc, InhibitionPolicy("none", v_inh=3.0, scope="layer"), "_column_times", False, 0.0),
         ]
-        for net, policy, route in cases:
+        for net, policy, *route in cases:
             calls.clear()
             forward_layer(net, 0, np.zeros((1, 3, 3)), policy)
-            assert calls == [route], (net.spec.layers[0], policy)
+            assert calls == [tuple(route)], (net.spec.layers[0], policy)
+        # layers="output" inhibits only the last layer; an inner layer runs free
+        spec = NetworkSpec(Shape3(1, 4, 4), [LayerSpec("conv", 2, 2, 2, 1, 0),
+                                             LayerSpec("conv", 2, 2, 2, 1, 0)])
+        two = Network(spec)
+        for i in (0, 1):
+            two.install_column(i, np.ones(spec.weight_shape(i)), np.ones(2))
+        for policy, last in [(InhibitionPolicy("wta", layers="output"), (True, 0.0)),
+                             (InhibitionPolicy("soft", v_inh=0.5, layers="output"), (False, 0.5))]:
+            calls.clear()
+            forward_times(two, np.zeros((1, 4, 4)), policy)
+            assert calls == [("_column_times", False, 0.0), ("_column_times", *last)], policy
 
     def test_floor_recheck_and_restart_by_hand(self):
         # a 1x4 filter over five inputs 0.1 apart: two positions, the second
@@ -1309,8 +1330,8 @@ class TestDeadSlots:
         seen = []
         for name in ("_column_times", "_event_times"):
             real = getattr(sim, name)
-            monkeypatch.setattr(sim, name, lambda s, w, th, pol, plan, *a, _f=real:
-                                seen.append((w, plan)) or _f(s, w, th, pol, plan, *a))
+            monkeypatch.setattr(sim, name, lambda s, w, th, plan, *a, _f=real:
+                                seen.append((w, plan)) or _f(s, w, th, plan, *a))
         rng = np.random.default_rng(8)
         spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 4, 1, 0),
                                              LayerSpec("pool", 2, 2, 4, 2, 0),
@@ -1360,6 +1381,43 @@ class TestDeadSlots:
             grid = forward_layer(net, 0, stack[2], policy)
             assert grid.shape == spec.shapes[1].astuple() and np.isinf(grid).all()
             assert np.array_equal(grid, column_reference(net, 0, stack[2], NO_INHIBITION))
+
+
+class TestWindowPlan:
+    """One bounded cache holds every window plan, full or of live slots, and
+    a plan's reverse map inverts its ``win_index``."""
+
+    @pytest.mark.parametrize("in_shape, layer, slots", [
+        ((2, 7, 7), LayerSpec("conv", 3, 3, 4, 2, 1), None),
+        ((3, 4, 4), LayerSpec("fc", 4, 4, 5, 1, 0), None),
+        ((2, 7, 7), LayerSpec("conv", 3, 3, 4, 2, 1), [0, 4, 5, 11, 17]),
+        ((3, 4, 4), LayerSpec("fc", 4, 4, 5, 1, 0), [1, 2, 30, 47]),
+    ])
+    def test_reverse_inverts_win_index(self, in_shape, layer, slots):
+        live = None if slots is None else np.array(slots, dtype=np.int64).tobytes()
+        plan = sim.window_plan(in_shape, layer, live)
+        full = sim.window_plan(in_shape, layer)
+        assert np.array_equal(plan.win_index, full.win_index[:, slots or slice(None)])
+        starts, rev_p, rev_k = plan.reverse
+        sites = in_shape[0] * plan.pad_h * plan.pad_w
+        assert starts.shape == (sites + 1,) and starts[-1] == plan.win_index.size
+        for site in range(sites):
+            want = [(p, k) for p in range(plan.positions) for k in range(plan.window)
+                    if plan.win_index[p, k] == site]
+            at = slice(starts[site], starts[site + 1])
+            assert list(zip(rev_p[at].tolist(), rev_k[at].tolist())) == want, site
+
+    def test_equal_arguments_share_one_cached_plan(self):
+        layer = LayerSpec("conv", 3, 3, 4, 2, 1)
+        full = sim.window_plan((2, 7, 7), layer)
+        assert sim.window_plan((2, 7, 7), LayerSpec("conv", 3, 3, 4, 2, 1)) is full
+        part = sim.window_plan((2, 7, 7), layer, np.array([0, 4, 5], dtype=np.int64).tobytes())
+        live = np.flatnonzero(np.isin(np.arange(18), [0, 4, 5]))  # an equal index made anew
+        again = sim.window_plan((2, 7, 7), layer, live.tobytes())
+        assert again is part and part is not full and part.window == 3
+        other = sim.window_plan((2, 7, 7), layer, np.array([0, 4, 6], dtype=np.int64).tobytes())
+        assert other is not part
+        assert sim.window_plan.cache_info().maxsize is not None  # bounded
 
 
 class TestPackedKeys:
