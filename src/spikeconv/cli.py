@@ -84,29 +84,17 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
 
-    members = cfg.ensemble_members()
-    if members:
-        logs = [TrainingLog() for _ in members]
-        nets = train_ensemble(spec, ds.images, cfg.train_config(), args.seed,
-                              members, logs=logs)
-        for i, net in enumerate(nets):
-            save_network(_member_path(out, i), net)
-        merged = TrainingLog()
-        for i, lg in enumerate(logs):
-            merged.rows.extend((f"m{i}:{r[0]}",) + r[1:] for r in lg.rows)
-        merged.write(log_path)
-        print(f"wrote {len(nets)} ensemble member models to {out.parent or '.'}")
+    log, tc = TrainingLog(), cfg.train_config()
+    if cfg.ensemble:
+        nets = train_ensemble(spec, ds.images, tc, args.seed, cfg.ensemble, log=log)
+        paths = [out.with_name(f"{out.stem}.m{i}{out.suffix}") for i in range(len(nets))]
     else:
-        log = TrainingLog()
-        net = train_network(spec, ds.images, cfg.train_config(), args.seed, log=log)
-        save_network(out, net)
-        log.write(log_path)
-        print(f"wrote model {out}")
+        nets, paths = [train_network(spec, ds.images, tc, args.seed, log=log)], [out]
+    for path, net in zip(paths, nets):
+        save_network(path, net)
+        print(f"wrote model {path}")
+    log.write(log_path)
     return 0
-
-
-def _member_path(out: Path, index: int) -> Path:
-    return out.with_name(f"{out.stem}.m{index}{out.suffix}")
 
 
 def _encode(cfg: ExperimentConfig, ds):

@@ -46,7 +46,7 @@ class ExperimentConfig:
     name: str = "default"
     settings: dict = field(default_factory=dict)
     architecture: tuple = DEFAULT_ARCHITECTURE
-    ensemble: tuple = ()  # (t_target, output_maps) per member; empty = one network
+    ensemble: tuple = ()  # one EnsembleMember per network; empty = one network
 
     def train_config(self) -> TrainConfig:
         s = self.settings
@@ -63,15 +63,15 @@ class ExperimentConfig:
     def network_spec(self, input_shape: Shape3) -> NetworkSpec:
         return NetworkSpec(input_shape, self.architecture)
 
-    def ensemble_members(self) -> list[EnsembleMember]:
-        return [EnsembleMember(t, n) for t, n in self.ensemble]
-
     def validate(self) -> "ExperimentConfig":
-        self.train_config()
+        tc = self.train_config()
         self.inference_policy()
         if not self.architecture:
             raise ValueError("architecture has no layers")
-        self.ensemble_members()
+        trainable = sum(layer.trainable for layer in self.architecture)
+        if tc.t_targets is not None and len(tc.t_targets) != trainable:
+            raise ValueError(f"t_targets gives {len(tc.t_targets)} firing targets for "
+                             f"the architecture's {trainable} trainable layers")
         return self
 
 
@@ -187,10 +187,9 @@ def _parse_ensemble(section, name):
         try:
             if len(parts) != 2:
                 raise ValueError("must be 't_target output_maps'")
-            member = EnsembleMember(float(parts[0]), int(parts[1]))
+            members.append(EnsembleMember(float(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ValueError(f"{name}: [ensemble] {key}: {exc}") from None
-        members.append((member.t_target, member.output_maps))
     return tuple(members)
 
 

@@ -114,14 +114,14 @@ def load_image_dir(root, target_size=None) -> LabeledImageSet:
             if not fp.is_file():
                 continue
             try:
-                images.append(_load_one(fp, target_size))
+                images.append((fp, _load_one(fp, target_size)))
                 labels.append(label)
                 loaded += 1
             except (ValueError, OSError) as exc:
                 warnings.warn(f"skipping unreadable image {fp}: {exc}")
         if loaded == 0:
             raise ValueError(f"{cdir}: class directory has no readable images")
-    return LabeledImageSet(np.stack(images), np.array(labels, dtype=np.int64), names)
+    return _image_set(images, labels, names)
 
 
 def load_split_list(root, list_path, target_size=None) -> LabeledImageSet:
@@ -141,9 +141,20 @@ def load_split_list(root, list_path, target_size=None) -> LabeledImageSet:
                 label = int(label_s)
             except ValueError:
                 raise ValueError(f"{list_path}:{ln}: bad label {label_s!r}") from None
-            images.append(_load_one(root / rel, target_size))
+            images.append((root / rel, _load_one(root / rel, target_size)))
             labels.append(label)
     if not images:
         raise ValueError(f"{list_path}: empty split list")
     names = [str(c) for c in sorted(set(labels))]
-    return LabeledImageSet(np.stack(images), np.array(labels, dtype=np.int64), names)
+    return _image_set(images, labels, names)
+
+
+def _image_set(loaded, labels, names) -> LabeledImageSet:
+    """The set of the loaded (path, image) pairs, refusing the first image
+    whose (H, W) differs from the first image's."""
+    shape = loaded[0][1].shape
+    for path, img in loaded:
+        if img.shape != shape:
+            raise ValueError(f"{path}: (H, W) {img.shape} differs from the first image's {shape}")
+    return LabeledImageSet(np.stack([img for _, img in loaded]),
+                           np.array(labels, dtype=np.int64), names)

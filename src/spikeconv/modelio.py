@@ -253,7 +253,7 @@ def load_labels(path) -> np.ndarray:
 
 def save_svm(path, model: LinearModel) -> None:
     lines = [f"dim {model.weights.shape[1]}"]
-    lines += [f"class {int(c)} {int(n)}" for c, n in zip(model.classes, model.class_counts)]
+    lines += [f"class {c} {n}" for c, n in zip(model.classes, model.class_counts)]
     _write(path, _container(_SVM_MAGIC, lines, [model.weights, model.bias]), _svm_from_bytes)
 
 

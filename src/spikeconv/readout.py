@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import check_grids
 from .network import Network, POOL
-from .simulate import InhibitionPolicy, NO_INHIBITION, forward_layer, stack_size, window_plan
+from .simulate import InhibitionPolicy, NO_INHIBITION, forward_stacks, window_plan
 
 __all__ = [
     "decode_grid",
@@ -81,37 +81,28 @@ def extract_features(
 ) -> np.ndarray:
     """Feature matrix of a dataset: per-network features concatenated.
 
-    ``networks`` is one network or a list (ensemble members, concatenated in
-    order); ``grids`` the encoded samples; ``t_end`` the end of the coding
-    window the networks were trained on. Every sample must have the
-    networks' input shape and hold no NaN or -inf; the error names the
-    first sample that does not. The samples run in stacks of ``stack_size``
-    samples: each stack passes through every network at once, and its last
-    layer is decoded against that network's own output firing target and
-    sum-pooled at once.
+    ``networks`` is one network or a non-empty list (ensemble members,
+    concatenated in order); ``grids`` the encoded samples; ``t_end`` the end
+    of the coding window the networks were trained on. Every sample must
+    have the networks' input shape and hold no NaN or -inf; the error names
+    the first sample that does not. Each network reads its last layer's
+    output stacks from ``forward_stacks``, in its own stack size, and
+    decodes them against its own output firing target and sum-pools them
+    at once.
     """
-    if isinstance(networks, Network):
-        networks = [networks]
-    networks = list(networks)
-    targets = [net.output_t_target for net in networks]
-    if None in targets:
-        raise ValueError("network has no firing target to decode its output against")
+    networks = [networks] if isinstance(networks, Network) else list(networks)
+    if not networks:
+        raise ValueError("feature extraction needs at least one network")
     for net in networks:
+        if net.output_t_target is None:
+            raise ValueError("network has no firing target to decode its output against")
         net.require_ready()
         check_grids(grids, net.spec.input_shape)
-    widths = [n.spec.out_shape.depth for n in networks]
-    feats = np.zeros((len(grids), int(np.sum(widths))))
-    stack = min(stack_size(net.spec) for net in networks)
-    for lo in range(0, len(grids), stack):
-        batch = np.stack(grids[lo:lo + stack])
-        col = 0
-        for net, t_target, w in zip(networks, targets, widths):
-            out = batch
-            for i in range(len(net.spec.layers)):
-                out = forward_layer(net, i, out, policy)
-            feats[lo:lo + stack, col:col + w] = decode_grid(out, t_target, t_end).sum(axis=(2, 3))
-            col += w
-    return feats
+    blocks = [np.zeros((len(grids), net.spec.out_shape.depth)) for net in networks]
+    for net, block in zip(networks, blocks):
+        for lo, (*_, last) in forward_stacks(net, grids, policy):
+            block[lo:lo + len(last)] = decode_grid(last, net.output_t_target, t_end).sum((2, 3))
+    return np.concatenate(blocks, axis=1)
 
 
 def mean_sparsity(features: np.ndarray) -> float:

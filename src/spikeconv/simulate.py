@@ -110,6 +110,7 @@ __all__ = [
     "NO_INHIBITION",
     "forward_layer",
     "forward_times",
+    "forward_stacks",
     "stack_size",
     "window_plan",
     "column_response",
@@ -622,12 +623,31 @@ def forward_layer(
 
 
 def stack_size(spec: NetworkSpec) -> int:
-    """Samples per stack for callers that batch ``forward_layer`` over a dataset.
+    """Samples per stack of ``forward_stacks``.
 
     As many as keep the stack's fire-time grids, its input and every
     layer's output, within one crossing-scan chunk's element cap; at least 1.
     """
     return max(1, _CHUNK_ELEMS // sum(shape.size for shape in spec.shapes))
+
+
+def forward_stacks(network: Network, grids, policy: InhibitionPolicy = NO_INHIBITION,
+                   start: int = 0, stop: int | None = None):
+    """Run layers ``start`` to ``stop`` (default: the last) over a dataset.
+
+    ``grids`` holds the input fields of layer ``start``, a sequence of
+    (depth, H, W) grids or one (N, depth, H, W) array. The samples run in
+    stacks of ``stack_size(network.spec)``; for each stack this yields the
+    index of its first sample and the list of its output stacks, one
+    (n, depth, H, W) array per layer run, which stay alive until the next
+    stack starts. Every layer runs as ``forward_layer`` runs it.
+    """
+    size = stack_size(network.spec)
+    for lo in range(0, len(grids), size):
+        outs = [np.stack(grids[lo:lo + size])]
+        for i in range(start, len(network.spec.layers) if stop is None else stop):
+            outs.append(forward_layer(network, i, outs[-1], policy))
+        yield lo, outs[1:]
 
 
 def forward_times(
@@ -639,18 +659,17 @@ def forward_times(
 
     ``input_times`` is a (depth, H, W) array-like of spike timestamps with +inf
     marking silent sites; NaN or -inf input is rejected. Inhibition applies
-    to trainable layers only; pooling is a fixed passthrough.
+    to trainable layers only; pooling is a fixed passthrough. The sample is
+    ``forward_stacks``' dataset of one.
     """
     input_times = np.asarray(input_times, dtype=np.float64)
-    if input_times.ndim != 3:
-        raise ValueError(f"input grid shape {input_times.shape} is not one (depth, H, W) grid")
+    if input_times.shape != network.spec.input_shape.astuple():
+        raise ValueError(f"input grid shape {input_times.shape} is not one "
+                         f"{network.spec.input_shape.astuple()} grid")
     network.require_ready()
-    grids = []
-    times = input_times
-    for i in range(len(network.spec.layers)):
-        times = forward_layer(network, i, times, policy)
-        grids.append(times)
-    return grids
+    check_fire_times(input_times)
+    ((_, outs),) = forward_stacks(network, input_times[None], policy)
+    return [out[0] for out in outs]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from .plasticity import (
     adapt_threshold_winner,
     apply_stdp,
 )
-from .simulate import (InhibitionPolicy, NO_INHIBITION, column_response, forward_layer,
-                       stack_size, window_plan)
+from .simulate import InhibitionPolicy, column_response, forward_stacks, window_plan
 
 __all__ = [
     "TrainConfig",
@@ -277,9 +276,11 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
     shape is not the network input's, or that holds NaN or -inf, is rejected
     before any layer trains, as ``extract_features`` rejects it.
 
-    Before each trainable layer, the samples pass the frozen layers below it
-    once, in stacks of ``stack_size(spec)`` samples, and only that layer's
-    input fields are kept, as one (samples, depth, H, W) array.
+    Before each trainable layer, the samples pass the frozen layers below
+    it once, in ``forward_stacks``' stacks, starting from the fields the
+    last advance kept; only that layer's input fields are kept, as one
+    (samples, depth, H, W) array. Each trained layer's per-epoch rows go to
+    ``log``, labelled by the layer's index.
     """
     streams = RngStreams(seed)
     network = Network(spec, cfg.w_min, cfg.w_max)
@@ -289,18 +290,13 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
         raise ValueError("training dataset is empty")
     check_grids(grids, spec.input_shape)
 
-    prefix = (InhibitionPolicy("wta") if cfg.prefix_policy == "wta"
-              else NO_INHIBITION)
-    stack = stack_size(spec)
+    prefix = InhibitionPolicy(cfg.prefix_policy)
     done = 0  # ``grids`` hold the input fields of layer ``done``
     for i, t_tgt in zip(spec.trainable_indices(), targets):
         if i > done:
             fields = np.empty((len(grids),) + spec.shapes[i].astuple())
-            for lo in range(0, len(grids), stack):
-                batch = np.stack(grids[lo:lo + stack])
-                for j in range(done, i):
-                    batch = forward_layer(network, j, batch, prefix)
-                fields[lo:lo + stack] = batch
+            for lo, (*_, last) in forward_stacks(network, grids, prefix, done, i):
+                fields[lo:lo + len(last)] = last
             grids, done = fields, i
         w, th = train_layer(spec, i, grids, cfg, streams, t_tgt, log)
         broadcast_column(network, i, w, th, t_tgt)
@@ -308,13 +304,15 @@ def train_network(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
 
 
 def train_ensemble(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
-                   members, encoded=None, logs=None) -> list[Network]:
-    """Train independent networks, one per (t_target, output width) member.
+                   members, encoded=None, log: TrainingLog | None = None) -> list[Network]:
+    """Train independent networks, one per ``EnsembleMember``.
 
     Every trainable layer of a member uses that member's t_target. Member
     stream families are keyed by the member's own parameters, so training
     one member is unaffected by reordering, adding or removing the others;
     only the position of its feature block in the concatenation moves.
+    Member ``i``'s rows go to ``log`` in member order, each labelled
+    ``m<i>:<layer>``.
     """
     members = list(members)
     if not members:
@@ -331,8 +329,10 @@ def train_ensemble(spec: NetworkSpec, images, cfg: TrainConfig, seed: int,
         mseed = streams.child(
             int(round(member.t_target * 2 ** 30)), member.output_maps
         ).seed
-        mlog = None if logs is None else logs[idx]
+        mlog = None if log is None else TrainingLog()
         nets.append(train_network(mspec, images, mcfg, mseed, encoded=encoded, log=mlog))
+        if log is not None:
+            log.rows.extend((f"m{idx}:{r[0]}",) + r[1:] for r in mlog.rows)
     return nets
 
 

@@ -46,6 +46,23 @@ def test_no_private_names_imported_across_modules(path):
     assert private == [], f"{path.name} imports private names {private}"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_only_forward_stacks_runs_layers(path):
+    # ``simulate.forward_stacks`` holds the one loop over a network's
+    # layers; every other module runs layers through it, never through
+    # ``forward_layer`` itself
+    callers = {
+        func.name
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "forward_layer"
+    }
+    assert callers <= ({"forward_stacks"} if path.stem == "simulate" else set()), \
+        f"{path.name} calls forward_layer in {sorted(callers)}"
+
+
 def test_readme_quick_tour_runs():
     # the first Python block of the README, run as written on a few images
     code = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
@@ -74,6 +91,7 @@ def _parameters(func) -> str:
 
 @pytest.mark.parametrize("module, name, params", [
     ("simulate", "forward_times", "(network, input_times, policy=NO_INHIBITION)"),
+    ("simulate", "forward_stacks", "(network, grids, policy=NO_INHIBITION, start=0, stop=None)"),
     ("readout", "extract_features", "(networks, grids, t_end, policy=NO_INHIBITION)"),
     ("training", "train_network", "(spec, images, cfg, seed, encoded=None, log=None)"),
     ("training", "train_layer", "(spec, index, input_grids, cfg, streams, t_target, log=None)"),

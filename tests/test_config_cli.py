@@ -10,6 +10,7 @@ from spikeconv.cli import main
 from spikeconv.config import _KEYS, DEFAULT_ARCHITECTURE, ExperimentConfig, parse_config
 from spikeconv.modelio import load_features, load_labels, load_network, load_svm
 from spikeconv.plasticity import BiologicalStdp, MultiplicativeStdp
+from spikeconv.training import EnsembleMember
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,7 +85,15 @@ layer3 = fc 3 3 8 1 0
 
     def test_ensemble_section(self):
         cfg = parse_config("[ensemble]\nmember1 = 0.65 128\nmember2 = 0.70 128\n")
-        assert cfg.ensemble == ((0.65, 128), (0.70, 128))
+        assert cfg.ensemble == (EnsembleMember(0.65, 128), EnsembleMember(0.70, 128))
+
+    def test_t_targets_count_checked_against_architecture(self):
+        # the default architecture has three trainable layers
+        with pytest.raises(ValueError, match=r"^config: t_targets gives 2 firing targets for "
+                                             r"the architecture's 3 trainable layers$"):
+            parse_config("[threshold]\nt_targets = 0.5 0.6\n")
+        arch = "[architecture]\nlayer1 = conv 3 3 4 1 0\nlayer2 = pool 2 2 4 2 0\n"
+        assert parse_config(arch + "[threshold]\nt_targets = 0.5\n").train_config().t_targets == (0.5,)
 
     @pytest.mark.parametrize("value", ["nan 8", "inf 8", "abc 8", "0.7 8.5", "0.7", "0.7 0"])
     def test_bad_ensemble_member_named(self, value):
@@ -176,7 +185,8 @@ prefix_policy = wta
             text = re.sub(r"^;(\[ensemble\]|member)", r"\1", text, flags=re.M)
         cfg = parse_config(text)
         assert cfg.train_config().n_epoch == 20 and len(cfg.architecture) == 5
-        assert cfg.ensemble == (((0.65, 128), (0.70, 128)) if ensemble else ())
+        members = (EnsembleMember(0.65, 128), EnsembleMember(0.70, 128))
+        assert cfg.ensemble == (members if ensemble else ())
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +286,20 @@ class TestCliTrain:
                    "--train-labels", toy["train"][1]])
         assert rc == 1
         assert "stride" in capsys.readouterr().err
+
+    def test_t_targets_count_rejected_before_loading(self, toy, capsys, monkeypatch):
+        import spikeconv.cli as cli
+
+        monkeypatch.setattr(cli, "load_idx", lambda *a: pytest.fail("dataset loaded"))
+        cfg = toy["dir"] / "targets.ini"
+        cfg.write_text(TOY_CONFIG.replace("t_target = 0.7", "t_targets = 0.5 0.6 0.7"))
+        rc = main(["train", "--config", str(cfg), "--out", str(toy["dir"] / "x.spknet"),
+                   "--train-images", toy["train"][0], "--train-labels", toy["train"][1]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "t_targets gives 3 firing targets for the architecture's 2 trainable layers" \
+            in captured.err
+        assert captured.out == ""
 
     def test_missing_dataset_flags_diagnosed(self, toy, capsys):
         rc = main(["train", "--config", toy["cfg"], "--out", "x.spknet"])
@@ -656,6 +680,27 @@ class TestCliEnsembleTrain:
         m1 = toy["dir"] / "ens.m1.spknet"
         assert m0.exists() and m1.exists()
         assert load_network(m0).spec.out_shape.depth == 3
+
+    def test_ensemble_log_rows_labelled_by_member(self, toy, capsys):
+        cfg = toy["dir"] / "ens.ini"
+        cfg.write_text(TOY_CONFIG + "\n[ensemble]\nmember1 = 0.6 3\nmember2 = 0.8 2\n")
+        out = toy["dir"] / "ens.spknet"
+        assert main([
+            "train", "--config", str(cfg), "--seed", "4", "--out", str(out),
+            "--train-images", toy["train"][0], "--train-labels", toy["train"][1],
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote model {toy['dir'] / f'ens.m{m}.spknet'}" for m in (0, 1)]
+        lines = (toy["dir"] / "ens.spknet.log.csv").read_text().splitlines()
+        assert lines[0].startswith("layer,epoch,")
+        # members in order, each one's trainable layers (0 and 2) bottom-up,
+        # two epochs each over the eight training samples
+        assert [line.split(",")[:2] + line.split(",")[4:5] for line in lines[1:]] == [
+            [f"m{m}:{layer}", str(epoch), "8"]
+            for m in (0, 1) for layer in (0, 2) for epoch in (0, 1)]
+        # the last layer's win histogram has one count per output map
+        assert [len(line.split(",")[-1].split(";")) for line in lines[1:]] == [4, 4, 3, 3,
+                                                                               4, 4, 2, 2]
 
     def test_ensemble_eval_saves_one_classifier(self, toy, capsys):
         cfg = toy["dir"] / "ens.ini"

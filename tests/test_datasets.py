@@ -248,6 +248,23 @@ class TestImageDir:
         with pytest.raises(ValueError, match="bad label"):
             load_split_list(root, bad)
 
+    def test_mixed_sizes_named(self, tmp_path):
+        root = self._make_tree(tmp_path)
+        write_pgm(root / "dogs" / "b.pgm", np.zeros((5, 3)))
+        want = f"{root / 'dogs' / 'b.pgm'}: (H, W) (5, 3) differs from the first image's (4, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_image_dir(root)
+        assert load_image_dir(root, target_size=(4, 4)).images.shape == (3, 4, 4)
+
+    def test_split_list_mixed_sizes_named(self, tmp_path):
+        root = self._make_tree(tmp_path)
+        write_pgm(root / "cats" / "big.pgm", np.zeros((6, 6)))
+        lst = tmp_path / "train.txt"
+        lst.write_text("cats/a.pgm 0\ndogs/a.pgm 1\ncats/big.pgm 0\ndogs/a.pgm 1\n")
+        want = f"{root / 'cats' / 'big.pgm'}: (H, W) (6, 6) differs from the first image's (4, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_split_list(root, lst)
+
     def test_deterministic_order(self, tmp_path):
         root = self._make_tree(tmp_path)
         a = load_image_dir(root)

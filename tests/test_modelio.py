@@ -514,6 +514,12 @@ class TestRefusedWrites:
         pytest.param(lambda p: save_svm(p, _svm_with(class_counts=np.array([4, -1]))),
                      "svm", "negative class count in header line 'class 7 -1'",
                      id="svm-negative-count"),
+        # a label is written as str gives it, so the reader refuses a fraction
+        # rather than reading it back cut to an int
+        pytest.param(lambda p: save_svm(p, _svm_with(classes=np.array([1.7, 2.0]))),
+                     "svm", "malformed header line 'class 1.7 4'", id="svm-fraction-class"),
+        pytest.param(lambda p: save_svm(p, _svm_with(classes=np.array([1.2, 1.7]))),
+                     "svm", "malformed header line 'class 1.2 4'", id="svm-fraction-classes"),
         pytest.param(lambda p: save_labels(p, [3, 1.7, 4]), "labels",
                      "line 2 is not an int64 label", id="labels-fraction"),
         pytest.param(lambda p: save_labels(p, [3, 1, np.nan]), "labels",

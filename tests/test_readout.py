@@ -224,7 +224,7 @@ class TestExtractFeatureStacks:
         return net
 
     def test_stacks_equal_single_samples(self, monkeypatch):
-        import spikeconv.readout as readout
+        import spikeconv.simulate as simulate
         from spikeconv.simulate import forward_times
 
         # an ensemble of a conv net with nine output columns per map, whose
@@ -235,7 +235,7 @@ class TestExtractFeatureStacks:
         grids = [np.where(rng.random((2, 5, 5)) < 0.5, rng.random((2, 5, 5)), np.inf)
                  for _ in range(5)]
         grids[2] = np.full((2, 5, 5), np.inf)  # a silent sample inside a stack
-        monkeypatch.setattr(readout, "stack_size", lambda spec: 2)  # stacks of 2, 2 and 1
+        monkeypatch.setattr(simulate, "stack_size", lambda spec: 2)  # stacks of 2, 2 and 1
         for policy in (InhibitionPolicy("none"), InhibitionPolicy("soft", 0.3),
                        InhibitionPolicy("wta"), InhibitionPolicy("wta", scope="layer")):
             feats = extract_features(nets, grids, 1.0, policy)
@@ -247,6 +247,10 @@ class TestExtractFeatureStacks:
     def test_empty_dataset_gives_empty_matrix(self):
         feats = extract_features([_feature_net(2), _feature_net(3)], [], 1.0)
         assert feats.shape == (0, 5)
+
+    def test_no_network_rejected(self):
+        with pytest.raises(ValueError, match="^feature extraction needs at least one network$"):
+            extract_features([], [np.full((2, 4, 4), np.inf)], 1.0)
 
     def test_bad_grid_named_by_its_index(self):
         rng = np.random.default_rng(25)

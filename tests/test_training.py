@@ -48,6 +48,18 @@ def _quick_cfg(**kw) -> TrainConfig:
     return TrainConfig(**kw)
 
 
+class TestShuffle:
+    def test_shuffled_order_is_seeded(self):
+        # the order stream is keyed by the seed: the same seed gives the same
+        # model, and visiting the samples in a drawn order changes it
+        spec, images = _tiny_spec(), _tiny_images()
+        a = train_network(spec, images, _quick_cfg(shuffle=True), seed=5)
+        b = train_network(spec, images, _quick_cfg(shuffle=True), seed=5)
+        plain = train_network(spec, images, _quick_cfg(), seed=5)
+        assert network_bytes(a) == network_bytes(b)
+        assert network_bytes(a) != network_bytes(plain)
+
+
 class TestAnnealing:
     def test_learning_rate_schedule_in_log(self):
         log = TrainingLog()
@@ -314,7 +326,7 @@ class TestTrainNetwork:
         # conv-pool-conv-pool: the samples pass layers 0 and 1 once each, in
         # stacks, in one pass before layer 2 trains; nothing runs after the
         # last trainable layer. The model equals the layer-by-layer protocol's.
-        import spikeconv.training as training
+        import spikeconv.simulate as simulate
 
         spec = NetworkSpec(Shape3(2, 10, 10), [
             LayerSpec("conv", 3, 3, 4, 1, 0), LayerSpec("pool", 2, 2, 4, 2, 0),
@@ -330,15 +342,15 @@ class TestTrainNetwork:
             grids = [forward_layer(want, i + 1, forward_layer(want, i, g)) for g in grids]
 
         calls = []  # (layer, input stack, output stack)
-        real = training.forward_layer
+        real = simulate.forward_layer
 
         def spy(net, i, g, p):
             out = real(net, i, g, p)
             calls.append((i, g, out))
             return out
 
-        monkeypatch.setattr(training, "forward_layer", spy)
-        monkeypatch.setattr(training, "stack_size", lambda spec: 2)  # stacks of 2, 2 and 1
+        monkeypatch.setattr(simulate, "forward_layer", spy)
+        monkeypatch.setattr(simulate, "stack_size", lambda spec: 2)  # stacks of 2, 2 and 1
         net = train_network(spec, images, cfg, seed=9)
         assert [(i, len(g)) for i, g, _ in calls] == [(0, 2), (1, 2)] * 2 + [(0, 1), (1, 1)]
         # layer 0 sees every encoded sample once, in order; layer 1 every
