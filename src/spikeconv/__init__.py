@@ -8,6 +8,7 @@ from .encoding import (
     CodingWindow,
     DoGParams,
     dog_filter,
+    encode_dataset,
     encode_image_grid,
     gaussian_kernel,
     split_channels,
@@ -42,7 +43,6 @@ from .training import (
     TrainConfig,
     TrainingLog,
     broadcast_column,
-    encode_dataset,
     sample_patch,
     train_ensemble,
     train_layer,

@@ -21,6 +21,7 @@ __all__ = [
     "dog_filter",
     "split_channels",
     "encode_image_grid",
+    "encode_dataset",
 ]
 
 
@@ -89,17 +90,23 @@ def _conv2d_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
     # symmetric kernels make convolution and correlation identical; flip anyway
     flipped = kernel[::-1, ::-1]
-    return np.einsum("ijkl,kl->ij", windows, flipped, optimize=True)
+    # one matrix-vector product over the copied windows
+    return (windows.reshape(-1, k * k) @ flipped.reshape(k * k, 1)).reshape(image.shape)
 
 
-def dog_filter(image: np.ndarray, params: DoGParams = DoGParams()) -> np.ndarray:
-    """Convolve an image with the on-off difference kernel (same-size output)."""
+def _filter(image, kernel: np.ndarray) -> np.ndarray:
+    """``_conv2d_same`` of a finite 2-D image, read as float64."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D grayscale image, got shape {image.shape}")
     if not np.all(np.isfinite(image)):
         raise ValueError("image contains non-finite values")
-    return _conv2d_same(image, dog_kernel(params))
+    return _conv2d_same(image, kernel)
+
+
+def dog_filter(image: np.ndarray, params: DoGParams = DoGParams()) -> np.ndarray:
+    """Convolve an image with the on-off difference kernel (same-size output)."""
+    return _filter(image, dog_kernel(params))
 
 
 def split_channels(dog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,16 +124,26 @@ def encode_image_grid(
 
     Channel 0 is on-center, channel 1 off-center. Each image's channels are
     jointly normalized by the maximum absolute DoG response so values land
-    in [0, 1] (skipped for an all-zero response).
+    in [0, 1] (skipped for an all-zero response). The image is
+    ``encode_dataset``'s dataset of one.
     """
-    dog = dog_filter(image, params)
-    peak = np.max(np.abs(dog))
-    if peak > 0:
-        dog = dog / peak
-    on, off = split_channels(dog)
-    values = np.stack([on, off])
-    times = np.full(values.shape, np.inf)
-    active = values > 0
-    times[active] = window.t_start + (1.0 - values[active]) * window.span
-    return times
+    return encode_dataset([image], params, window)[0]
 
+
+def encode_dataset(images, dog: DoGParams, window: CodingWindow) -> list[np.ndarray]:
+    """``encode_image_grid`` of every image, with one DoG kernel for all of
+    them; training passes reuse the spike grids."""
+    kernel = dog_kernel(dog)
+    grids = []
+    for image in images:
+        response = _filter(image, kernel)
+        peak = np.max(np.abs(response))
+        if peak > 0:
+            response = response / peak
+        on, off = split_channels(response)
+        values = np.stack([on, off])
+        times = np.full(values.shape, np.inf)
+        active = values > 0
+        times[active] = window.t_start + (1.0 - values[active]) * window.span
+        grids.append(times)
+    return grids

@@ -33,16 +33,23 @@ def decode_grid(times: np.ndarray, t_target: float, t_end: float) -> np.ndarray:
     """Inverse latency code in [0, 1] of a fire-time grid (+inf = no spike).
 
     With t_target == t_end (a clipped target), the limit convention applies:
-    any spike decodes to 1, no spike to 0.
+    any spike decodes to 1, no spike to 0. Both bounds must be finite.
     """
-    if t_target > t_end:
-        raise ValueError(f"t_target must be <= t_end, got {t_target} > {t_end}")
+    _check_bounds(t_target, t_end)
     finite = np.isfinite(times)
     if t_target == t_end:
         return finite.astype(np.float64)
     vals = np.zeros(times.shape)
     vals[finite] = np.clip(1.0 - (times[finite] - t_target) / (t_end - t_target), 0.0, 1.0)
     return vals
+
+
+def _check_bounds(t_target: float, t_end: float) -> None:
+    for name, value in (("t_target", t_target), ("t_end", t_end)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if t_target > t_end:
+        raise ValueError(f"t_target must be <= t_end, got {t_target} > {t_end}")
 
 
 def sum_pool(field: np.ndarray) -> np.ndarray:
@@ -96,6 +103,7 @@ def extract_features(
     for net in networks:
         if net.output_t_target is None:
             raise ValueError("network has no firing target to decode its output against")
+        _check_bounds(net.output_t_target, t_end)  # before any sample runs
         net.require_ready()
         check_grids(grids, net.spec.input_shape)
     blocks = [np.zeros((len(grids), net.spec.out_shape.depth)) for net in networks]

@@ -69,7 +69,12 @@ A layer whose every weight is zero is silent and enters no engine.
   never interact, so their steps need not line up in time. The columns
   are kept in falling order of input count, so the columns with a k-th
   input are a leading run of the arrays; in a one-position layer the
-  columns are the samples of the stack. The positions of a stack are
+  columns are the samples of the stack. A step with one column left, each
+  step of a one-position layer's single grid and the tail of a chunk whose
+  longest column runs alone, adds, compares and floors that column's own
+  row in place instead of gathering, the same float operations. The
+  lockstep reads only each window's event order and input count, never
+  the scan's (map, position) row lists. The positions of a stack are
   those of its samples one after the other, scanned in chunks of whole
   samples or of one sample's positions. A chunk counts the window of each
   of its positions plus, for the scan, the first block of each of its rows
@@ -300,27 +305,26 @@ def _live_rows(wr: np.ndarray, events: int, w_in: np.ndarray, thresholds: np.nda
     are distinct and silent ones stay +inf, so any sort gives the same keys.
     Returns the positions ``pos`` holding a live row; their keys' low and
     high bits in that order, ``order`` and ``ranks`` (+inf: slot 0, rank
-    ``events``), and input counts; and the rows ``rd``, ``rp`` in (map,
-    position) order, ``rp`` indexing ``pos``.
+    ``events``), and input counts; and the (D, len(pos)) mask of their live
+    rows, (map, position) in C order.
     """
     shift = (wr.shape[1] - 1).bit_length()
     finite = np.isfinite(wr)
     if bound:  # a window without input has bound 0, below every (positive) threshold
         total = (w_in.T @ finite.T.astype(np.float64)) * (1.0 + 4 * len(w_in) * _EPS)
         live = ~(total < thresholds[:, None])
-    else:
-        live = np.broadcast_to(finite.any(axis=1), (w_in.shape[1], wr.shape[0]))
-    pos = np.nonzero(live.any(axis=0))[0]
-    rp = np.flatnonzero(live[:, pos])
-    rd = rp // pos.size
-    rp -= rd * pos.size
+        pos = np.nonzero(live.any(axis=0))[0]
+        live = live[:, pos]
+    else:  # every map of a position with input
+        pos = np.nonzero(finite.any(axis=1))[0]
+        live = np.broadcast_to(True, (w_in.shape[1], pos.size))
     count = finite[pos].sum(axis=1)
     keys = wr[pos]
     keys += np.arange(wr.shape[1], dtype=np.float64)  # each slot's index in the low bits
     keys.sort(axis=1)
     keys = keys[:, :int(count.max(initial=0))]  # clamped past every rank while cast
     keys = np.minimum(keys, events << shift, out=np.empty(keys.shape, np.int64), casting="unsafe")
-    return pos, keys & ((1 << shift) - 1), keys >> shift, count, rd, rp
+    return pos, keys & ((1 << shift) - 1), keys >> shift, count, live
 
 
 def _running(ufunc, v: np.ndarray) -> np.ndarray:
@@ -408,8 +412,11 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     once the map fires there. Step k adds to every column the weights of
     its own k-th input; in each column the crossing maps then fire in map
     order, each lowering the column to ``max(v - v_inh, 0)`` before the
-    next is rechecked. Returns the (C, D) slot each neuron fired at, -1 if
-    it never did.
+    next is rechecked. A step with one column left works in place on that
+    column's row (views of the state arrays): it adds the input's weight
+    row, then fires the lowest crossing map and floors the row while any
+    map crosses, the float operations of the gathered path. Returns the
+    (C, D) slot each neuron fired at, -1 if it never did.
     """
     maps = thresholds.size
     # columns by falling input count, so the columns with a k-th input lead
@@ -420,7 +427,17 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     v = np.zeros(th.shape)
     fired = np.full(th.shape, -1)
     crossed = np.empty(th.shape, dtype=bool)
+    v0, th0, crossed0 = v[:1].ravel(), th[:1].ravel(), crossed[:1].ravel()  # the first column
     for k, m in enumerate(active.tolist()):
+        if m == 1:  # a lone column steps on its own rows, making the same float operations
+            v0 += w_in[steps[k, 0]]
+            while np.greater_equal(v0, th0, out=crossed0).any():
+                d = crossed0.argmax()  # the lowest crossing map fires first
+                fired[0, d] = k
+                th0[d] = np.inf
+                v0 -= v_inh
+                np.maximum(v0, 0.0, out=v0)
+            continue
         vm, thm, cross = v[:m], th[:m], crossed[:m]
         vm += w_in.take(steps[k, :m], axis=0)
         if not np.count_nonzero(np.greater_equal(vm, thm, out=cross)):
@@ -474,12 +491,15 @@ def _column_times(times_in, w_in, thresholds, plan: _Plan, wta: bool, v_inh: flo
         lo = s0 * positions + p0
         wr = rank[s0:s0 + samples].take(plan.win_index[p0:p0 + span], axis=1)
         wr = wr.reshape(-1, plan.window)
-        pos, order, ranks, count, rd, rp = _live_rows(wr, ranked_t.size, w_in, thresholds, bound)
+        pos, order, ranks, count, live = _live_rows(wr, ranked_t.size, w_in, thresholds, bound)
         if v_inh > 0.0:
             slot = _soft_columns(order, count, w_in, thresholds, v_inh)
             rp, rd = np.nonzero(slot >= 0)
             slot = slot[rp, rd]
         else:
+            rp = np.flatnonzero(live)  # the scan's rows, in (map, position) order
+            rd = rp // pos.size
+            rp -= rd * pos.size
             slot = _first_crossings(order, count, w_in, rd, rp, thresholds[rd], wta, nonneg)
             fire = slot >= 0
             rd, rp, slot = rd[fire], rp[fire], slot[fire]
@@ -582,10 +602,13 @@ def forward_layer(
     only when ``index`` is the network's last layer; elsewhere the layer
     runs without inhibition. The samples of a stack never interact: each
     output grid is the one its input grid gives alone. A grid holding NaN or
-    -inf is rejected, naming its sample in a stack.
+    -inf is rejected, naming its sample in a stack. ``index`` counts from 0;
+    one outside the layers raises a ValueError.
     """
     times = np.asarray(times, dtype=np.float64)  # an integer grid has no +inf
     spec = network.spec
+    if not 0 <= index < len(spec.layers):
+        raise ValueError(f"layer index {index} out of range for {len(spec.layers)} layers")
     layer = spec.layers[index]
     in_shape = spec.shapes[index].astuple()
     if times.ndim not in (3, 4) or tuple(times.shape[-3:]) != in_shape:
@@ -640,12 +663,18 @@ def forward_stacks(network: Network, grids, policy: InhibitionPolicy = NO_INHIBI
     stacks of ``stack_size(network.spec)``; for each stack this yields the
     index of its first sample and the list of its output stacks, one
     (n, depth, H, W) array per layer run, which stay alive until the next
-    stack starts. Every layer runs as ``forward_layer`` runs it.
+    stack starts. Every layer runs as ``forward_layer`` runs it. A range
+    that is not ``0 <= start < stop <= len(layers)`` raises a ValueError
+    when iteration starts.
     """
+    layers = len(network.spec.layers)
+    stop = layers if stop is None else stop
+    if not 0 <= start < stop <= layers:
+        raise ValueError(f"layer range {start}:{stop} is not a non-empty range of {layers} layers")
     size = stack_size(network.spec)
     for lo in range(0, len(grids), size):
         outs = [np.stack(grids[lo:lo + size])]
-        for i in range(start, len(network.spec.layers) if stop is None else stop):
+        for i in range(start, stop):
             outs.append(forward_layer(network, i, outs[-1], policy))
         yield lo, outs[1:]
 

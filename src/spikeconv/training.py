@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngStreams, check_count, check_grids
-from .encoding import CodingWindow, DoGParams, encode_image_grid
+from .encoding import CodingWindow, DoGParams, encode_dataset
 from .network import LayerSpec, Network, NetworkSpec, POOL
 from .plasticity import (
     BiologicalStdp,
@@ -161,11 +161,6 @@ def layer_t_targets(spec: NetworkSpec, cfg: TrainConfig) -> list[float]:
         vals = [cfg.t_target + i * cfg.delta_t for i in range(len(trainable))]
     lo, hi = cfg.window.t_start, cfg.window.t_end
     return [min(hi, max(lo, t)) for t in vals]
-
-
-def encode_dataset(images, dog: DoGParams, window: CodingWindow) -> list[np.ndarray]:
-    """Encode every image once; training passes reuse the spike grids."""
-    return [encode_image_grid(img, dog, window) for img in images]
 
 
 def sample_patch(rng: np.random.Generator, field_times: np.ndarray,

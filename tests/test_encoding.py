@@ -6,6 +6,7 @@ from spikeconv import (
     DoGParams,
     decode_grid,
     dog_filter,
+    encode_dataset,
     encode_image_grid,
     gaussian_kernel,
     split_channels,
@@ -213,3 +214,21 @@ class TestDoGParams:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             CodingWindow(1.0, 1.0)
+
+
+class TestEncodeDataset:
+    def test_equals_each_image_encoded_alone_bit_for_bit(self):
+        # one kernel for the dataset, the same bits as one kernel per image:
+        # ragged sizes, uint8 and float images, a blank one, tiny and huge scales
+        rng = np.random.default_rng(13)
+        images = [rng.integers(0, 256, (9, 9), dtype=np.uint8), np.zeros((5, 7)),
+                  rng.random((1, 1)), rng.random((12, 3)) * 1e-300,
+                  rng.standard_normal((28, 28)) * 1e300, rng.random((28, 28))]
+        for dog, window in ((DoGParams(), CodingWindow()),
+                            (DoGParams(11, 0.5, 3.0), CodingWindow(0.2, 2.0))):
+            grids = encode_dataset(images, dog, window)
+            assert len(grids) == len(images)
+            for got, image in zip(grids, images):
+                want = encode_image_grid(image, dog, window)
+                assert got.tobytes() == want.tobytes()
+        assert encode_dataset([], DoGParams(), CodingWindow()) == []

@@ -44,6 +44,14 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_grid(np.array([0.5]), 1.2, 1.0)
 
+    @pytest.mark.parametrize("t_target, t_end, name", [
+        (np.nan, 1.0, "t_target"), (-np.inf, 1.0, "t_target"),
+        (0.7, np.nan, "t_end"), (0.7, np.inf, "t_end"), (np.inf, np.inf, "t_target")])
+    def test_non_finite_bounds_rejected(self, t_target, t_end, name):
+        # a NaN bound decodes to NaN, and t_end = inf would decode every spike to 1
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            decode_grid(np.array([0.5, np.inf]), t_target, t_end)
+
     def test_grid_matches_scalar(self):
         rng = np.random.default_rng(0)
         times = np.where(rng.random((3, 4, 4)) < 0.7, rng.random((3, 4, 4)), np.inf)
@@ -156,6 +164,17 @@ class TestExtractFeatures:
         got = extract_features(net, [grid], 2.0)[0]
         assert np.array_equal(got, decode_grid(forward_times(net, grid)[-1], 0.6, 2.0).ravel())
         assert got.sum() > 0
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_end_rejected(self, t_end, monkeypatch):
+        import spikeconv.readout as readout
+
+        runs = []
+        real = readout.forward_stacks
+        monkeypatch.setattr(readout, "forward_stacks", lambda *a: runs.append(1) or real(*a))
+        with pytest.raises(ValueError, match="^t_end must be finite"):
+            extract_features(_feature_net(), [np.full((2, 4, 4), 0.5)], t_end)
+        assert runs == []  # refused before any sample runs
 
     def test_ensemble_concatenates_widths(self):
         nets = [_feature_net(2, seed=5), _feature_net(3, seed=6)]

@@ -352,13 +352,15 @@ def _exact_column_cases(draw):
 
 
 @st.composite
-def _one_position_cases(draw):
+def _one_position_cases(draw, single=False):
     """A layer of one position, a stack of 2-5 tie-heavy grids and a column
     policy, with thresholds pinned to reached potentials.
 
     The layer is fc, or conv whose stride and padding leave one output
     position; weights, thresholds and policies are drawn as in
-    ``_column_policy_cases``, so a column fires several times.
+    ``_column_policy_cases``, so a column fires several times. With
+    ``single``, one (D, H, W) grid under soft inhibition instead: the
+    lockstep's one column, stepped on its own rows.
     """
     d_in, maps = draw(st.integers(1, 3)), draw(st.integers(2, 6))
     fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -374,17 +376,19 @@ def _one_position_cases(draw):
         layer = LayerSpec("fc", fh, fw, maps, 1, 0)
     signed = draw(st.booleans())
     v_inh = draw(st.one_of(st.sampled_from([0.05, 0.5, 1.0, 5.0]), st.floats(0.001, 10.0)))
-    policy = draw(st.sampled_from([InhibitionPolicy("soft", v_inh=v_inh), InhibitionPolicy("wta")]))
+    soft = InhibitionPolicy("soft", v_inh=v_inh)
+    policy = soft if single else draw(st.sampled_from([soft, InhibitionPolicy("wta")]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     spec = NetworkSpec(Shape3(d_in, h, w), [layer])
     net = Network(spec, -0.6 if signed else 0.0)
     net.weights[0] = rng.uniform(-0.6 if signed else 0.0, 1.0, spec.weight_shape(0))
     window = d_in * fh * fw
     net.thresholds[0] = rng.uniform(0.1, 0.3 * window + 0.2, maps)
-    counts = draw(st.lists(st.integers(0, spec.input_shape.size), min_size=2, max_size=5))
+    least, most = (1, 1) if single else (2, 5)
+    counts = draw(st.lists(st.integers(0, spec.input_shape.size), min_size=least, max_size=most))
     stack = np.stack([random_grid(rng, spec.input_shape, n, tie_heavy=True) for n in counts])
     _pin_thresholds(draw, net, stack, policy)
-    return net, stack, policy
+    return net, stack[0] if single else stack, policy
 
 
 class TestColumnPolicies:
@@ -411,6 +415,14 @@ class TestColumnPolicies:
         got = forward_layer(net, 0, stack, policy)
         for out, grid in zip(got, stack):
             assert np.array_equal(out, column_reference(net, 0, grid, policy)), policy
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_one_position_cases(single=True))
+    def test_one_position_grid_bitwise_the_column_reference(self, case):
+        net, grid, policy = case
+        assert grid.ndim == 3 and policy.mode == "soft"
+        got = forward_layer(net, 0, grid, policy)
+        assert np.array_equal(got, column_reference(net, 0, grid, policy))
 
     def test_route_follows_policy_and_layer_shape(self, monkeypatch):
         import spikeconv.simulate as sim
@@ -507,6 +519,24 @@ class TestLockstep:
         assert np.array_equal(got, column_reference(net, 0, times, policy))
         free = forward_layer(net, 0, times)
         assert free[:, 0, :].tolist() == [[0.2, 0.3, 0.3], [0.2, 0.3, 0.4]]
+
+    def test_lone_column_rechecks_at_the_same_input(self, monkeypatch):
+        # fc over two inputs, 0.1 then 0.3: one column, which the lockstep
+        # steps alone. All three maps cross on the first input. Map 0 fires
+        # and lowers the rest by 0.3: map 1 keeps 1.2, still above its
+        # threshold, so the recheck fires it on the same input, while map 2
+        # drops to 0.9 and is stopped. The second input lifts map 2 from the
+        # 0.6 map 1's fire left it to 1.1, where it fires.
+        times = np.array([[[0.1, 0.3]]])
+        weights = np.array([[1.0, 0.0], [1.5, 0.0], [1.2, 0.5]]).reshape(3, 1, 1, 2)
+        net = _one_layer(times, weights, np.ones(3), kind="fc")
+        policy = InhibitionPolicy("soft", v_inh=0.3)
+        calls = _soft_calls(monkeypatch)
+        got = forward_layer(net, 0, times, policy)
+        assert calls == [1]
+        assert got[:, 0, 0].tolist() == [0.1, 0.1, 0.3]
+        assert np.array_equal(got, column_reference(net, 0, times, policy))
+        assert forward_layer(net, 0, times)[:, 0, 0].tolist() == [0.1, 0.1, 0.1]
 
     def test_soft_chunk_cut_inside_a_sample(self, monkeypatch):
         rng = np.random.default_rng(91)
@@ -1437,8 +1467,9 @@ class TestPackedKeys:
         assert np.array_equal(np.isinf(wr), np.isinf(flat))
         plain = wr / 2 ** (window - 1).bit_length()  # ranks scaled past the slot bits
         assert (plain[np.isfinite(plain)] % 1 == 0).all()
-        pos, order, ranks, count, rd, rp = sim._live_rows(wr, events, np.zeros((window, 1)),
-                                                          np.ones(1), False)
+        pos, order, ranks, count, live = sim._live_rows(wr, events, np.zeros((window, 1)),
+                                                        np.ones(1), False)
+        assert live.shape == (1, pos.size) and live.all()
         assert pos.tolist() == [i for i, n in enumerate(counts) if n]
         assert count.tolist() == [n for n in counts if n]
         assert order.shape == ranks.shape == (pos.size, window)
@@ -1594,6 +1625,39 @@ class TestForwardValidation:
                 column_response(fc_times, np.ones((1, 1, 1, 3)), np.array([2.0]))
         # the same grid with the site silent runs
         assert forward_times(net, np.full((2, 4, 4), np.inf))[0].shape == (2, 3, 3)
+
+    @staticmethod
+    def _three_layers():
+        spec = NetworkSpec(Shape3(1, 4, 4), [LayerSpec("conv", 3, 3, 2, 1, 0),
+                                             LayerSpec("pool", 2, 2, 2, 2, 0),
+                                             LayerSpec("fc", 1, 1, 2, 1, 0)])
+        net = Network(spec)
+        for i in (0, 2):
+            net.install_column(i, np.full(spec.weight_shape(i), 0.5), np.ones(2))
+        return net
+
+    def test_layer_index_past_the_last_rejected(self):
+        with pytest.raises(ValueError, match=r"^layer index 9 out of range for 3 layers"):
+            forward_layer(self._three_layers(), 9, np.zeros((1, 4, 4)))
+
+    def test_negative_layer_index_rejected(self):
+        # not read from the end: -1 would run the fc layer on the raw input
+        with pytest.raises(ValueError, match=r"^layer index -1 out of range for 3 layers"):
+            forward_layer(self._three_layers(), -1, np.zeros((1, 2, 1, 1)))
+
+    def test_forward_stacks_empty_or_reversed_range_rejected(self):
+        net, grids = self._three_layers(), np.zeros((2, 1, 4, 4))
+        for start, stop in ((3, 1), (1, 1), (-1, 2), (3, None)):
+            with pytest.raises(ValueError, match=rf"^layer range {start}:\w+ .* 3 layers"):
+                next(sim.forward_stacks(net, grids, start=start, stop=stop))
+
+    def test_forward_stacks_stop_past_the_last_rejected(self):
+        net, grids = self._three_layers(), np.zeros((2, 1, 4, 4))
+        with pytest.raises(ValueError, match=r"^layer range 0:9 .* 3 layers"):
+            next(sim.forward_stacks(net, grids, stop=9))
+        # the widest range runs every layer
+        ((lo, outs),) = sim.forward_stacks(net, grids, start=0, stop=3)
+        assert lo == 0 and [o.shape for o in outs] == [(2, 2, 2, 2), (2, 2, 1, 1), (2, 2, 1, 1)]
 
     def test_integer_grid_runs_as_its_float_copy(self):
         # an integer grid cannot hold the +inf of a silent or padded site, so
