@@ -94,13 +94,14 @@ def _conv2d_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return (windows.reshape(-1, k * k) @ flipped.reshape(k * k, 1)).reshape(image.shape)
 
 
-def _filter(image, kernel: np.ndarray) -> np.ndarray:
-    """``_conv2d_same`` of a finite 2-D image, read as float64."""
+def _filter(image, kernel: np.ndarray, where: str = "") -> np.ndarray:
+    """``_conv2d_same`` of a finite 2-D image, read as float64; ``where``
+    prefixes the message that refuses any other."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
-        raise ValueError(f"expected a 2-D grayscale image, got shape {image.shape}")
+        raise ValueError(f"{where}expected a 2-D grayscale image, got shape {image.shape}")
     if not np.all(np.isfinite(image)):
-        raise ValueError("image contains non-finite values")
+        raise ValueError(f"{where}image contains non-finite values")
     return _conv2d_same(image, kernel)
 
 
@@ -132,11 +133,12 @@ def encode_image_grid(
 
 def encode_dataset(images, dog: DoGParams, window: CodingWindow) -> list[np.ndarray]:
     """``encode_image_grid`` of every image, with one DoG kernel for all of
-    them; training passes reuse the spike grids."""
+    them; training passes reuse the spike grids. An image that is not 2-D or
+    holds a non-finite pixel is refused by its index."""
     kernel = dog_kernel(dog)
     grids = []
-    for image in images:
-        response = _filter(image, kernel)
+    for i, image in enumerate(images):
+        response = _filter(image, kernel, f"image {i}: ")
         peak = np.max(np.abs(response))
         if peak > 0:
             response = response / peak

@@ -36,6 +36,7 @@ def decode_grid(times: np.ndarray, t_target: float, t_end: float) -> np.ndarray:
     any spike decodes to 1, no spike to 0. Both bounds must be finite.
     """
     _check_bounds(t_target, t_end)
+    times = np.asarray(times, dtype=np.float64)
     finite = np.isfinite(times)
     if t_target == t_end:
         return finite.astype(np.float64)
@@ -116,6 +117,7 @@ def extract_features(
 def mean_sparsity(features: np.ndarray) -> float:
     """Dataset mean of the Hoyer measure over feature rows; a row holding NaN
     or ±inf is rejected by its index."""
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError(f"expected a non-empty (samples, dims) matrix, got {features.shape}")
     if not np.isfinite(features).all():

@@ -69,12 +69,16 @@ A layer whose every weight is zero is silent and enters no engine.
   never interact, so their steps need not line up in time. The columns
   are kept in falling order of input count, so the columns with a k-th
   input are a leading run of the arrays; in a one-position layer the
-  columns are the samples of the stack. A step with one column left, each
-  step of a one-position layer's single grid and the tail of a chunk whose
-  longest column runs alone, adds, compares and floors that column's own
-  row in place instead of gathering, the same float operations. The
-  lockstep reads only each window's event order and input count, never
-  the scan's (map, position) row lists. The positions of a stack are
+  columns are the samples of the stack. A step's fires resolve on the
+  flat (column, map) indices of its crossings, found by one ``nonzero``
+  of the leading rows: each column's lowest crossing map fires, and one
+  test of the floored columns says whether any map still crosses. A step
+  with one column left (each step of a one-position layer's single grid,
+  and the tail of a chunk whose longest column runs alone) and a step
+  with a single crossing neuron fire in place on that column's own row,
+  one routine for both, instead of gathering: the same float operations.
+  The lockstep reads only each window's event order and input count,
+  never the scan's (map, position) row lists. The positions of a stack are
   those of its samples one after the other, scanned in chunks of whole
   samples or of one sample's positions. A chunk counts the window of each
   of its positions plus, for the scan, the first block of each of its rows
@@ -401,6 +405,21 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     return slot
 
 
+def _fire_row(v, th, crossed, fired, d, k, v_inh):
+    """Fire map ``d`` of one column at step ``k``, then floor the column to
+    ``max(v - v_inh, 0)`` and fire its lowest crossing map while any map
+    crosses. v, th, crossed, fired: that column's rows of the lockstep's
+    state, basic-indexed views written in place."""
+    while True:
+        fired[d] = k
+        th[d] = np.inf
+        v -= v_inh
+        np.maximum(v, 0.0, out=v)
+        if not np.greater_equal(v, th, out=crossed).any():
+            return
+        d = crossed.argmax()  # the lowest crossing map fires first
+
+
 def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
                   thresholds: np.ndarray, v_inh: float) -> np.ndarray:
     """Soft column inhibition, every column in lockstep.
@@ -412,11 +431,13 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     once the map fires there. Step k adds to every column the weights of
     its own k-th input; in each column the crossing maps then fire in map
     order, each lowering the column to ``max(v - v_inh, 0)`` before the
-    next is rechecked. A step with one column left works in place on that
-    column's row (views of the state arrays): it adds the input's weight
-    row, then fires the lowest crossing map and floors the row while any
-    map crosses, the float operations of the gathered path. Returns the
-    (C, D) slot each neuron fired at, -1 if it never did.
+    next is rechecked. A step's crossings are flat (column, map) indices,
+    one ``nonzero``; each column's lowest one fires through flat writes,
+    and one test of the floored columns tells whether any map still
+    crosses. A step with one column left, or with one crossing neuron,
+    fires in place on that column's row (``_fire_row``), the float
+    operations of the gathered path. Returns the (C, D) slot each neuron
+    fired at, -1 if it never did.
     """
     maps = thresholds.size
     # columns by falling input count, so the columns with a k-th input lead
@@ -431,36 +452,38 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     for k, m in enumerate(active.tolist()):
         if m == 1:  # a lone column steps on its own rows, making the same float operations
             v0 += w_in[steps[k, 0]]
-            while np.greater_equal(v0, th0, out=crossed0).any():
-                d = crossed0.argmax()  # the lowest crossing map fires first
-                fired[0, d] = k
-                th0[d] = np.inf
-                v0 -= v_inh
-                np.maximum(v0, 0.0, out=v0)
+            if np.greater_equal(v0, th0, out=crossed0).any():
+                _fire_row(v0, th0, crossed0, fired[0], crossed0.argmax(), k, v_inh)
             continue
-        vm, thm, cross = v[:m], th[:m], crossed[:m]
+        vm = v[:m]
         vm += w_in.take(steps[k, :m], axis=0)
-        if not np.count_nonzero(np.greater_equal(vm, thm, out=cross)):
+        # the crossing rows lead the state, so their flat indices are the state's
+        f = np.greater_equal(vm, th[:m], out=crossed[:m]).ravel().nonzero()[0]
+        if f.size <= 1:
+            if f.size:
+                j, d = divmod(int(f[0]), maps)
+                _fire_row(v[j], th[j], crossed[j], fired[j], d, k, v_inh)
             continue
-        j, d = np.divmod(cross.ravel().nonzero()[0], maps)
-        if j.size > 1:  # each column's lowest crossing map fires first
-            first = np.empty(j.size, dtype=bool)
-            first[0] = True
-            np.not_equal(j[1:], j[:-1], out=first[1:])
-            j, d = j[first], d[first]
+        j = f // maps
+        first = np.empty(j.size, dtype=bool)  # each column's lowest crossing map fires first
+        first[0] = True
+        np.not_equal(j[1:], j[:-1], out=first[1:])
+        j, f = j[first], f[first]
+        fired.ravel()[f] = k
+        th.ravel()[f] = np.inf
         while True:
-            fired[j, d] = k
-            thm[j, d] = np.inf
-            vj = vm[j]
+            vj = v[j]
             vj -= v_inh
-            vm[j] = np.maximum(vj, 0.0, out=vj)
+            v[j] = np.maximum(vj, 0.0, out=vj)
             # the floor lifts no potential to a positive threshold, so only
             # candidates can still cross
-            cross = vj >= thm[j]
-            more = np.logical_or.reduce(cross, axis=1)
-            if not np.count_nonzero(more):
+            cross = vj >= th[j]
+            if not cross.any():
                 break
+            more = cross.any(axis=1)
             j, d = j[more], cross[more].argmax(axis=1)
+            fired[j, d] = k
+            th[j, d] = np.inf
     out = np.empty_like(fired)
     out[by_count] = fired
     return out
@@ -603,8 +626,11 @@ def forward_layer(
     runs without inhibition. The samples of a stack never interact: each
     output grid is the one its input grid gives alone. A grid holding NaN or
     -inf is rejected, naming its sample in a stack. ``index`` counts from 0;
-    one outside the layers raises a ValueError.
+    one outside the layers raises a ValueError, and so does a ``policy``
+    that is not an ``InhibitionPolicy``.
     """
+    if not isinstance(policy, InhibitionPolicy):
+        raise ValueError(f"policy must be an InhibitionPolicy, got {type(policy).__name__}")
     times = np.asarray(times, dtype=np.float64)  # an integer grid has no +inf
     spec = network.spec
     if not 0 <= index < len(spec.layers):

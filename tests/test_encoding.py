@@ -232,3 +232,13 @@ class TestEncodeDataset:
                 want = encode_image_grid(image, dog, window)
                 assert got.tobytes() == want.tobytes()
         assert encode_dataset([], DoGParams(), CodingWindow()) == []
+
+    def test_bad_image_named_by_its_index(self):
+        blank = [np.zeros((4, 4)) for _ in range(5)]
+        nan = np.zeros((4, 4))
+        nan[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^image 5: image contains non-finite values$"):
+            encode_dataset(blank + [nan], DoGParams(), CodingWindow())
+        with pytest.raises(ValueError, match=r"^image 2: expected a 2-D grayscale image, "
+                                             r"got shape \(2, 4, 4\)$"):
+            encode_dataset(blank[:2] + [np.zeros((2, 4, 4))] + blank, DoGParams(), CodingWindow())

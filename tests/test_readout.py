@@ -52,6 +52,13 @@ class TestDecode:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             decode_grid(np.array([0.5, np.inf]), t_target, t_end)
 
+    def test_array_like_read_as_float64(self):
+        got = decode_grid([[np.inf, 0.5], [0.85, 1]], 0.7, 1.0)
+        want = decode_grid(np.array([[np.inf, 0.5], [0.85, 1.0]]), 0.7, 1.0)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            decode_grid([[np.inf, 0.5], [0.85]], 0.7, 1.0)
+
     def test_grid_matches_scalar(self):
         rng = np.random.default_rng(0)
         times = np.where(rng.random((3, 4, 4)) < 0.7, rng.random((3, 4, 4)), np.inf)
@@ -119,6 +126,12 @@ class TestSparsity:
             mean_sparsity(features)
         features[2, 1] = 0.25
         assert mean_sparsity(features) == sparsity(features[2]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_mean_sparsity_reads_array_likes(self):
+        rows = [[1.0, 2.0], [3, 4]]
+        assert mean_sparsity(rows) == mean_sparsity(np.array(rows, dtype=np.float64))
+        with pytest.raises(ValueError):
+            mean_sparsity([[1.0, 2.0], [3.0]])
 
 
 def _feature_net(out_maps=4, th=1.0, seed=0):
@@ -270,6 +283,11 @@ class TestExtractFeatureStacks:
     def test_no_network_rejected(self):
         with pytest.raises(ValueError, match="^feature extraction needs at least one network$"):
             extract_features([], [np.full((2, 4, 4), np.inf)], 1.0)
+
+    def test_policy_of_another_type_rejected(self):
+        grids = [np.full((2, 4, 4), 0.3)]
+        with pytest.raises(ValueError, match="^policy must be an InhibitionPolicy, got str$"):
+            extract_features(_feature_net(), grids, 1.0, "soft")
 
     def test_bad_grid_named_by_its_index(self):
         rng = np.random.default_rng(25)

@@ -577,6 +577,30 @@ class TestLockstep:
         assert np.array_equal(out[1], column_reference(net, 0, grid, policy))
         assert np.isinf(forward_layer(net, 0, silent, policy)).all()
 
+    def test_single_crossing_in_place_then_lowest_map_per_column(self, monkeypatch):
+        # a 1x2 filter over [0.3, 0.1, 0.2]: column 0 takes its right input
+        # (0.1) first, column 1 its left (0.1); each then takes its other one.
+        # Step 0: only map 2 of column 1 crosses (1.0), the step's one
+        # crossing, which fires in place and floors that column to
+        # [0.4, 0.1, 0.9]. Step 1: column 0 reaches [1.2, 0.5, 1.0], where
+        # maps 0 and 2 cross, and column 1 [1.1, 0.4, 0.9], where map 0 does.
+        # Only each column's lowest crossing map fires: map 0 floors column
+        # 0's map 2 to 0.9, below its threshold, and the inputs run out.
+        times = np.array([[[0.3, 0.1, 0.2]]])
+        weights = np.array([[0.5, 0.7], [0.2, 0.3], [1.0, 0.0]]).reshape(3, 1, 1, 2)
+        net = _one_layer(times, weights, np.ones(3))
+        policy = InhibitionPolicy("soft", v_inh=0.1)
+        calls = _soft_calls(monkeypatch)
+        rows = []
+        real = sim._fire_row
+        monkeypatch.setattr(sim, "_fire_row", lambda *a: rows.append(a[4:6]) or real(*a))
+        got = forward_layer(net, 0, times, policy)
+        assert calls == [2] and rows == [(2, 0)]  # only step 0's crossing steps in place
+        assert got[:, 0, :].tolist() == [[0.3, 0.2], [INF, INF], [INF, 0.1]]
+        assert np.array_equal(got, column_reference(net, 0, times, policy))
+        free = forward_layer(net, 0, times)
+        assert free[:, 0, :].tolist() == [[0.3, 0.2], [INF, INF], [0.3, 0.1]]
+
     def test_rechecks_fire_in_map_order(self):
         # one input per column, on which all four maps cross. Map 0 fires
         # and lowers the rest by 0.25; maps 1-3 still cross, so map 1 fires
@@ -1625,6 +1649,14 @@ class TestForwardValidation:
                 column_response(fc_times, np.ones((1, 1, 1, 3)), np.array([2.0]))
         # the same grid with the site silent runs
         assert forward_times(net, np.full((2, 4, 4), np.inf))[0].shape == (2, 3, 3)
+
+    def test_policy_of_another_type_rejected(self):
+        net = self._three_layers()
+        for bad, name in (("soft", "str"), (None, "NoneType")):
+            with pytest.raises(ValueError, match=f"^policy must be an InhibitionPolicy, got {name}$"):
+                forward_times(net, np.zeros((1, 4, 4)), bad)
+            with pytest.raises(ValueError, match=f"^policy must be an InhibitionPolicy, got {name}$"):
+                forward_layer(net, 1, np.zeros((2, 2, 2)), bad)  # pooling, which ignores it
 
     @staticmethod
     def _three_layers():

@@ -322,6 +322,12 @@ class TestTrainNetwork:
                 extract_features(net, grids, cfg.window.t_end)
             assert str(trained.value) == str(extracted.value)
 
+    def test_bad_image_named_by_its_index(self):
+        images = _tiny_images()
+        images[4][3, 5] = np.inf
+        with pytest.raises(ValueError, match="^image 4: image contains non-finite values$"):
+            train_network(_tiny_spec(), images, _quick_cfg(), seed=3)
+
     def test_each_sample_advances_once_through_frozen_layers(self, monkeypatch):
         # conv-pool-conv-pool: the samples pass layers 0 and 1 once each, in
         # stacks, in one pass before layer 2 trains; nothing runs after the
