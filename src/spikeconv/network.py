@@ -174,19 +174,22 @@ class _Weights(_Slots):
     read-only, C-contiguous (window, maps) array whose row k holds every
     map's weight for window slot k. ``weights[i]`` reads it as its map-major
     (maps, in_maps, F_h, F_w) view. Every store also records the layer's
-    live slots from the stored array (``live_slots``); they are never saved."""
+    live slots and their weight rows from the stored array (``live_slots``,
+    ``live_rows``); they are never saved."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self._live = [None] * len(self._items)
+        self._live = [(None, None)] * len(self._items)
 
     def _store(self, index: int, value) -> None:
         super()._store(index, value)
-        live = None
+        live = rows = None
         if value is not None:
             live = np.flatnonzero(value.any(axis=1))
+            rows = value if live.size == len(value) else value[live]
             live.setflags(write=False)
-        self._live[index] = live
+            rows.setflags(write=False)
+        self._live[index] = live, rows
 
     def __getitem__(self, index):
         rows, layer = self._items[index], self._spec.layers[index]
@@ -205,9 +208,17 @@ class _Weights(_Slots):
         zero (-0.0 is zero), ascending: the rows of ``input_major(index)``
         that are not all zero, read-only. A slot outside it adds exactly
         zero to every potential."""
-        if (live := self._live[index]) is None:
+        if (live := self._live[index][0]) is None:
             raise ValueError(f"layer {index} holds no weights")
         return live
+
+    def live_rows(self, index: int) -> np.ndarray:
+        """The rows of ``input_major(index)`` at ``live_slots(index)``, a
+        read-only (live slots, maps) array kept with them: what every engine
+        reads of a layer with dead slots."""
+        if (rows := self._live[index][1]) is None:
+            raise ValueError(f"layer {index} holds no weights")
+        return rows
 
 
 class Network:
@@ -226,8 +237,8 @@ class Network:
     per window slot: ``weights.input_major(i)`` is that (window, maps) array,
     the one every simulator engine reads, and ``weights[i]`` a map-major view
     of it. Each write also records ``weights.live_slots(i)``, the rows of
-    that array that are not all zero, derived from the stored array and
-    never saved.
+    that array that are not all zero, and ``weights.live_rows(i)``, those
+    rows, derived from the stored array and never saved.
     """
 
     def __init__(self, spec: NetworkSpec, w_min: float = 0.0, w_max: float = 1.0):

@@ -29,8 +29,9 @@ A layer whose every weight is zero is silent and enters no engine.
   ``v_inh == 0`` is the same thing) and every other competition confined
   to a column, soft inhibition in a one-position layer included. Inside a
   window the global event order is the order of the sites' ranks in
-  (time, site), found by one sort of the window's packed (rank, slot)
-  keys (``_live_rows``). A neuron's potential is a plain running sum of
+  (time, site), found by one sort of the window's packed integer (rank,
+  slot) keys (``_live_rows``), a silent site's rank being the event count
+  of the stack. A neuron's potential is a plain running sum of
   its weights in that order until a fire in its column, map d's weight
   for window slot k being ``w_in[k, d]``. Without inhibition and under
   winner-take-all, one scan finds the first crossings. In a layer of
@@ -54,11 +55,12 @@ A layer whose every weight is zero is silent and enters no engine.
   neurons; ``np.cumsum`` down the slots makes the same additions one after
   another, latency-bound, and serves only blocks of fewer than
   ``_VECTOR_ROWS`` neurons, where the per-call cost of the adds would
-  dominate. Slots past a row's last input hold slot 0's weights and are
-  never masked: running sums only rise when no weight is negative
-  (under signed weights the scan counts their running maximum instead), so
-  the count of a row's sums below its threshold is its first crossing
-  slot, and the row crossed if that slot is at most its last input. Soft
+  dominate. Slots past a row's last input hold the weights of its
+  window's silent slots and are never masked: running sums only rise when
+  no weight is negative (under signed weights the scan counts their
+  running maximum instead), so the count of a row's sums below its
+  threshold is its first crossing slot, and the row crossed if that slot
+  is at most its last input. Soft
   inhibition steps every column of a chunk through its own inputs in
   lockstep instead: step k adds each column's k-th input weights to its
   maps, ``v = v + w``, the additions one-by-one delivery makes, one row of
@@ -78,15 +80,16 @@ A layer whose every weight is zero is silent and enters no engine.
   with a single crossing neuron fire in place on that column's own row,
   one routine for both, instead of gathering: the same float operations.
   The lockstep reads only each window's event order and input count,
-  never the scan's (map, position) row lists. The positions of a stack are
-  those of its samples one after the other, scanned in chunks of whole
-  samples or of one sample's positions. A chunk counts the window of each
-  of its positions plus, for the scan, the first block of each of its rows
-  or, for the lockstep, one element per (position, map) of its state, and
-  the count stays within ``_CHUNK_ELEMS``. Each sample's
-  event ranks are offset by the events of the samples before it, so ranks
-  stay distinct while a window's order is its sample's own, and every
-  neuron makes the float additions it makes alone.
+  never the scan's (map, position) row lists, and keeps every position of
+  a chunk holding any input: one without input never steps. The positions
+  of a stack are those of its samples one after the other, scanned in
+  chunks of whole samples or of one sample's positions. A chunk counts
+  the window of each of its positions plus, for the scan, the first block
+  of each of its rows or, for the lockstep, one element per (position,
+  map) of its state, and the count stays within ``_CHUNK_ELEMS``. Each
+  sample's event ranks are offset by the events of the samples before it,
+  so ranks stay distinct while a window's order is its sample's own, and
+  every neuron makes the float additions it makes alone.
 - The event engine delivers each sample's events one by one exactly as
   stated above. Step k delivers the k-th event of every sample of the
   stack in one gather; each sample's crossings then resolve in (map, y, x)
@@ -277,57 +280,69 @@ def _event_order(flat: np.ndarray) -> np.ndarray:
 
 
 def _event_ranks(flat: np.ndarray, window: int):
-    """Rank of every finite entry of an (N, S) stack in its sample's event order
-    times ``2**shift``, the bit length of ``window - 1``, so a window slot
-    fits the low bits; +inf if silent.
+    """Integer event key of every entry of an (N, S) stack: a finite entry's
+    rank in its sample's event order times ``2**shift``, the bit length of
+    ``window - 1``, so a window slot fits the low bits; a silent entry the
+    sentinel ``events << shift``, past every rank.
 
     Each sample's ranks start where the sample before it ended, so ranks are
     distinct across the stack and index the returned times in rank order.
-    A rank plus its slot is an exact float64 integer while ``events *
-    2**shift + window < 2**53``: at windows of up to 4,096 slots, for every
-    stack below 2**40 sites.
+    The keys are int32 while ``(events << shift) + window < 2**31``, so a
+    key plus its slot fits (at windows of up to 4,096 slots, every stack
+    below 524,287 events), and int64 otherwise.
     """
     f = _event_order(flat)
     shift = (window - 1).bit_length()
-    rank = np.full(flat.shape, np.inf)
-    rank.ravel()[f] = np.arange(0, f.size << shift, 1 << shift)
+    sentinel = f.size << shift
+    dtype = np.int32 if sentinel + window < 2 ** 31 else np.int64
+    rank = np.full(flat.shape, sentinel, dtype=dtype)
+    rank.ravel()[f] = np.arange(0, sentinel, 1 << shift, dtype=dtype)
     return rank, flat.ravel()[f]
 
 
 def _live_rows(wr: np.ndarray, events: int, w_in: np.ndarray, thresholds: np.ndarray,
-               bound: bool):
-    """The (map, position) rows of P windows that can fire, and their event order.
+               bound: bool, scan: bool = True):
+    """The windows of P positions in event order, and the (map, position)
+    rows of the block scan.
 
-    wr: (P, K) scaled event ranks of the window slots (``_event_ranks``)
-    of a stack of ``events`` events; w_in: the (K, D) input-major weights.
-    A position without input cannot fire. With ``bound`` (the block scan of
-    a layer of several positions, where no weight is negative), neither can
-    a row whose total input, ``finite @ w_in`` (taken transposed, one row
-    per map) widened past the rounding of any summation order, stays below
-    its threshold; the bound never decides a fire. One ``np.sort`` of a
-    kept window's keys, rank plus slot, gives its event order: finite keys
-    are distinct and silent ones stay +inf, so any sort gives the same keys.
-    Returns the positions ``pos`` holding a live row; their keys' low and
-    high bits in that order, ``order`` and ``ranks`` (+inf: slot 0, rank
-    ``events``), and input counts; and the (D, len(pos)) mask of their live
-    rows, (map, position) in C order.
+    wr: (P, K) event keys of the window slots (``_event_ranks``) of a stack
+    of ``events`` events; w_in: the (K, D) input-major weights. With
+    ``scan`` only positions holding a live row are kept: a position without
+    input cannot fire, and with ``bound`` (the block scan of a layer of
+    several positions, where no weight is negative) neither can a row whose
+    total input, ``finite @ w_in`` (taken transposed, one row per map)
+    widened past the rounding of any summation order, stays below its
+    threshold; the bound never decides a fire. Without ``scan`` (the
+    lockstep) every position is kept, in place in ``wr``; one without input
+    never steps. One ``np.sort`` of a kept window's keys, key plus slot,
+    gives its event order: every key is distinct, so any sort gives the
+    same keys, the inputs by rank and then the silent slots in window order.
+    Returns the kept positions ``pos``; their keys' low and high bits in
+    that order, cut to the most inputs a window holds, ``order`` and
+    ``ranks`` (silent: the slot, rank ``events``); their input counts; and
+    with ``scan`` the (D, len(pos)) mask of their live rows, (map, position)
+    in C order. A chunk without any input keeps no position.
     """
     shift = (wr.shape[1] - 1).bit_length()
-    finite = np.isfinite(wr)
-    if bound:  # a window without input has bound 0, below every (positive) threshold
+    sentinel = events << shift
+    if not scan:
+        pos, live, keys = np.arange(len(wr)), None, wr
+    elif bound:  # a window without input has bound 0, below every (positive) threshold
+        finite = wr < sentinel
         total = (w_in.T @ finite.T.astype(np.float64)) * (1.0 + 4 * len(w_in) * _EPS)
         live = ~(total < thresholds[:, None])
         pos = np.nonzero(live.any(axis=0))[0]
-        live = live[:, pos]
+        live, keys = live[:, pos], wr[pos]
     else:  # every map of a position with input
-        pos = np.nonzero(finite.any(axis=1))[0]
-        live = np.broadcast_to(True, (w_in.shape[1], pos.size))
-    count = finite[pos].sum(axis=1)
-    keys = wr[pos]
-    keys += np.arange(wr.shape[1], dtype=np.float64)  # each slot's index in the low bits
+        pos = np.nonzero((wr < sentinel).any(axis=1))[0]
+        live, keys = np.broadcast_to(True, (w_in.shape[1], pos.size)), wr[pos]
+    keys += np.arange(wr.shape[1], dtype=wr.dtype)  # each slot's index in the low bits
     keys.sort(axis=1)
-    keys = keys[:, :int(count.max(initial=0))]  # clamped past every rank while cast
-    keys = np.minimum(keys, events << shift, out=np.empty(keys.shape, np.int64), casting="unsafe")
+    count = np.count_nonzero(keys < sentinel, axis=1)
+    width = int(count.max(initial=0))
+    if not width:
+        pos, count = pos[:0], count[:0]
+    keys = keys[:pos.size, :width]
     return pos, keys & ((1 << shift) - 1), keys >> shift, count, live
 
 
@@ -361,21 +376,24 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     Each block is slot-major, one row per input slot and one column per
     neuron row: ``take`` from the flat input-major weights at ``slot * maps
     + map``, its slots a row slice of ``order`` laid out step by step. Slots
-    past a row's last input hold slot 0's weights, so the running sums (the
-    running maximum of them when a weight may be negative, which rises as
-    they do) are only tested against the threshold: a row's count of them
-    below its threshold is its first crossing slot in the block, and the
-    row crossed there if that slot is at most its last input.
+    past a row's last input hold its window's silent slots' weights, so the
+    running sums (the running maximum of them when a weight may be
+    negative, which rises as they do) are only tested against the
+    threshold: a row's count of them below its threshold, one byte a test
+    summed in the narrowest type that holds the block's length, is its
+    first crossing slot in the block, and the row crossed there if that
+    slot is at most its last input. A row's state (row, position, map,
+    inputs left) is one int array, compacted by one ``take`` a block.
     """
     maps, w_flat = w_in.shape[1], w_in.ravel()
-    n = count[rp]  # inputs left
     slot = np.full(rp.size, -1)
-    row = np.arange(rp.size)
-    at = np.multiply(order.T, w_in.shape[1], order="C")  # row k: k-th slots' rows in w_flat
+    state = np.array((np.arange(rp.size), rp, rd, count[rp]))
+    at = np.multiply(order.T, maps, dtype=np.intp, order="C")  # row k: k-th slots' rows in w_flat
     carry = None
     k0, size = 0, _BLOCK0
     while k0 < len(at):
         k1 = min(k0 + size, len(at))
+        row, rp, rd, n = state
         v = at[k0:k1].take(rp, axis=1)  # row k: each row's (k0 + k)-th slot
         v += rd
         v = w_flat.take(v)
@@ -383,7 +401,8 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
             v[0] += carry  # the same addition delivering this input one by one makes
         _running(np.add, v)
         top = v if nonneg else _running(np.maximum, v.copy())
-        kk = np.less(top, th_r).sum(axis=0)
+        below = np.less(top, th_r).view(np.uint8)
+        kk = below.sum(axis=0, dtype=np.min_scalar_type(k1 - k0)).astype(np.intp)
         hit = kk < np.minimum(n, k1) - k0  # the crossing is at one of the row's inputs
         done = n <= k1
         if hit.any():
@@ -399,8 +418,7 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
         keep = np.flatnonzero(~done)
         if not keep.size:
             break
-        row, rp, rd, th_r, n = (a.take(keep) for a in (row, rp, rd, th_r, n))
-        carry = v[-1].take(keep)
+        state, th_r, carry = state.take(keep, axis=1), th_r.take(keep), v[-1].take(keep)
         k0, size = k1, 2 * size
     return slot
 
@@ -442,7 +460,8 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     maps = thresholds.size
     # columns by falling input count, so the columns with a k-th input lead
     by_count = np.argsort(-count, kind="stable")
-    steps = np.ascontiguousarray(order[by_count].T)  # row k: each column's k-th slot
+    # row k: each column's k-th slot, widened once for the steps' takes
+    steps = np.ascontiguousarray(order[by_count].T, dtype=np.intp)
     active = np.searchsorted(-count[by_count], -np.arange(steps.shape[0]))
     th = np.repeat(thresholds[None, :], count.size, axis=0)
     v = np.zeros(th.shape)
@@ -514,7 +533,8 @@ def _column_times(times_in, w_in, thresholds, plan: _Plan, wta: bool, v_inh: flo
         lo = s0 * positions + p0
         wr = rank[s0:s0 + samples].take(plan.win_index[p0:p0 + span], axis=1)
         wr = wr.reshape(-1, plan.window)
-        pos, order, ranks, count, live = _live_rows(wr, ranked_t.size, w_in, thresholds, bound)
+        pos, order, ranks, count, live = _live_rows(wr, ranked_t.size, w_in, thresholds, bound,
+                                                    v_inh == 0.0)
         if v_inh > 0.0:
             slot = _soft_columns(order, count, w_in, thresholds, v_inh)
             rp, rd = np.nonzero(slot >= 0)
@@ -526,7 +546,8 @@ def _column_times(times_in, w_in, thresholds, plan: _Plan, wta: bool, v_inh: flo
             slot = _first_crossings(order, count, w_in, rd, rp, thresholds[rd], wta, nonneg)
             fire = slot >= 0
             rd, rp, slot = rd[fire], rp[fire], slot[fire]
-        out[rd, lo + pos[rp]] = ranked_t[ranks[rp, slot]]  # the times of the inputs at slot
+        # the times of the inputs at slot, written through flat indices
+        out.ravel()[rd * out.shape[1] + (lo + pos[rp])] = ranked_t[ranks[rp, slot]]
     out = out.reshape(d_out, n, plan.out_shape.height, plan.out_shape.width)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
@@ -661,7 +682,8 @@ def forward_layer(
         event = (wta or v_inh > 0.0) and policy.scope == "layer" or wta and plan.positions == 1
         w_in, live = network.weights.input_major(index), network.weights.live_slots(index)
         if live.size < plan.window:  # a dead slot adds exactly ±0.0 to every potential
-            plan, w_in = window_plan(in_shape, layer, live.tobytes()), w_in[live]
+            plan = window_plan(in_shape, layer, live.tobytes())
+            w_in = network.weights.live_rows(index)
         if not live.size:  # every potential stays 0, below every threshold
             out = np.full((len(stack), *plan.out_shape.astuple()), np.inf)
         elif event:
@@ -690,13 +712,16 @@ def forward_stacks(network: Network, grids, policy: InhibitionPolicy = NO_INHIBI
     index of its first sample and the list of its output stacks, one
     (n, depth, H, W) array per layer run, which stay alive until the next
     stack starts. Every layer runs as ``forward_layer`` runs it. A range
-    that is not ``0 <= start < stop <= len(layers)`` raises a ValueError
-    when iteration starts.
+    that is not ``0 <= start < stop <= len(layers)``, or a ``policy`` that is
+    not an ``InhibitionPolicy``, raises a ValueError when iteration starts,
+    even over an empty dataset.
     """
     layers = len(network.spec.layers)
     stop = layers if stop is None else stop
     if not 0 <= start < stop <= layers:
         raise ValueError(f"layer range {start}:{stop} is not a non-empty range of {layers} layers")
+    if not isinstance(policy, InhibitionPolicy):
+        raise ValueError(f"policy must be an InhibitionPolicy, got {type(policy).__name__}")
     size = stack_size(network.spec)
     for lo in range(0, len(grids), size):
         outs = [np.stack(grids[lo:lo + size])]

@@ -289,6 +289,10 @@ class TestExtractFeatureStacks:
         with pytest.raises(ValueError, match="^policy must be an InhibitionPolicy, got str$"):
             extract_features(_feature_net(), grids, 1.0, "soft")
 
+    def test_policy_of_another_type_rejected_on_an_empty_dataset(self):
+        with pytest.raises(ValueError, match="^policy must be an InhibitionPolicy, got str$"):
+            extract_features(_feature_net(), [], 1.0, "soft")
+
     def test_bad_grid_named_by_its_index(self):
         rng = np.random.default_rng(25)
         grids = [np.where(rng.random((2, 4, 4)) < 0.5, 0.3, np.inf) for _ in range(6)]

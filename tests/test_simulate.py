@@ -1409,6 +1409,40 @@ class TestDeadSlots:
                 assert np.array_equal(plan.win_index, full.win_index[:, live])
                 assert (w is rows and plan is full) == (not dead.any())
 
+    @pytest.mark.parametrize("write", ["slot", "install"])
+    def test_live_rows_are_stored_by_every_write(self, write, monkeypatch):
+        # each write keeps the live slots' weight rows once, read-only, and
+        # the engines read that stored array: no forward copies them
+        seen = []
+        real = sim._column_times
+        monkeypatch.setattr(sim, "_column_times",
+                            lambda s, w, *a: seen.append(w) or real(s, w, *a))
+        rng = np.random.default_rng(9)
+        spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 4, 1, 0)])
+        net = Network(spec)
+        with pytest.raises(ValueError, match="layer 0 holds no weights"):
+            net.weights.live_rows(0)
+        net.thresholds[0] = rng.uniform(0.5, 2.0, 4)
+        whole = rng.uniform(0.0, 1.0, (4, 18))
+        stack = np.stack([random_grid(rng, spec.input_shape, n) for n in (20, 40)])
+        for dead in (np.arange(18) % 3 == 0, np.zeros(18, bool), np.arange(18) < 17):
+            weights = np.where(dead, 0.0, whole).reshape(spec.weight_shape(0))
+            if write == "slot":
+                net.weights[0] = weights
+            else:
+                net.install_column(0, weights, rng.uniform(0.5, 2.0, 4))
+            rows = net.weights.live_rows(0)
+            live = net.weights.live_slots(0)
+            assert np.array_equal(live, np.flatnonzero(~dead))
+            assert np.array_equal(rows, net.weights.input_major(0)[live])
+            assert not rows.flags.writeable and net.weights.live_rows(0) is rows
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.5
+            seen.clear()
+            forward_layer(net, 0, stack)
+            (w,) = seen
+            assert w is rows
+
     @pytest.mark.parametrize("kind", ["conv", "fc"])
     @pytest.mark.parametrize("policy", [
         NO_INHIBITION,
@@ -1475,7 +1509,7 @@ class TestWindowPlan:
 
 
 class TestPackedKeys:
-    """Window order from one sort of packed (rank, slot) keys."""
+    """Window order from one sort of packed integer (rank, slot) keys."""
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 16, 17, 50, 400])
     def test_live_rows_order_is_a_stable_argsort_of_the_ranks(self, window):
@@ -1487,10 +1521,12 @@ class TestPackedKeys:
         flat = np.stack([random_grid(rng, shape, n, tie_heavy=True).ravel() for n in counts])
         wr, ranked_t = sim._event_ranks(flat, window)
         events = ranked_t.size
+        shift = (window - 1).bit_length()
         assert events == sum(counts) and np.isfinite(ranked_t).all()
-        assert np.array_equal(np.isinf(wr), np.isinf(flat))
-        plain = wr / 2 ** (window - 1).bit_length()  # ranks scaled past the slot bits
-        assert (plain[np.isfinite(plain)] % 1 == 0).all()
+        # a silent entry holds the sentinel, the rank after every event
+        assert wr.dtype == np.int32 and np.array_equal(wr == events << shift, np.isinf(flat))
+        assert (wr & (2 ** shift - 1) == 0).all()  # ranks scaled past the slot bits
+        plain = wr >> shift
         pos, order, ranks, count, live = sim._live_rows(wr, events, np.zeros((window, 1)),
                                                         np.ones(1), False)
         assert live.shape == (1, pos.size) and live.all()
@@ -1503,8 +1539,54 @@ class TestPackedKeys:
             assert o[:n].tolist() == want.tolist()
             assert r[:n].tolist() == plain[p, want].tolist()
             assert np.array_equal(ranked_t[r[:n]], flat[p, o[:n]])
-            # past its inputs a window holds slot 0 and the rank after every event
-            assert (o[n:] == 0).all() and (r[n:] == events).all()
+            # past its inputs a window holds its silent slots, in window
+            # order, and the rank after every event
+            assert o[n:].tolist() == np.flatnonzero(np.isinf(flat[p])).tolist()
+            assert (r[n:] == events).all()
+
+    @pytest.mark.parametrize("window, events, dtype", [
+        (4096, 524_286, np.int32), (4096, 524_287, np.int64),
+        (2 ** 20, 2046, np.int32), (2 ** 20, 2047, np.int64),
+        (2 ** 20 + 1, 1023, np.int32), (2 ** 20 + 1, 1024, np.int64),
+    ])
+    def test_keys_are_int32_while_a_key_plus_its_slot_fits(self, window, events, dtype):
+        # (events << shift) + window < 2**31 keeps int32; one event more widens
+        shift = (window - 1).bit_length()
+        assert ((events << shift) + window < 2 ** 31) == (dtype is np.int32)
+        rng = np.random.default_rng(events)
+        flat = rng.random((4, events // 4 + 1))
+        flat.ravel()[events:] = INF
+        wr, ranked_t = sim._event_ranks(flat, window)
+        assert wr.dtype == dtype and ranked_t.size == events
+        order = sim._event_order(flat)
+        assert np.array_equal(wr.ravel()[order], np.arange(events, dtype=np.int64) << shift)
+        assert (wr.ravel()[events:] == events << shift).all()
+        assert int(wr.max()) + window - 1 <= np.iinfo(dtype).max
+
+    @pytest.mark.parametrize("policy", [NO_INHIBITION, InhibitionPolicy("soft", v_inh=2.0)])
+    def test_int64_key_stack_equals_its_single_grids(self, policy, monkeypatch):
+        # a 4,096-slot fc layer: 130 samples of about 4,055 events each pass
+        # the int32 limit of 524,286 events, one sample alone stays far below
+        rng = np.random.default_rng(130)
+        spec = NetworkSpec(Shape3(16, 16, 16), [LayerSpec("fc", 16, 16, 6, 1, 0)])
+        net = Network(spec)
+        # each map's total input is about 2,000: the last map never fires
+        net.install_column(0, rng.uniform(0.0, 1.0, spec.weight_shape(0)),
+                           np.array([30.0, 400.0, 1000.0, 1700.0, 1990.0, 2500.0]))
+        stack = rng.random((130, 16, 16, 16))
+        stack[rng.random(stack.shape) < 0.01] = INF
+        widths = []
+        real = sim._event_ranks
+        monkeypatch.setattr(sim, "_event_ranks",
+                            lambda *a: widths.append((r := real(*a))[0].dtype) or r)
+        whole = forward_layer(net, 0, stack, policy)
+        assert widths == [np.int64] and np.isfinite(whole).any() and np.isinf(whole).any()
+        widths.clear()
+        for got, grid in zip(whole, stack):
+            assert np.array_equal(got, forward_layer(net, 0, grid, policy))
+        assert widths == [np.int32] * len(stack)
+        for got, grid in zip(whole[:2], stack):
+            assert np.array_equal(got, column_reference(net, 0, grid, policy))
 
     @pytest.mark.parametrize("n", [2, 300, 70_000])
     def test_event_order_keeps_each_sample_together(self, n):
@@ -1657,6 +1739,14 @@ class TestForwardValidation:
                 forward_times(net, np.zeros((1, 4, 4)), bad)
             with pytest.raises(ValueError, match=f"^policy must be an InhibitionPolicy, got {name}$"):
                 forward_layer(net, 1, np.zeros((2, 2, 2)), bad)  # pooling, which ignores it
+
+    def test_policy_of_another_type_rejected_over_no_sample(self):
+        # refused when iteration starts, even over a dataset with no sample
+        net = self._three_layers()
+        for bad, name in (("soft", "str"), (None, "NoneType")):
+            stacks = sim.forward_stacks(net, [], bad)
+            with pytest.raises(ValueError, match=f"^policy must be an InhibitionPolicy, got {name}$"):
+                next(stacks)
 
     @staticmethod
     def _three_layers():
