@@ -56,11 +56,16 @@ def check_fire_times(times: np.ndarray, where: str = "") -> None:
 def check_grids(grids, shape: Shape3, name: str = "the network input") -> None:
     """Reject a dataset of fire-time grids that a stack of ``shape`` grids cannot hold.
 
-    Each grid must have ``shape`` and hold no NaN or -inf; the message
-    names the first offending sample's index and, as ``name``, what
-    ``shape`` is the shape of.
+    Each grid, any array-like of numbers read as float64, must have
+    ``shape`` and hold no NaN or -inf; the message names the first
+    offending sample's index and, as ``name``, what ``shape`` is the shape
+    of. A ragged or non-numeric grid is refused the same way.
     """
     for i, grid in enumerate(grids):
+        try:
+            grid = np.asarray(grid, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"sample {i}: input grid is not an array of spike times: {e}") from None
         if np.shape(grid) != shape.astuple():
             raise ValueError(f"sample {i}: input grid shape {np.shape(grid)} does not match "
                              f"{name} {shape.astuple()}")

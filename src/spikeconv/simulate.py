@@ -64,21 +64,27 @@ A layer whose every weight is zero is silent and enters no engine.
   inhibition steps every column of a chunk through its own inputs in
   lockstep instead: step k adds each column's k-th input weights to its
   maps, ``v = v + w``, the additions one-by-one delivery makes, one row of
-  the input-major weights gathered per column; in each column the crossing
-  maps then fire in map order, each lowering the column to
-  ``max(v - v_inh, 0)`` before the next map is rechecked, and a fire
-  takes the time of the column's k-th input. Columns
+  the input-major weights gathered per column; in each column the maps
+  that then cross, its candidates, fire in map order, each lowering the
+  column to ``max(v - v_inh, 0)`` before the next candidate is re-tested,
+  and a fire takes the time of the column's k-th input. The floor lifts
+  no potential to a (positive) threshold, so a map that did not cross at
+  the step cannot fire before the next input: only the step's candidates
+  are ever re-tested. Columns
   never interact, so their steps need not line up in time. The columns
   are kept in falling order of input count, so the columns with a k-th
   input are a leading run of the arrays; in a one-position layer the
-  columns are the samples of the stack. A step's fires resolve on the
-  flat (column, map) indices of its crossings, found by one ``nonzero``
-  of the leading rows: each column's lowest crossing map fires, and one
-  test of the floored columns says whether any map still crosses. A step
-  with one column left (each step of a one-position layer's single grid,
-  and the tail of a chunk whose longest column runs alone) and a step
-  with a single crossing neuron fire in place on that column's own row,
-  one routine for both, instead of gathering: the same float operations.
+  columns are the samples of the stack. A step's candidates are flat
+  (column, map) indices, found by one ``nonzero`` of the leading rows:
+  each column's lowest one fires and floors its column, and the step
+  ends there unless a column holds a second candidate; then only the
+  remaining candidates are re-tested, at their flat indices. A step with
+  one column left (each step of a one-position layer's single grid, and
+  the tail of a chunk whose longest column runs alone) and a step with a
+  single candidate fire in place on that column's own row, one routine
+  for both, instead of gathering: the same float operations. A lone
+  column counts its candidates, and a single one fires and floors with
+  no re-test.
   The lockstep reads only each window's event order and input count,
   never the scan's (map, position) row lists, and keeps every position of
   a chunk holding any input: one without input never steps. The positions
@@ -338,7 +344,10 @@ def _live_rows(wr: np.ndarray, events: int, w_in: np.ndarray, thresholds: np.nda
         live, keys = np.broadcast_to(True, (w_in.shape[1], pos.size)), wr[pos]
     keys += np.arange(wr.shape[1], dtype=wr.dtype)  # each slot's index in the low bits
     keys.sort(axis=1)
-    count = np.count_nonzero(keys < sentinel, axis=1)
+    # each window's input count: a byte per test, summed in a signed type that
+    # holds the window (int16, cheaper to add than intp, below 2**15 slots)
+    below = np.less(keys, sentinel).view(np.int8)
+    count = below.sum(axis=1, dtype=np.int16 if wr.shape[1] < 2 ** 15 else np.intp)
     width = int(count.max(initial=0))
     if not width:
         pos, count = pos[:0], count[:0]
@@ -423,19 +432,24 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     return slot
 
 
-def _fire_row(v, th, crossed, fired, d, k, v_inh):
-    """Fire map ``d`` of one column at step ``k``, then floor the column to
-    ``max(v - v_inh, 0)`` and fire its lowest crossing map while any map
-    crosses. v, th, crossed, fired: that column's rows of the lockstep's
-    state, basic-indexed views written in place."""
+def _fire_row(v, th, crossed, fired, d, k, v_inh, more=False):
+    """Fire map ``d`` of one column at step ``k`` and floor the column to
+    ``max(v - v_inh, 0)``. With ``more``, ``crossed`` marks the maps that
+    crossed at this step, ``d`` the lowest of them: each later one is
+    re-tested after the floors before it and fires in map order while it
+    still crosses. v, th, crossed, fired: that column's rows of the
+    lockstep's state, basic-indexed views written in place."""
+    rest = crossed.nonzero()[0][1:] if more else ()
     while True:
         fired[d] = k
         th[d] = np.inf
         v -= v_inh
         np.maximum(v, 0.0, out=v)
-        if not np.greater_equal(v, th, out=crossed).any():
+        if len(rest):
+            rest = rest[v.take(rest) >= th.take(rest)]
+        if not len(rest):
             return
-        d = crossed.argmax()  # the lowest crossing map fires first
+        d, rest = rest[0], rest[1:]
 
 
 def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
@@ -447,15 +461,18 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     input-major weights (``Network.weights.input_major``), one row of map
     weights per window slot; thresholds: (D,), raised to +inf in a column
     once the map fires there. Step k adds to every column the weights of
-    its own k-th input; in each column the crossing maps then fire in map
-    order, each lowering the column to ``max(v - v_inh, 0)`` before the
-    next is rechecked. A step's crossings are flat (column, map) indices,
-    one ``nonzero``; each column's lowest one fires through flat writes,
-    and one test of the floored columns tells whether any map still
-    crosses. A step with one column left, or with one crossing neuron,
-    fires in place on that column's row (``_fire_row``), the float
-    operations of the gathered path. Returns the (C, D) slot each neuron
-    fired at, -1 if it never did.
+    its own k-th input; in each column the maps that then cross, its
+    candidates, fire in map order, each lowering the column to
+    ``max(v - v_inh, 0)`` before the next candidate is re-tested. That
+    floor lifts no potential to a (positive) threshold, so a map that did
+    not cross at the step cannot fire before the next input, and only the
+    candidates are ever re-tested. A step's candidates are flat (column,
+    map) indices, one ``nonzero``; each column's lowest one fires through
+    flat writes and floors its column, and only a column with a second
+    candidate makes the step go on. A step with one column left, or with
+    one candidate, fires in place on that column's row (``_fire_row``), the
+    float operations of the gathered path. Returns the (C, D) slot each
+    neuron fired at, -1 if it never did.
     """
     maps = thresholds.size
     # columns by falling input count, so the columns with a k-th input lead
@@ -467,12 +484,15 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
     v = np.zeros(th.shape)
     fired = np.full(th.shape, -1)
     crossed = np.empty(th.shape, dtype=bool)
-    v0, th0, crossed0 = v[:1].ravel(), th[:1].ravel(), crossed[:1].ravel()  # the first column
+    # the first column's rows (none in a chunk without input), and the flat state
+    v0, th0, crossed0, fired0 = (a[:1].ravel() for a in (v, th, crossed, fired))
+    v_flat, th_flat, fired_flat = v.ravel(), th.ravel(), fired.ravel()
     for k, m in enumerate(active.tolist()):
         if m == 1:  # a lone column steps on its own rows, making the same float operations
             v0 += w_in[steps[k, 0]]
-            if np.greater_equal(v0, th0, out=crossed0).any():
-                _fire_row(v0, th0, crossed0, fired[0], crossed0.argmax(), k, v_inh)
+            c = np.count_nonzero(np.greater_equal(v0, th0, out=crossed0))
+            if c:
+                _fire_row(v0, th0, crossed0, fired0, crossed0.argmax(), k, v_inh, c > 1)
             continue
         vm = v[:m]
         vm += w_in.take(steps[k, :m], axis=0)
@@ -483,26 +503,22 @@ def _soft_columns(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
                 j, d = divmod(int(f[0]), maps)
                 _fire_row(v[j], th[j], crossed[j], fired[j], d, k, v_inh)
             continue
-        j = f // maps
-        first = np.empty(j.size, dtype=bool)  # each column's lowest crossing map fires first
-        first[0] = True
-        np.not_equal(j[1:], j[:-1], out=first[1:])
-        j, f = j[first], f[first]
-        fired.ravel()[f] = k
-        th.ravel()[f] = np.inf
-        while True:
+        while f.size:
+            j = f // maps
+            first = np.empty(j.size, dtype=bool)  # each column's lowest candidate fires first
+            first[0] = True
+            np.not_equal(j[1:], j[:-1], out=first[1:])
+            later = None
+            if np.count_nonzero(first) < f.size:  # a column holds a second candidate
+                later, j, f = f[~first], j[first], f[first]
+            fired_flat[f] = k
+            th_flat[f] = np.inf
             vj = v[j]
             vj -= v_inh
             v[j] = np.maximum(vj, 0.0, out=vj)
-            # the floor lifts no potential to a positive threshold, so only
-            # candidates can still cross
-            cross = vj >= th[j]
-            if not cross.any():
+            if later is None:
                 break
-            more = cross.any(axis=1)
-            j, d = j[more], cross[more].argmax(axis=1)
-            fired[j, d] = k
-            th[j, d] = np.inf
+            f = later[v_flat.take(later) >= th_flat.take(later)]  # re-test the later candidates
     out = np.empty_like(fired)
     out[by_count] = fired
     return out
@@ -536,9 +552,10 @@ def _column_times(times_in, w_in, thresholds, plan: _Plan, wta: bool, v_inh: flo
         pos, order, ranks, count, live = _live_rows(wr, ranked_t.size, w_in, thresholds, bound,
                                                     v_inh == 0.0)
         if v_inh > 0.0:
-            slot = _soft_columns(order, count, w_in, thresholds, v_inh)
-            rp, rd = np.nonzero(slot >= 0)
-            slot = slot[rp, rd]
+            slot = _soft_columns(order, count, w_in, thresholds, v_inh).ravel()
+            f = np.flatnonzero(slot >= 0)  # the fired neurons, (position, map) in C order
+            rp, rd = np.divmod(f, d_out)
+            slot = slot[f]
         else:
             rp = np.flatnonzero(live)  # the scan's rows, in (map, position) order
             rd = rp // pos.size

@@ -89,7 +89,9 @@ def _dual_cd(x, y, sq, c, rng):
     Returns the weights, the passes used and the last pass's largest
     projected gradient. The per-coordinate logic runs on Python floats; the
     weight products and updates are the same numpy operations on the same
-    rows, so every weight is bitwise that of a loop on numpy scalars.
+    rows, so every weight is bitwise that of a loop on numpy scalars. An
+    update makes no temporary: ``(new - prev) * y_i`` times the row goes to
+    one reused buffer, which is then added to the weights in place.
     """
     n = x.shape[0]
     rows = list(x)
@@ -98,13 +100,14 @@ def _dual_cd(x, y, sq, c, rng):
     c = float(c)
     alpha = [0.0] * n
     w = np.zeros(x.shape[1])
+    step = np.empty_like(w)
     for passes in range(1, _MAX_PASSES + 1):
         worst = 0.0
         for i in rng.permutation(n).tolist():
             if sqs[i] == 0.0:
                 continue  # zero row: cannot move the objective
             xi, yi, prev = rows[i], ys[i], alpha[i]
-            g = yi * float(w @ xi) - 1.0
+            g = yi * float(w.dot(xi)) - 1.0
             if prev == 0.0:
                 pg = min(g, 0.0)
             elif prev == c:
@@ -118,7 +121,8 @@ def _dual_cd(x, y, sq, c, rng):
                 new = min(max(prev - g / sqs[i], 0.0), c)
                 if new != prev:
                     alpha[i] = new
-                    w += (new - prev) * yi * xi
+                    np.multiply(xi, (new - prev) * yi, out=step)
+                    np.add(w, step, out=w)
         if worst < _TOL:
             break
     return w, passes, worst

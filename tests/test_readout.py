@@ -307,6 +307,22 @@ class TestExtractFeatureStacks:
                                              r"match the network input \(2, 4, 4\)"):
             extract_features(_feature_net(), broken, 1.0)
 
+    def test_list_grids_equal_the_arrays(self):
+        rng = np.random.default_rng(26)
+        grids = [np.where(rng.random((2, 4, 4)) < 0.5, rng.random((2, 4, 4)), np.inf)
+                 for _ in range(5)]
+        net = _feature_net()
+        for policy in (InhibitionPolicy("none"), InhibitionPolicy("soft", 0.3)):
+            want = extract_features(net, grids, 1.0, policy)
+            assert np.array_equal(extract_features(net, [g.tolist() for g in grids], 1.0, policy),
+                                  want)
+
+    @pytest.mark.parametrize("bad", ["abc", [[[0.1, 0.2], [0.3]]]], ids=["string", "ragged"])
+    def test_non_numeric_or_ragged_grid_named_by_its_index(self, bad):
+        grids = [bad, np.full((2, 4, 4), 0.3)]
+        with pytest.raises(ValueError, match="^sample 0: input grid is not an array of spike times"):
+            extract_features(_feature_net(), grids, 1.0)
+
 
 class TestReconstruction:
     def test_layer1_uniform_on_channel(self):

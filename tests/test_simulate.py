@@ -635,6 +635,121 @@ class TestLockstep:
         assert mild[:3, 0, :].tolist() == [[0.2, 0.3], [0.3, 0.4], [0.4, 0.5]]
         assert np.array_equal(mild, column_reference(net, 0, times, policy))
 
+    # the candidate rule: a step's fires resolve against the maps that crossed
+    # at it, its candidates. ``max(v - v_inh, 0)`` lifts no potential to a
+    # positive threshold, so after a fire only a later candidate can cross.
+    @staticmethod
+    def _four_columns():
+        # a 1x1 filter over four input maps and four positions: position p
+        # gets one input, on map p, so every column crosses at step 0 with
+        # its own candidates. Map 0 crosses alone in column 0 (1.0) and map
+        # 1 in column 1 (1.1); columns 2 and 3 see maps 0 and 1 cross. In
+        # each, map 0 fires and takes 0.2 off: column 2's map 1 keeps
+        # 1.3 - 0.2 = 1.1 and fires at the same input, column 3's drops to
+        # 1.1 - 0.2 = 0.9 and is stopped. Map 2 reaches 0.5 in column 0 only.
+        weights = np.array([[1.0, 0.0, 1.0, 1.0],
+                            [0.5, 1.1, 1.3, 1.1],
+                            [0.5, 0.0, 0.0, 0.0]]).reshape(3, 4, 1, 1)
+        times = np.full((4, 1, 4), INF)
+        for p, t in enumerate((0.1, 0.2, 0.3, 0.4)):
+            times[p, 0, p] = t
+        return _one_layer(times, weights, np.ones(3)), times
+
+    @pytest.mark.parametrize("columns", [[0, 1, 2, 3], [0, 1]], ids=["mixed", "one-candidate"])
+    def test_one_gathered_step(self, columns, monkeypatch):
+        net, times = self._four_columns()
+        silenced = times.copy()
+        silenced[:, :, [p for p in range(4) if p not in columns]] = INF
+        policy = InhibitionPolicy("soft", v_inh=0.2)
+        calls = _soft_calls(monkeypatch)
+        rows = []
+        real = sim._fire_row
+        monkeypatch.setattr(sim, "_fire_row", lambda *a: rows.append(a[4:6]) or real(*a))
+        got = forward_layer(net, 0, silenced, policy)
+        assert calls == [4] and rows == []  # one gathered step, no column alone
+        want = np.array([[0.1, INF, 0.3, 0.4], [INF, 0.2, 0.3, INF], [INF] * 4])
+        want[:, [p for p in range(4) if p not in columns]] = INF
+        assert got[:, 0, :].tolist() == want.tolist()
+        assert np.array_equal(got, column_reference(net, 0, silenced, policy))
+
+    def test_lone_column_one_crossing_then_three(self, monkeypatch):
+        # fc over two inputs, 0.1 then 0.3: one column. Map 0 crosses alone
+        # on the first input and fires, flooring map 1 from 0.2 and map 3
+        # from -0.4 to 0, and map 2 to 0.3 - 0.25. On the second input maps
+        # 1-3 cross; map 1 fires first, map 2 keeps 1.35 - 0.25 = 1.1 and
+        # fires too, and map 3 drops from 1.1 to 0.85 and is stopped. Map 3
+        # crosses only because the first floor lifted it to 0.
+        times = np.array([[[0.1, 0.3]]])
+        weights = np.array([[1.0, 0.0], [0.2, 1.5], [0.3, 1.3], [-0.4, 1.1]]).reshape(4, 1, 1, 2)
+        net = _one_layer(times, weights, np.ones(4), kind="fc")
+        policy = InhibitionPolicy("soft", v_inh=0.25)
+        calls = _soft_calls(monkeypatch)
+        rows = []
+        real = sim._fire_row
+        monkeypatch.setattr(sim, "_fire_row", lambda *a: rows.append(a[4:6]) or real(*a))
+        got = forward_layer(net, 0, times, policy)
+        assert calls == [1] and rows == [(0, 0), (1, 1)]
+        assert got[:, 0, 0].tolist() == [0.1, 0.3, 0.3, INF]
+        assert np.array_equal(got, column_reference(net, 0, times, policy))
+        # without the floor's lift map 3 would stay at 0.7, below its threshold
+        assert forward_layer(net, 0, times)[:, 0, 0].tolist() == [0.1, 0.3, 0.3, INF]
+
+    def test_signed_weights_floored_to_zero_in_a_stack(self):
+        # the same fc column as samples of a stack: the lockstep steps them
+        # together, and each sample's column is floored on its own. The
+        # second sample gets the inputs in the other order, so its map 3
+        # falls to -0.4 + 1.1 after map 1 fires on 0.1 and never fires.
+        weights = np.array([[1.0, 0.0], [0.2, 1.5], [0.3, 1.3], [-0.4, 1.1]]).reshape(4, 1, 1, 2)
+        stack = np.array([[[[0.1, 0.3]]], [[[0.3, 0.1]]], [[[0.1, INF]]]])
+        net = _one_layer(stack[0], weights, np.ones(4), kind="fc")
+        policy = InhibitionPolicy("soft", v_inh=0.25)
+        got = forward_layer(net, 0, stack, policy)
+        assert got[:, :, 0, 0].tolist() == [[0.1, 0.3, 0.3, INF], [0.3, 0.1, 0.1, INF],
+                                            [0.1, INF, INF, INF]]
+        for out, grid in zip(got, stack):
+            assert np.array_equal(out, column_reference(net, 0, grid, policy))
+
+    def test_small_blows_let_second_candidates_fire(self):
+        # the sweep below draws v_inh where second candidates survive: with
+        # distinct input times, two maps of one column firing at the same
+        # time fired on the same input
+        rng = np.random.default_rng(95)
+        spec = NetworkSpec(Shape3(2, 6, 6), [LayerSpec("conv", 3, 3, 5, 1, 0)])
+        net = Network(spec)
+        net.weights[0] = rng.uniform(0.0, 1.0, spec.weight_shape(0))
+        net.thresholds[0] = rng.uniform(0.5, 3.0, 5)
+        stack = np.stack([random_grid(rng, spec.input_shape, 40) for _ in range(3)])
+        policy = InhibitionPolicy("soft", v_inh=0.01)
+        got = forward_layer(net, 0, stack, policy)
+        times = got.reshape(3, 5, -1)
+        same = (times[:, :, None] == times[:, None, :]) & np.isfinite(times[:, :, None])
+        assert (same.sum(axis=(1, 2)) > 5).any()  # beyond each map matching itself
+        for out, grid in zip(got, stack):
+            assert np.array_equal(out, column_reference(net, 0, grid, policy))
+            assert np.array_equal(forward_layer(net, 0, grid, policy), out)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_small_blows_bitwise_the_column_reference(self, data):
+        # stacks and their single grids, on conv layers of several positions
+        # and on layers of one position, at blows small enough that second
+        # candidates survive
+        if data.draw(st.booleans()):
+            net, grid, _ = data.draw(_column_policy_cases())
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            counts = data.draw(st.lists(st.integers(0, net.spec.input_shape.size), max_size=2))
+            stack = np.stack([grid] + [random_grid(rng, net.spec.input_shape, n, tie_heavy=True)
+                                       for n in counts])
+        else:
+            net, stack, _ = data.draw(_one_position_cases())
+        policy = InhibitionPolicy("soft", v_inh=data.draw(st.floats(0.001, 0.05)))
+        _pin_thresholds(data.draw, net, stack, policy)
+        got = forward_layer(net, 0, stack, policy)
+        for out, grid in zip(got, stack):
+            want = column_reference(net, 0, grid, policy)
+            assert np.array_equal(out, want)
+            assert np.array_equal(forward_layer(net, 0, grid, policy), want)
+
 
 class TestLockstepThresholds:
     def test_rows_that_never_reach_threshold_step_with_the_rest(self, monkeypatch):
@@ -707,12 +822,14 @@ class TestInputMajorRows:
             unready.weights.input_major(2)
 
     def test_every_engine_reads_the_stored_array(self, monkeypatch):
-        # the array and its live slots are stored at install, and every engine
-        # of a conv or fc layer reads them as they are: nothing is made on
-        # first use, and nothing but the live-slot index is kept beside it
+        # the array, its live slots and their rows are stored at install, and
+        # every engine of a conv or fc layer reads them as they are: nothing
+        # is made on first use, and beside the array only the live-slot
+        # index and the live rows are kept, both under ``_live``
         net, stack = self._net()
         stored = [net.weights.input_major(i) for i in (0, 2)]
         live = [net.weights.live_slots(i) for i in (0, 2)]
+        rows = [net.weights.live_rows(i) for i in (0, 2)]
         made = []
         real = type(net.weights).input_major
         monkeypatch.setattr(type(net.weights), "input_major",
@@ -726,6 +843,7 @@ class TestInputMajorRows:
         assert made == [0, 0, 0, 2, 2, 2]
         assert all(real(net.weights, i) is rows for i, rows in zip((0, 2), stored))
         assert all(net.weights.live_slots(i) is s for i, s in zip((0, 2), live))
+        assert all(net.weights.live_rows(i) is r for i, r in zip((0, 2), rows))
         assert vars(net.weights).keys() == {"_kind", "_spec", "_bounds", "_items", "_live"}
 
     @pytest.mark.parametrize("write", ["slot", "install"])

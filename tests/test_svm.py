@@ -145,6 +145,51 @@ class TestSolver:
         }
         assert shown[what]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_bitwise_that_of_the_temporary_making_loop(self, seed, monkeypatch):
+        # the solver's loop before its update reused one buffer: a
+        # ``w @ x_i`` product and ``w += (new - prev) * y_i * x_i``, which
+        # makes two temporaries. Features of random sparsity and scale, with
+        # zero rows, signed or not, at C != 1
+        import spikeconv.svm as svm
+
+        def loop(x, y, sq, c, rng):
+            rows, ys, sqs, c = list(x), y.tolist(), sq.tolist(), float(c)
+            alpha = [0.0] * x.shape[0]
+            w = np.zeros(x.shape[1])
+            for passes in range(1, _MAX_PASSES + 1):
+                worst = 0.0
+                for i in rng.permutation(x.shape[0]).tolist():
+                    if sqs[i] == 0.0:
+                        continue
+                    xi, yi, prev = rows[i], ys[i], alpha[i]
+                    g = yi * float(w @ xi) - 1.0
+                    pg = min(g, 0.0) if prev == 0.0 else max(g, 0.0) if prev == c else g
+                    worst = max(worst, abs(pg))
+                    if abs(pg) > 1e-12:
+                        new = min(max(prev - g / sqs[i], 0.0), c)
+                        if new != prev:
+                            alpha[i] = new
+                            w += (new - prev) * yi * xi
+                if worst < _TOL:
+                    break
+            return w, passes, worst
+
+        rng = np.random.default_rng(40 + seed)
+        n, d = int(rng.integers(20, 70)), int(rng.integers(3, 90))
+        x = rng.random((n, d)) * (rng.random((n, d)) < rng.uniform(0.1, 0.9))
+        x *= 10.0 ** rng.uniform(-2.0, 2.0)
+        if seed % 2:
+            x -= rng.random((n, d))
+        x[rng.choice(n, 3, replace=False)] = 0.0
+        y = rng.integers(0, 4, n)
+        c = (0.05, 0.3, 2.0, 7.5, 0.8, 40.0)[seed]
+        got = fit(x, y, c=c, seed=seed)
+        monkeypatch.setattr(svm, "_dual_cd", loop)
+        want = fit(x, y, c=c, seed=seed)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.passes, want.passes) and np.array_equal(got.max_pg, want.max_pg)
+
     def test_convergence_report_is_not_written(self, tmp_path):
         rng = np.random.default_rng(22)
         x, y = _blobs(rng, [(2, 0), (0, 2), (-2, -2)], 20)

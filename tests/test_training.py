@@ -381,6 +381,17 @@ class TestTrainNetwork:
             train_network(_tiny_spec(), None, cfg, seed=3, encoded=grids)
         assert trained == []
 
+    def test_list_grids_train_the_model_the_arrays_train(self):
+        cfg = _quick_cfg()
+        grids = encode_dataset(_tiny_images(), cfg.dog, cfg.window)
+        want = train_network(_tiny_spec(), None, cfg, seed=3, encoded=grids)
+        got = train_network(_tiny_spec(), None, cfg, seed=3, encoded=[g.tolist() for g in grids])
+        assert network_bytes(got) == network_bytes(want)
+        for bad in ("abc", [[[0.1, 0.2], [0.3]]]):
+            with pytest.raises(ValueError, match="^sample 0: input grid is not an array of spike "
+                                                 "times"):
+                train_network(_tiny_spec(), None, cfg, seed=3, encoded=[bad] + grids[1:])
+
     def test_broadcast_shares_one_filter_bank(self):
         net = train_network(_tiny_spec(), _tiny_images(), _quick_cfg(), seed=3)
         # one parameter set per layer serves every column by construction
