@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 
 from .core import check_grids
+from . import simulate
 from .network import Network, POOL
 from .simulate import InhibitionPolicy, NO_INHIBITION, forward_stacks, window_plan
 
@@ -93,14 +94,22 @@ def extract_features(
     concatenated in order); ``grids`` the encoded samples; ``t_end`` the end
     of the coding window the networks were trained on. Every sample must
     have the networks' input shape and hold no NaN or -inf; the error names
-    the first sample that does not. Each network reads its last layer's
-    output stacks from ``forward_stacks``, in its own stack size, and
-    decodes them against its own output firing target and sum-pools them
-    at once.
+    the first sample that does not, and a ``policy`` that is not an
+    ``InhibitionPolicy`` is refused, even over an empty dataset.
+
+    Each network runs in groups of ``stack_size(spec, last)`` samples, as
+    many as its last layer alone takes in one stack: the layers below the
+    last run a group in their own ``forward_stacks`` stacks, which keep only
+    the last layer's input fields, and the last layer then runs the whole
+    group as one stack. Its output is decoded against the network's own
+    firing target and sum-pooled at once. A one-layer network's groups are
+    its stacks.
     """
     networks = [networks] if isinstance(networks, Network) else list(networks)
     if not networks:
         raise ValueError("feature extraction needs at least one network")
+    if not isinstance(policy, InhibitionPolicy):  # no stack starts over an empty dataset
+        raise ValueError(f"policy must be an InhibitionPolicy, got {type(policy).__name__}")
     for net in networks:
         if net.output_t_target is None:
             raise ValueError("network has no firing target to decode its output against")
@@ -109,8 +118,17 @@ def extract_features(
         check_grids(grids, net.spec.input_shape)
     blocks = [np.zeros((len(grids), net.spec.out_shape.depth)) for net in networks]
     for net, block in zip(networks, blocks):
-        for lo, (*_, last) in forward_stacks(net, grids, policy):
-            block[lo:lo + len(last)] = decode_grid(last, net.output_t_target, t_end).sum((2, 3))
+        last = len(net.spec.layers) - 1
+        group = simulate.stack_size(net.spec, last)
+        for lo in range(0, len(grids), group):
+            part = fields = grids[lo:lo + group]
+            if last:  # the last layer's input fields, one array for the group
+                fields = np.empty((len(part),) + net.spec.shapes[last].astuple())
+                for at, (*_, below) in forward_stacks(net, part, policy, 0, last):
+                    fields[at:at + len(below)] = below
+            for at, (out,) in forward_stacks(net, fields, policy, last):
+                at += lo
+                block[at:at + len(out)] = decode_grid(out, net.output_t_target, t_end).sum((2, 3))
     return np.concatenate(blocks, axis=1)
 
 

@@ -40,13 +40,14 @@ A layer whose every weight is zero is silent and enters no engine.
   larger than the rounding of any summation order, stays below its
   threshold: such a neuron can never fire, and the bound never decides a
   fire. Training's single column (``column_response``) walks every map
-  through the same blocks, with no bound, until the first input any map
-  crosses at or the end of its inputs. The remaining neurons walk their
-  sorted inputs in blocks of doubling size and leave at their first
-  crossing; under winner-take-all a column leaves at its first, where its
-  lowest crossing map fires: each
-  crossing is keyed ``slot * maps + map``, so the one reduction that finds
-  a column's earliest crossing also picks that map. Each block's running
+  through blocks of doubling size, with no bound, until the first input
+  any map crosses at or the end of its inputs. The remaining neurons walk
+  their sorted inputs in blocks that double while a block, its slots
+  times its remaining rows, stays within ``_CHUNK_ELEMS`` elements, and
+  leave at their first crossing; under winner-take-all a column leaves at
+  its first, where its lowest crossing map fires: each crossing is keyed
+  ``slot * maps + map``, so the one reduction that finds a column's
+  earliest crossing also picks that map. Each block's running
   sums start from the sum the block before ended with, so every partial
   sum is the same sequence of float additions a single cumulative sum
   would make, and the outputs are bitwise those of delivering the events
@@ -92,7 +93,8 @@ A layer whose every weight is zero is silent and enters no engine.
   chunks of whole samples or of one sample's positions. A chunk counts
   the window of each of its positions plus, for the scan, the first block
   of each of its rows or, for the lockstep, one element per (position,
-  map) of its state, and the count stays within ``_CHUNK_ELEMS``. Each
+  map) of its state, and the count stays within ``_CHUNK_ELEMS``; every
+  later block of the scan is capped by the rows it still holds. Each
   sample's event ranks are offset by the events of the samples before it,
   so ranks stay distinct while a window's order is its sample's own, and
   every neuron makes the float additions it makes alone.
@@ -139,7 +141,9 @@ __all__ = [
 # window of each of its positions plus the first block of each of its rows,
 # or under soft inhibition one element per (position, map) of its state
 _CHUNK_ELEMS = 200_000
-_BLOCK0 = 16  # first block of the crossing scan; each next block doubles
+# first block of the crossing scan; each next block doubles, in the block
+# scan up to _CHUNK_ELEMS elements over the rows it still holds
+_BLOCK0 = 16
 # a slot-major block of at least this many neurons takes its running sums as
 # one vector np.add per slot, one call each; a narrower one takes one
 # np.cumsum down the slots, one call whose additions run one after another
@@ -428,7 +432,8 @@ def _first_crossings(order: np.ndarray, count: np.ndarray, w_in: np.ndarray,
         if not keep.size:
             break
         state, th_r, carry = state.take(keep, axis=1), th_r.take(keep), v[-1].take(keep)
-        k0, size = k1, 2 * size
+        # the next block doubles while its rows' slots stay within the chunk cap
+        k0, size = k1, min(2 * size, max(_BLOCK0, _CHUNK_ELEMS // keep.size))
     return slot
 
 
@@ -710,13 +715,17 @@ def forward_layer(
     return out if times.ndim == 4 else out[0]
 
 
-def stack_size(spec: NetworkSpec) -> int:
-    """Samples per stack of ``forward_stacks``.
+def stack_size(spec: NetworkSpec, start: int = 0, stop: int | None = None) -> int:
+    """Samples per stack of ``forward_stacks`` over layers ``start`` to
+    ``stop`` (default: the last).
 
-    As many as keep the stack's fire-time grids, its input and every
-    layer's output, within one crossing-scan chunk's element cap; at least 1.
+    As many as keep the stack's fire-time grids, the input of layer
+    ``start`` and the output of every layer it runs, within one
+    crossing-scan chunk's element cap; at least 1. A range that ends in a
+    small layer takes more samples than the whole network.
     """
-    return max(1, _CHUNK_ELEMS // sum(shape.size for shape in spec.shapes))
+    stop = len(spec.layers) if stop is None else stop
+    return max(1, _CHUNK_ELEMS // sum(shape.size for shape in spec.shapes[start:stop + 1]))
 
 
 def forward_stacks(network: Network, grids, policy: InhibitionPolicy = NO_INHIBITION,
@@ -725,13 +734,14 @@ def forward_stacks(network: Network, grids, policy: InhibitionPolicy = NO_INHIBI
 
     ``grids`` holds the input fields of layer ``start``, a sequence of
     (depth, H, W) grids or one (N, depth, H, W) array. The samples run in
-    stacks of ``stack_size(network.spec)``; for each stack this yields the
-    index of its first sample and the list of its output stacks, one
-    (n, depth, H, W) array per layer run, which stay alive until the next
-    stack starts. Every layer runs as ``forward_layer`` runs it. A range
-    that is not ``0 <= start < stop <= len(layers)``, or a ``policy`` that is
-    not an ``InhibitionPolicy``, raises a ValueError when iteration starts,
-    even over an empty dataset.
+    stacks of ``stack_size(network.spec, start, stop)``, sized by the
+    layers of the range; for each stack this yields the index of its
+    first sample and the list of its output stacks, one (n, depth, H, W)
+    array per layer run, which stay alive until the next stack starts.
+    Every layer runs as ``forward_layer`` runs it. A range that is not
+    ``0 <= start < stop <= len(layers)``, or a ``policy`` that is not an
+    ``InhibitionPolicy``, raises a ValueError when iteration starts, even
+    over an empty dataset.
     """
     layers = len(network.spec.layers)
     stop = layers if stop is None else stop
@@ -739,7 +749,7 @@ def forward_stacks(network: Network, grids, policy: InhibitionPolicy = NO_INHIBI
         raise ValueError(f"layer range {start}:{stop} is not a non-empty range of {layers} layers")
     if not isinstance(policy, InhibitionPolicy):
         raise ValueError(f"policy must be an InhibitionPolicy, got {type(policy).__name__}")
-    size = stack_size(network.spec)
+    size = stack_size(network.spec, start, stop)
     for lo in range(0, len(grids), size):
         outs = [np.stack(grids[lo:lo + size])]
         for i in range(start, stop):

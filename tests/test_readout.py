@@ -267,7 +267,8 @@ class TestExtractFeatureStacks:
         grids = [np.where(rng.random((2, 5, 5)) < 0.5, rng.random((2, 5, 5)), np.inf)
                  for _ in range(5)]
         grids[2] = np.full((2, 5, 5), np.inf)  # a silent sample inside a stack
-        monkeypatch.setattr(simulate, "stack_size", lambda spec: 2)  # stacks of 2, 2 and 1
+        # stacks of 2, 2 and 1
+        monkeypatch.setattr(simulate, "stack_size", lambda spec, start=0, stop=None: 2)
         for policy in (InhibitionPolicy("none"), InhibitionPolicy("soft", 0.3),
                        InhibitionPolicy("wta"), InhibitionPolicy("wta", scope="layer")):
             feats = extract_features(nets, grids, 1.0, policy)
@@ -292,6 +293,15 @@ class TestExtractFeatureStacks:
     def test_policy_of_another_type_rejected_on_an_empty_dataset(self):
         with pytest.raises(ValueError, match="^policy must be an InhibitionPolicy, got str$"):
             extract_features(_feature_net(), [], 1.0, "soft")
+
+    def test_policy_of_another_type_rejected_on_an_empty_dataset_of_a_layered_net(self):
+        # a layered network runs in groups, and an empty dataset has none
+        net = _layered_net([LayerSpec("conv", 3, 3, 4, 1, 0), LayerSpec("pool", 2, 2, 4, 2, 0),
+                            LayerSpec("fc", 2, 2, 3, 1, 0)], 27)
+        with pytest.raises(ValueError, match="^policy must be an InhibitionPolicy, got str$"):
+            extract_features(net, [], 1.0, "soft")
+        with pytest.raises(ValueError, match="^policy must be an InhibitionPolicy, got str$"):
+            extract_features([_feature_net(), net], [], 1.0, "soft")
 
     def test_bad_grid_named_by_its_index(self):
         rng = np.random.default_rng(25)
@@ -322,6 +332,157 @@ class TestExtractFeatureStacks:
         grids = [bad, np.full((2, 4, 4), 0.3)]
         with pytest.raises(ValueError, match="^sample 0: input grid is not an array of spike times"):
             extract_features(_feature_net(), grids, 1.0)
+
+
+def _layered_net(layers, seed, in_shape=Shape3(2, 6, 6)):
+    spec = NetworkSpec(in_shape, layers)
+    net = Network(spec)
+    rng = np.random.default_rng(seed)
+    for i in spec.trainable_indices():
+        net.install_column(i, rng.uniform(0, 1, spec.weight_shape(i)),
+                           rng.uniform(0.5, 2.0, spec.layers[i].maps), 0.4)
+    return net
+
+
+# every policy the benchmark runs, a weak soft inhibition, and one that
+# inhibits the last layer only
+GROUP_POLICIES = [
+    InhibitionPolicy("none"),
+    InhibitionPolicy("soft", 1.0, "column"),
+    InhibitionPolicy("wta", 1.0, "column"),
+    InhibitionPolicy("wta", 1.0, "layer"),
+    InhibitionPolicy("soft", 1.0, "layer"),
+    InhibitionPolicy("soft", 0.005),
+    InhibitionPolicy("soft", 1.0, layers="output"),
+]
+
+
+class TestExtractFeatureGroups:
+    """A layered network's last layer runs over groups of samples at once."""
+
+    @staticmethod
+    def _nets():
+        # a last layer that is fc, one that is conv (four output positions),
+        # and an fc last layer over a larger input field than the first's
+        return [
+            _layered_net([LayerSpec("conv", 3, 3, 4, 1, 0), LayerSpec("pool", 2, 2, 4, 2, 0),
+                          LayerSpec("fc", 2, 2, 5, 1, 0)], 31),
+            _layered_net([LayerSpec("conv", 3, 3, 4, 1, 1), LayerSpec("pool", 2, 2, 4, 2, 0),
+                          LayerSpec("conv", 2, 2, 3, 1, 0)], 32),
+            _layered_net([LayerSpec("conv", 2, 2, 3, 1, 0), LayerSpec("fc", 5, 5, 4, 1, 0)], 33),
+        ]
+
+    @staticmethod
+    def _grids(count, seed):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(0, 8, (count, 2, 6, 6)) / 8  # few levels: many ties
+        grids = list(np.where(rng.random((count, 2, 6, 6)) < 0.6, levels, np.inf))
+        if count > 2:
+            grids[1] = np.full((2, 6, 6), np.inf)  # a silent sample inside a group
+        return grids
+
+    @staticmethod
+    def _singles(nets, grids, policy):
+        from spikeconv.simulate import forward_times
+
+        return np.array([np.concatenate([
+            sum_pool(decode_grid(forward_times(net, grid, policy)[-1], net.output_t_target, 1.0))
+            for net in nets]) for grid in grids])
+
+    @pytest.mark.parametrize("policy", GROUP_POLICIES, ids=repr)
+    def test_groups_equal_single_samples(self, policy, monkeypatch):
+        import spikeconv.simulate as simulate
+
+        nets = self._nets()
+        assert len({net.spec.shapes[-2] for net in nets}) == 3
+        # groups of 3 at the last layer, filled from prefix stacks of 2
+        monkeypatch.setattr(simulate, "stack_size",
+                            lambda spec, start=0, stop=None: 3 if start else 2)
+        for count in (1, 2, 3, 4, 7):  # 1, group - 1, group, group + 1, 2 * group + 1
+            grids = self._grids(count, 40 + count)
+            want = self._singles(nets, grids, policy)
+            assert np.array_equal(extract_features(nets, grids, 1.0, policy), want)
+            for net, lo, hi in zip(nets, (0, 5, 8), (5, 8, 12)):
+                assert np.array_equal(extract_features(net, grids, 1.0, policy), want[:, lo:hi])
+
+    def test_groups_fire(self):
+        # the cases above decode spikes of every last layer, not silence
+        feats = extract_features(self._nets(), self._grids(7, 47), 1.0)
+        assert np.all(feats[:, :5].sum(axis=0) > 0)
+        assert feats[:, 5:8].sum() > 0 and feats[:, 8:].sum() > 0
+
+    def test_unpatched_groups_equal_single_samples(self):
+        nets, grids = self._nets(), self._grids(9, 48)
+        for policy in (InhibitionPolicy("none"), InhibitionPolicy("soft", 1.0)):
+            assert np.array_equal(extract_features(nets, grids, 1.0, policy),
+                                  self._singles(nets, grids, policy))
+
+    def test_last_layer_runs_once_per_group(self, monkeypatch):
+        import spikeconv.simulate as simulate
+
+        net = self._nets()[0]
+        calls = []
+        real = simulate.forward_layer
+
+        def spy(net, i, g, p):
+            calls.append((i, len(g)))
+            return real(net, i, g, p)
+
+        monkeypatch.setattr(simulate, "forward_layer", spy)
+        monkeypatch.setattr(simulate, "stack_size", lambda spec, start=0, stop=None: 2)
+        extract_features(net, self._grids(5, 49), 1.0)
+        assert [n for i, n in calls if i == 2] == [2, 2, 1]
+        assert [n for i, n in calls if i == 0] == [2, 2, 1]
+
+
+class TestDispatchLevels:
+    def test_features_equal_with_the_widest_simd_disabled(self, tmp_path):
+        # fixed tie-heavy grids, with no encoding (and no np.exp); the child
+        # process runs NumPy with its AVX-512 sorts and loops switched off
+        import os
+        import subprocess
+        import sys
+
+        import spikeconv
+        from spikeconv.modelio import save_network
+        from util import random_grid
+
+        disabled = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__
+        except ImportError:
+            pytest.skip("NumPy does not report its dispatch targets")
+        if not set(disabled) <= set(__cpu_dispatch__):
+            pytest.skip(f"NumPy does not dispatch to all of {disabled} here")
+        net = _layered_net([LayerSpec("conv", 5, 5, 8, 1, 0), LayerSpec("pool", 2, 2, 8, 2, 0),
+                            LayerSpec("fc", 4, 4, 16, 1, 0)], 51, Shape3(2, 12, 12))
+        rng = np.random.default_rng(52)
+        grids = np.stack([random_grid(rng, net.spec.input_shape, int(n), tie_heavy=True)
+                          for n in rng.integers(0, 160, 40)])
+        save_network(tmp_path / "net.spknet", net)
+        np.save(tmp_path / "grids.npy", grids)
+        code = (
+            "import sys, numpy as np\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "assert not __cpu_features__['X86_V4']\n"
+            "from spikeconv import InhibitionPolicy, extract_features\n"
+            "from spikeconv.modelio import load_network\n"
+            "net = load_network(sys.argv[1] + '/net.spknet')\n"
+            "grids = np.load(sys.argv[1] + '/grids.npy')\n"
+            "for mode in ('none', 'soft'):\n"
+            "    feats = extract_features(net, grids, 1.0, InhibitionPolicy(mode))\n"
+            "    np.save(sys.argv[1] + f'/{mode}.npy', feats)\n"
+        )
+        home = os.path.dirname(os.path.dirname(spikeconv.__file__))
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+               "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        for mode in ("none", "soft"):
+            feats = extract_features(net, list(grids), 1.0, InhibitionPolicy(mode))
+            assert feats.any()
+            assert np.load(tmp_path / f"{mode}.npy").tobytes() == feats.tobytes()
 
 
 class TestReconstruction:

@@ -1342,6 +1342,43 @@ class TestSlotMajorScan:
         assert (min(widths) >= sim._VECTOR_ROWS) == (maps >= sim._VECTOR_ROWS)
 
 
+class TestBlockCap:
+    def test_no_block_past_the_chunk_cap(self, monkeypatch):
+        # a wide one-position chunk: an fc layer of 128 maps over 64 slots
+        # holds 94 samples a chunk, 12,032 rows; once the first block's
+        # crossings leave, the doubled second block would still pass the cap
+        rng = np.random.default_rng(61)
+        spec = NetworkSpec(Shape3(1, 8, 8), [LayerSpec("fc", 8, 8, 128, 1, 0)])
+        net = Network(spec)
+        net.weights[0] = rng.uniform(0.0, 1.0, spec.weight_shape(0))
+        net.thresholds[0] = rng.uniform(4.0, 40.0, 128)
+        stack = np.stack([random_grid(rng, spec.input_shape, int(n))
+                          for n in rng.integers(40, 65, 100)])
+        blocks = []
+        real = sim._running
+
+        def running(ufunc, v):
+            blocks.append(v.shape)
+            return real(ufunc, v)
+
+        monkeypatch.setattr(sim, "_running", running)
+        got = forward_layer(net, 0, stack)
+        assert blocks[0] == (sim._BLOCK0, 94 * 128)
+        assert 2 * sim._BLOCK0 * blocks[1][1] > sim._CHUNK_ELEMS > blocks[1][0] * blocks[1][1]
+        assert max(slots * rows for slots, rows in blocks) <= sim._CHUNK_ELEMS
+        # rows fire in the first block, past the second, and never
+        fired = got.reshape(100, 128, 1)
+        k = (stack.reshape(100, 1, -1) < fired).sum(axis=2)[np.isfinite(fired[:, :, 0])]
+        assert np.isinf(fired).any() and (k < 16).any() and (k >= 48).any()
+        # an unbounded chunk, whose blocks double freely, fires every row alike
+        blocks.clear()
+        monkeypatch.setattr(sim, "_CHUNK_ELEMS", 10 ** 9)
+        assert np.array_equal(forward_layer(net, 0, stack), got)
+        assert [slots for slots, _ in blocks] == [16, 32, 16]
+        for grid, out in zip(stack, got):
+            assert np.array_equal(out, column_reference(net, 0, grid, NO_INHIBITION))
+
+
 @st.composite
 def _stack_cases(draw):
     """A drawn network, a policy and a stack of 1-5 tie-heavy input grids.
@@ -1410,6 +1447,31 @@ class TestStacks:
         for policy in SWEEP_POLICIES:
             _check_stack(net, stack, policy)
             _check_stack(unsigned, stack, policy)
+
+    def test_stack_size_counts_the_layers_of_its_range(self):
+        # the acceptance architecture 16c5-p2-32c5-p2-fc512 on 2x28x28 input:
+        # the whole network, the last layer alone and training's two advances
+        spec = NetworkSpec(Shape3(2, 28, 28), [LayerSpec("conv", 5, 5, 16, 1, 0),
+                                               LayerSpec("pool", 2, 2, 16, 2, 0),
+                                               LayerSpec("conv", 5, 5, 32, 1, 0),
+                                               LayerSpec("pool", 2, 2, 32, 2, 0),
+                                               LayerSpec("fc", 4, 4, 512, 1, 0)])
+        assert sim.stack_size(spec) == sim.stack_size(spec, 0, 5) == 200_000 // 16_160 == 12
+        assert sim.stack_size(spec, 4) == 200_000 // (512 + 512) == 195
+        assert sim.stack_size(spec, 0, 2) == 200_000 // (1_568 + 9_216 + 2_304) == 15
+        assert sim.stack_size(spec, 2, 4) == 200_000 // (2_304 + 2_048 + 512) == 41
+
+    def test_forward_stacks_sized_by_its_range(self):
+        # a range that ends below a wide layer takes more samples a stack
+        spec = NetworkSpec(Shape3(1, 4, 4), [LayerSpec("conv", 3, 3, 2, 1, 0),
+                                             LayerSpec("conv", 1, 1, 40_000, 1, 0)])
+        net = Network(spec)
+        for i in (0, 1):
+            net.install_column(i, np.full(spec.weight_shape(i), 0.5), np.ones(spec.layers[i].maps))
+        grids = np.zeros((40, 1, 4, 4))
+        assert sim.stack_size(spec) == 1 and sim.stack_size(spec, 0, 1) == 200_000 // 24 >= 40
+        ((lo, (out,)),) = sim.forward_stacks(net, grids, start=0, stop=1)
+        assert lo == 0 and out.shape == (40, 2, 2, 2)
 
     def test_single_grid_keeps_its_rank(self):
         net = _one_layer(np.zeros((1, 3, 3)), np.ones((2, 1, 2, 2)), np.ones(2))

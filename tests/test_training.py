@@ -356,7 +356,8 @@ class TestTrainNetwork:
             return out
 
         monkeypatch.setattr(simulate, "forward_layer", spy)
-        monkeypatch.setattr(simulate, "stack_size", lambda spec: 2)  # stacks of 2, 2 and 1
+        # stacks of 2, 2 and 1
+        monkeypatch.setattr(simulate, "stack_size", lambda spec, start=0, stop=None: 2)
         net = train_network(spec, images, cfg, seed=9)
         assert [(i, len(g)) for i, g, _ in calls] == [(0, 2), (1, 2)] * 2 + [(0, 1), (1, 1)]
         # layer 0 sees every encoded sample once, in order; layer 1 every
