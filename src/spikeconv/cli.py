@@ -207,11 +207,7 @@ def cmd_sweep(args) -> int:
 def cmd_export_filters(args) -> int:
     net = load_network(args.model)
     index = args.layer
-    if not 0 <= index < len(net.spec.layers):
-        raise ValueError(f"layer {index} out of range (0..{len(net.spec.layers) - 1})")
-    layer = net.spec.layers[index]
-    if not layer.trainable:
-        raise ValueError(f"layer {index} is pooling and has no filters")
+    layer = net.spec.layer(index, trainable=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for m in range(layer.maps):

@@ -135,10 +135,12 @@ def parse_config(text: str, name: str = "config") -> ExperimentConfig:
     settings, architecture, ensemble = {}, DEFAULT_ARCHITECTURE, ()
     for section in parser.sections():
         if section == "architecture":
-            architecture = _parse_architecture(parser[section], name)
+            architecture = _parse_rows(parser[section], name, "layer", LayerSpec.from_line)
+            if not architecture:
+                raise ValueError(f"{name}: [architecture] section is empty")
             continue
         if section == "ensemble":
-            ensemble = _parse_ensemble(parser[section], name)
+            ensemble = _parse_rows(parser[section], name, "member", _member)
             continue
         for key, value in parser[section].items():
             entry = _KEYS.get((section, key))
@@ -159,38 +161,31 @@ def parse_config(text: str, name: str = "config") -> ExperimentConfig:
     return cfg
 
 
-def _parse_architecture(section, name):
+def _parse_rows(section, name, prefix, parse_row):
+    """The rows of a section of numbered keys (``layer1``, ``member2``, ...),
+    in key-number order, each parsed by ``parse_row``; a key without
+    ``prefix`` or a row ``parse_row`` refuses raises a ValueError naming it."""
     rows = []
-    for key in sorted(section, key=_layer_key):
-        if not key.startswith("layer"):
-            raise ValueError(f"{name}: unknown option [architecture] {key}")
+    for key in sorted(section, key=_row_key):
+        if not key.startswith(prefix):
+            raise ValueError(f"{name}: unknown option [{section.name}] {key}")
         try:
-            rows.append(LayerSpec.from_line(section[key]))
+            rows.append(parse_row(section[key]))
         except ValueError as exc:
-            raise ValueError(f"{name}: [architecture] {key}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{name}: [architecture] section is empty")
+            raise ValueError(f"{name}: [{section.name}] {key}: {exc}") from None
     return tuple(rows)
 
 
-def _layer_key(key: str):
+def _row_key(key: str):
     digits = "".join(ch for ch in key if ch.isdigit())
     return (int(digits) if digits else 0, key)
 
 
-def _parse_ensemble(section, name):
-    members = []
-    for key in sorted(section, key=_layer_key):
-        if not key.startswith("member"):
-            raise ValueError(f"{name}: unknown option [ensemble] {key}")
-        parts = section[key].split()
-        try:
-            if len(parts) != 2:
-                raise ValueError("must be 't_target output_maps'")
-            members.append(EnsembleMember(float(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ValueError(f"{name}: [ensemble] {key}: {exc}") from None
-    return tuple(members)
+def _member(line: str) -> EnsembleMember:
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError("must be 't_target output_maps'")
+    return EnsembleMember(float(parts[0]), int(parts[1]))
 
 
 def load_config(path) -> ExperimentConfig:

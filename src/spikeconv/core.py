@@ -12,13 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Shape3", "RngStreams", "check_count", "check_fire_times", "check_grids"]
+__all__ = ["Shape3", "RngStreams", "is_integer", "check_count", "check_fire_times",
+           "check_grids"]
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_count(name: str, value, low: int = 1) -> None:
-    """Refuse a ``value`` that is not an integer (Python or NumPy) of at
+    """Refuse a ``value`` that is not an integer (``is_integer``) of at
     least ``low`` with a ValueError naming it ``name``."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    if not is_integer(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

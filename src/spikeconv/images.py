@@ -70,23 +70,23 @@ def read_pnm(path) -> np.ndarray:
 
 def write_pgm(path, image: np.ndarray) -> None:
     """Write a [0, 1] grayscale array as binary PGM (maxval 255)."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"PGM needs a 2-D array, got shape {img.shape}")
-    pixels = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        f.write(pixels.tobytes())
+    _write_pnm(path, image, "P5", (), "PGM needs a 2-D array")
 
 
 def write_ppm(path, image: np.ndarray) -> None:
     """Write a [0, 1] (H, W, 3) array as binary PPM (maxval 255)."""
+    _write_pnm(path, image, "P6", (3,), "PPM needs an (H, W, 3) array")
+
+
+def _write_pnm(path, image, magic: str, channels: tuple, needs: str) -> None:
+    """Write a [0, 1] (H, W, *channels) array as binary PNM of type
+    ``magic``; any other shape raises ``needs``."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"PPM needs an (H, W, 3) array, got shape {img.shape}")
+    if img.ndim < 2 or img.shape[2:] != channels:
+        raise ValueError(f"{needs}, got shape {img.shape}")
     pixels = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        f.write(f"{magic}\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         f.write(pixels.tobytes())
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Shape3, check_count
+from .core import Shape3, check_count, is_integer
 
 __all__ = ["LayerSpec", "NetworkSpec", "Network", "CONV", "POOL", "FC"]
 
@@ -109,10 +109,29 @@ class NetworkSpec:
     def trainable_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.layers) if s.trainable]
 
-    def weight_shape(self, index: int) -> tuple[int, int, int, int]:
-        spec = self.layers[index]
-        if not spec.trainable:
+    def layer(self, index: int, trainable: bool = False) -> LayerSpec:
+        """Layer ``index``: an integer (``is_integer``) from 0 to
+        ``len(layers) - 1``, and with ``trainable`` not a pooling layer.
+        Anything else raises a ValueError naming it. Every entry that takes a
+        layer index reads it through here."""
+        if not (is_integer(index) and 0 <= index < len(self.layers)):
+            raise ValueError(f"layer index {index} out of range for {len(self.layers)} layers")
+        if trainable and not self.layers[index].trainable:
             raise ValueError(f"layer {index} is pooling and has no weights")
+        return self.layers[index]
+
+    def layer_range(self, start: int = 0, stop: int | None = None) -> range:
+        """Layers ``start`` up to ``stop`` (default: ``len(layers)``) as a
+        range of indices; a ValueError naming the range unless both are
+        integers (``is_integer``) with ``0 <= start < stop <= len(layers)``."""
+        n = len(self.layers)
+        stop = n if stop is None else stop
+        if not (is_integer(start) and is_integer(stop) and 0 <= start < stop <= n):
+            raise ValueError(f"layer range {start}:{stop} is not a non-empty range of {n} layers")
+        return range(start, stop)
+
+    def weight_shape(self, index: int) -> tuple[int, int, int, int]:
+        spec = self.layer(index, trainable=True)
         return (spec.maps, self.shapes[index].depth, spec.filter_h, spec.filter_w)
 
 
@@ -141,8 +160,9 @@ class _Slots(Sequence):
     def check(self, index: int, value):
         """``value`` as layer ``index`` holds it: None, a float or a read-only,
         C-contiguous float64 copy, input-major for weights (``_Weights``); a
-        ValueError naming the layer and the kind if it may not."""
-        layer, kind = self._spec.layers[index], self._kind
+        ValueError naming the layer and the kind if it may not, or naming
+        an ``index`` that ``NetworkSpec.layer`` refuses."""
+        layer, kind = self._spec.layer(index), self._kind
         if value is None and (kind == "firing target" or not layer.trainable):
             return None
         if not layer.trainable:

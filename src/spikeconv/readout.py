@@ -15,7 +15,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import check_grids
+from .core import check_grids, is_integer
 from . import simulate
 from .network import Network, POOL
 from .simulate import InhibitionPolicy, NO_INHIBITION, forward_stacks, window_plan
@@ -154,12 +154,8 @@ def reconstruct_filter(network: Network, index: int, map_index: int) -> np.ndarr
     Purely a rendering aid; never feeds back into training.
     """
     spec = network.spec
-    if not 0 <= index < len(spec.layers):
-        raise ValueError(f"layer index {index} out of range")
-    layer = spec.layers[index]
-    if layer.kind == POOL:
-        raise ValueError("pooling layers have no filters to reconstruct")
-    if not 0 <= map_index < layer.maps:
+    layer = spec.layer(index, trainable=True)
+    if not (is_integer(map_index) and 0 <= map_index < layer.maps):
         raise ValueError(f"map {map_index} out of range for layer {index}")
     network.require_ready()
 

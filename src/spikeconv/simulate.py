@@ -669,16 +669,14 @@ def forward_layer(
     runs without inhibition. The samples of a stack never interact: each
     output grid is the one its input grid gives alone. A grid holding NaN or
     -inf is rejected, naming its sample in a stack. ``index`` counts from 0;
-    one outside the layers raises a ValueError, and so does a ``policy``
-    that is not an ``InhibitionPolicy``.
+    one that ``NetworkSpec.layer`` refuses raises a ValueError, and so does
+    a ``policy`` that is not an ``InhibitionPolicy``.
     """
     if not isinstance(policy, InhibitionPolicy):
         raise ValueError(f"policy must be an InhibitionPolicy, got {type(policy).__name__}")
     times = np.asarray(times, dtype=np.float64)  # an integer grid has no +inf
     spec = network.spec
-    if not 0 <= index < len(spec.layers):
-        raise ValueError(f"layer index {index} out of range for {len(spec.layers)} layers")
-    layer = spec.layers[index]
+    layer = spec.layer(index)
     in_shape = spec.shapes[index].astuple()
     if times.ndim not in (3, 4) or tuple(times.shape[-3:]) != in_shape:
         raise ValueError(
@@ -686,9 +684,7 @@ def forward_layer(
             f"layer {index} input {in_shape}"
         )
     stack = times if times.ndim == 4 else times[None]
-    if not np.min(stack, initial=np.inf) > -np.inf:  # a NaN or -inf site: name its sample
-        for i, grid in enumerate(stack):
-            check_fire_times(grid, f"sample {i}: " if times.ndim == 4 else "")
+    _check_stack(stack, 0 if times.ndim == 4 else None)
     plan = window_plan(in_shape, layer)
     if layer.kind == POOL:
         out = _pool_times(stack, plan)
@@ -715,6 +711,15 @@ def forward_layer(
     return out if times.ndim == 4 else out[0]
 
 
+def _check_stack(stack: np.ndarray, first: int | None) -> None:
+    """Refuse a stack holding NaN or -inf, naming the offending grid as
+    sample ``first`` + its index in the stack, or by no sample if ``first``
+    is None; one ``np.min`` when every site is valid."""
+    if not np.min(stack, initial=np.inf) > -np.inf:
+        for i, grid in enumerate(stack):
+            check_fire_times(grid, "" if first is None else f"sample {first + i}: ")
+
+
 def stack_size(spec: NetworkSpec, start: int = 0, stop: int | None = None) -> int:
     """Samples per stack of ``forward_stacks`` over layers ``start`` to
     ``stop`` (default: the last).
@@ -724,8 +729,8 @@ def stack_size(spec: NetworkSpec, start: int = 0, stop: int | None = None) -> in
     crossing-scan chunk's element cap; at least 1. A range that ends in a
     small layer takes more samples than the whole network.
     """
-    stop = len(spec.layers) if stop is None else stop
-    return max(1, _CHUNK_ELEMS // sum(shape.size for shape in spec.shapes[start:stop + 1]))
+    run = spec.layer_range(start, stop)
+    return max(1, _CHUNK_ELEMS // sum(shape.size for shape in spec.shapes[run.start:run.stop + 1]))
 
 
 def forward_stacks(network: Network, grids, policy: InhibitionPolicy = NO_INHIBITION,
@@ -738,21 +743,20 @@ def forward_stacks(network: Network, grids, policy: InhibitionPolicy = NO_INHIBI
     layers of the range; for each stack this yields the index of its
     first sample and the list of its output stacks, one (n, depth, H, W)
     array per layer run, which stay alive until the next stack starts.
-    Every layer runs as ``forward_layer`` runs it. A range that is not
-    ``0 <= start < stop <= len(layers)``, or a ``policy`` that is not an
+    Every layer runs as ``forward_layer`` runs it; a grid holding NaN or
+    -inf is rejected by its index in ``grids``. A range that
+    ``NetworkSpec.layer_range`` refuses, or a ``policy`` that is not an
     ``InhibitionPolicy``, raises a ValueError when iteration starts, even
     over an empty dataset.
     """
-    layers = len(network.spec.layers)
-    stop = layers if stop is None else stop
-    if not 0 <= start < stop <= layers:
-        raise ValueError(f"layer range {start}:{stop} is not a non-empty range of {layers} layers")
+    layers = network.spec.layer_range(start, stop)
     if not isinstance(policy, InhibitionPolicy):
         raise ValueError(f"policy must be an InhibitionPolicy, got {type(policy).__name__}")
     size = stack_size(network.spec, start, stop)
     for lo in range(0, len(grids), size):
-        outs = [np.stack(grids[lo:lo + size])]
-        for i in range(start, stop):
+        outs = [np.asarray(np.stack(grids[lo:lo + size]), dtype=np.float64)]
+        _check_stack(outs[0], lo)  # names the sample by its index in ``grids``
+        for i in layers:
             outs.append(forward_layer(network, i, outs[-1], policy))
         yield lo, outs[1:]
 

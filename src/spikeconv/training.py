@@ -106,8 +106,7 @@ class EnsembleMember:
     def __post_init__(self):
         if not np.isfinite(self.t_target):
             raise ValueError(f"t_target must be finite, got {self.t_target}")
-        if self.output_maps < 1:
-            raise ValueError("output_maps must be >= 1")
+        check_count("output_maps", self.output_maps)
 
 
 class TrainingLog:
@@ -198,9 +197,7 @@ def train_layer(spec: NetworkSpec, index: int, input_grids, cfg: TrainConfig,
     map-major view ``w_in.T.reshape(shape)``, which is also what this returns,
     and the winner's update is a strided write.
     """
-    layer = spec.layers[index]
-    if layer.kind == POOL:
-        raise ValueError(f"layer {index} is pooling and has nothing to train")
+    layer = spec.layer(index, trainable=True)
     if len(input_grids) == 0:
         raise ValueError("training dataset is empty")
     check_grids(input_grids, spec.shapes[index], f"layer {index} input")

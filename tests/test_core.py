@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from spikeconv import LayerSpec, RngStreams, Shape3, TrainConfig
+from spikeconv import EnsembleMember, LayerSpec, RngStreams, Shape3, TrainConfig
 
 
 class TestShape3:
@@ -36,6 +36,14 @@ class TestIntegralCounts:
         (lambda: LayerSpec("conv", 3, 3, 4, 1, -1),
          "conv layer: padding must be an integer >= 0, got -1"),
         (lambda: Shape3(2, 7.0, 4), "Shape3.height must be an integer >= 1, got 7.0"),
+        # a bool is no count: True is not the integer 1
+        (lambda: LayerSpec("conv", 2, 2, True), "conv layer: maps must be an integer >= 1, got True"),
+        (lambda: LayerSpec("conv", 2, 2, np.True_),
+         f"conv layer: maps must be an integer >= 1, got {np.True_!r}"),
+        (lambda: TrainConfig(n_epoch=True), "n_epoch must be an integer >= 1, got True"),
+        (lambda: EnsembleMember(0.5, True), "output_maps must be an integer >= 1, got True"),
+        (lambda: EnsembleMember(0.5, 2.5), "output_maps must be an integer >= 1, got 2.5"),
+        (lambda: EnsembleMember(0.5, 0), "output_maps must be an integer >= 1, got 0"),
     ])
     def test_non_integral_or_small_count_rejected(self, make, named):
         with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
@@ -75,3 +83,49 @@ class TestRngStreams:
         b = s.child(1).stream("weights", 0).random(4)
         assert not np.array_equal(a, b)
         assert np.array_equal(a, RngStreams(5).child(0).stream("weights", 0).random(4))
+
+
+class TestDrawCanary:
+    """The exact bytes of the seeded draws and of the ``np.exp`` behind every
+    digest. NumPy gives ``Generator``'s methods no stream guarantee across
+    releases (ROADMAP item 7), and ``np.exp``'s last bits follow its SIMD
+    dispatch level (ROADMAP item 2): a change in either moves every model
+    and feature digest, and this names which one moved."""
+
+    # method: (the RngStreams(2019) purpose drawn from, None for svm.fit's
+    # default_rng(0); the draws as the package makes them; their values)
+    DRAWS = {
+        "Generator.uniform": ("weights", lambda g: g.uniform(0.0, 1.0, 4),
+                              [0.45446393865325485, 0.5393743506379912,
+                               0.9391020205395839, 0.48328972306389073]),
+        "Generator.normal": ("thresholds", lambda g: g.normal(5.0, 1.0, 4),
+                             [6.39397463464303, 4.851210391676159,
+                              5.239017312966814, 4.487572048215433]),
+        "Generator.integers": ("patches", lambda g: [g.integers(25) for _ in range(8)],
+                               [22, 11, 14, 1, 4, 9, 2, 7]),
+        "Generator.permutation": ("order", lambda g: g.permutation(10),
+                                  [8, 2, 4, 5, 6, 0, 9, 7, 1, 3]),
+        "default_rng(0).permutation": (None, lambda g: [g.permutation(6) for _ in range(3)],
+                                       [[3, 2, 5, 4, 0, 1], [4, 5, 1, 2, 0, 3],
+                                        [3, 2, 0, 5, 4, 1]]),
+    }
+
+    @pytest.mark.parametrize("method", DRAWS)
+    def test_draws_keep_their_bytes(self, method):
+        purpose, draw, pinned = self.DRAWS[method]
+        rng = np.random.default_rng(0) if purpose is None else RngStreams(2019).stream(purpose, 0)
+        got = np.array(draw(rng))
+        want = np.array(pinned, dtype=got.dtype)
+        assert got.tobytes() == want.tobytes(), (
+            f"{method} drew {got.tolist()} under NumPy {np.__version__}, not {want.tolist()}: "
+            "its stream changed, and every seeded digest moves with it (ROADMAP item 7)")
+
+    def test_exp_keeps_its_bytes(self):
+        got = np.exp(-np.array([1, 4, 8, 13, 20, 26, 29, 31]) / 7.0)
+        want = np.array([0.8668778997501816, 0.5647181220077592, 0.31890655732397044,
+                         0.15611804531597107, 0.05743261926761734, 0.024372844073279595,
+                         0.01587742257244863, 0.01193152253575614])
+        assert got.tobytes() == want.tobytes(), (
+            f"np.exp gave {got.tolist()} under NumPy {np.__version__}, not {want.tolist()}: "
+            "its last bits follow NumPy's SIMD dispatch level (ROADMAP item 2), and the "
+            "encoded grids and the biological STDP rule's model bytes move with them")

@@ -570,6 +570,16 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="pooling"):
             reconstruct_filter(net, 1, 0)
 
+    @pytest.mark.parametrize("bad", [2, -1, True, 1.0])
+    def test_bad_map_index_rejected(self, bad):
+        # a bool is no map index: True would render map 1
+        spec = NetworkSpec(Shape3(1, 4, 4), [LayerSpec("conv", 1, 1, 2, 1, 0)])
+        net = Network(spec)
+        net.weights[0] = np.ones((2, 1, 1, 1))
+        net.thresholds[0] = np.ones(2)
+        with pytest.raises(ValueError, match=f"^map {bad} out of range for layer 0$"):
+            reconstruct_filter(net, 0, bad)
+
     def test_feature_extraction_reproducible(self):
         net = _feature_net(seed=12)
         rng = np.random.default_rng(13)

@@ -1,3 +1,4 @@
+import argparse
 import re
 
 import numpy as np
@@ -10,14 +11,17 @@ from spikeconv import (
     Network,
     NetworkSpec,
     NO_INHIBITION,
+    RngStreams,
     Shape3,
+    TrainConfig,
     column_response,
 )
 import spikeconv.simulate as sim
-from spikeconv.modelio import network_bytes, network_from_bytes
-from spikeconv.readout import extract_features
+from spikeconv.cli import cmd_export_filters
+from spikeconv.modelio import network_bytes, network_from_bytes, save_network
+from spikeconv.readout import extract_features, reconstruct_filter
 from spikeconv.simulate import forward_layer, forward_times
-from spikeconv.training import sample_patch
+from spikeconv.training import sample_patch, train_layer
 
 from oracles import DenseSimulator, column_reference
 from util import drawn_network, random_grid, random_network
@@ -2023,3 +2027,66 @@ class TestForwardValidation:
         with pytest.raises(ValueError, match="uninitialized"):
             forward_layer(net, 0, np.full((2, 4, 4), np.inf))
 
+    def test_forward_stacks_names_the_dataset_sample(self, monkeypatch):
+        # a bad grid in a later stack is named by its index in the dataset,
+        # not in its stack
+        net, grids = self._three_layers(), np.zeros((5, 1, 4, 4))
+        monkeypatch.setattr(sim, "stack_size", lambda spec, start=0, stop=None: 2)
+        for bad, name in ((np.nan, "NaN"), (-np.inf, "-inf")):
+            grids[3, 0, 1, 1] = bad
+            with pytest.raises(ValueError, match=f"^sample 3: input spike times contain {name};"):
+                list(sim.forward_stacks(net, grids))
+
+
+# the entries that take a layer index; the first two also take a range
+_RANGE_ENTRIES = ("forward_stacks", "stack_size")
+_TRAINABLE_ENTRIES = ("reconstruct_filter", "export_filters", "train_layer", "weight_shape")
+_INDEX_ENTRIES = ("forward_layer", "install_column") + _RANGE_ENTRIES + _TRAINABLE_ENTRIES
+
+
+def _bad_layer_indices():
+    # the three-layer net of TestForwardValidation: conv, pool, fc
+    for entry in _INDEX_ENTRIES:
+        for bad in (3, -1, True, np.True_, 1.0):
+            named = (f"layer range {bad}:3 is not a non-empty range of 3 layers"
+                     if entry in _RANGE_ENTRIES else f"layer index {bad} out of range for 3 layers")
+            yield pytest.param(entry, (bad,), named, id=f"{entry}-{bad!r}")
+        if entry in _RANGE_ENTRIES:
+            for start, stop in ((2, 1), (1, 1)):
+                yield pytest.param(entry, (start, stop),
+                                   f"layer range {start}:{stop} is not a non-empty range of 3 layers",
+                                   id=f"{entry}-{start}:{stop}")
+        if entry in _TRAINABLE_ENTRIES:
+            yield pytest.param(entry, (1,), "layer 1 is pooling and has no weights",
+                               id=f"{entry}-pooling")
+
+
+class TestLayerIndices:
+    """Every entry reads its layer index or range through ``NetworkSpec``, so
+    each refuses a bad one, counted from the end, a bool, a float or a
+    pooling layer where it needs weights, with the same ValueError."""
+
+    @pytest.mark.parametrize("entry, args, named", _bad_layer_indices())
+    def test_bad_index_refused_with_one_message(self, tmp_path, entry, args, named):
+        net = TestForwardValidation._three_layers()
+        spec, grids, model = net.spec, np.zeros((2, 1, 4, 4)), tmp_path / "m.spknet"
+        save_network(model, net)
+        before = network_bytes(net)
+        call = {
+            "forward_layer": lambda i: forward_layer(net, i, grids),
+            "install_column": lambda i: net.install_column(i, np.full((2, 1, 3, 3), 0.5),
+                                                           np.ones(2)),
+            "forward_stacks": lambda *run: next(sim.forward_stacks(net, grids, NO_INHIBITION,
+                                                                   *run)),
+            "stack_size": lambda *run: sim.stack_size(spec, *run),
+            "reconstruct_filter": lambda i: reconstruct_filter(net, i, 0),
+            "export_filters": lambda i: cmd_export_filters(
+                argparse.Namespace(model=str(model), layer=i, out=str(tmp_path / "f"))),
+            "train_layer": lambda i: train_layer(spec, i, grids, TrainConfig(n_epoch=1),
+                                                 RngStreams(0), 0.5),
+            "weight_shape": spec.weight_shape,
+        }[entry]
+        with pytest.raises(ValueError, match="^" + re.escape(named) + "$"):
+            call(*args)
+        assert network_bytes(net) == before
+        assert not (tmp_path / "f").exists()
