@@ -82,32 +82,31 @@ def dog_kernel(params: DoGParams) -> np.ndarray:
     )
 
 
-def _conv2d_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """2-D convolution with zero padding, output size equals input size."""
+def _convolve(stack: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """2-D convolution with zero padding of each image of a (G, H, W) stack,
+    output size equals input size: one pad for the stack, then one
+    matrix-vector product per image over its copied windows, the same
+    product whichever stack the image is in."""
     k = kernel.shape[0]
     half = k // 2
-    padded = np.pad(image, half, mode="constant")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
+    padded = np.pad(stack, ((0, 0), (half, half), (half, half)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
     # symmetric kernels make convolution and correlation identical; flip anyway
-    flipped = kernel[::-1, ::-1]
-    # one matrix-vector product over the copied windows
-    return (windows.reshape(-1, k * k) @ flipped.reshape(k * k, 1)).reshape(image.shape)
-
-
-def _filter(image, kernel: np.ndarray, where: str = "") -> np.ndarray:
-    """``_conv2d_same`` of a finite 2-D image, read as float64; ``where``
-    prefixes the message that refuses any other."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"{where}expected a 2-D grayscale image, got shape {image.shape}")
-    if not np.all(np.isfinite(image)):
-        raise ValueError(f"{where}image contains non-finite values")
-    return _conv2d_same(image, kernel)
+    flipped = kernel[::-1, ::-1].reshape(k * k, 1)
+    out = np.empty(stack.shape)
+    for j, image_windows in enumerate(windows):
+        out[j] = (image_windows.reshape(-1, k * k) @ flipped).reshape(stack.shape[1:])
+    return out
 
 
 def dog_filter(image: np.ndarray, params: DoGParams = DoGParams()) -> np.ndarray:
     """Convolve an image with the on-off difference kernel (same-size output)."""
-    return _filter(image, dog_kernel(params))
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ValueError(f"expected a 2-D grayscale image, got shape {image.shape}")
+    if not np.all(np.isfinite(image)):
+        raise ValueError("image contains non-finite values")
+    return _convolve(image[None], dog_kernel(params))[0]
 
 
 def split_channels(dog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,20 +131,59 @@ def encode_image_grid(
 
 
 def encode_dataset(images, dog: DoGParams, window: CodingWindow) -> list[np.ndarray]:
-    """``encode_image_grid`` of every image, with one DoG kernel for all of
-    them; training passes reuse the spike grids. An image that is not 2-D or
-    holds a non-finite pixel is refused by its index."""
+    """``encode_image_grid`` of every image, bit for bit, with one DoG kernel
+    for all of them; training passes reuse the spike grids.
+
+    ``images`` (a list, a generator or an (N, H, W) array) is read once and
+    its images of one shape are encoded together: one finite check, one pad
+    and, per image, one matrix-vector product over its copied windows (the
+    only step whose bits come from BLAS, and the product the image alone
+    gets); the peak normalization, rectification and latency code are array
+    operations over the group. The grids come back in input order. The
+    first image, in input order, that is not 2-D or holds a non-finite pixel
+    is refused by its index, before any image is encoded.
+    """
     kernel = dog_kernel(dog)
-    grids = []
+    groups = {}  # shape -> (input indices, images)
+    bad = []  # (input index, message): a group's first bad image, or the one not 2-D
     for i, image in enumerate(images):
-        response = _filter(image, kernel, f"image {i}: ")
-        peak = np.max(np.abs(response))
-        if peak > 0:
-            response = response / peak
-        on, off = split_channels(response)
-        values = np.stack([on, off])
-        times = np.full(values.shape, np.inf)
-        active = values > 0
-        times[active] = window.t_start + (1.0 - values[active]) * window.span
-        grids.append(times)
+        image = np.asarray(image, dtype=np.float64)
+        if image.ndim != 2:
+            bad.append((i, f"expected a 2-D grayscale image, got shape {image.shape}"))
+            break
+        at, group = groups.setdefault(image.shape, ([], []))
+        at.append(i)
+        group.append(image)
+    stacks = []
+    for at, group in groups.values():
+        stack = np.stack(group)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            bad.append((at[int(finite.argmin())], "image contains non-finite values"))
+        stacks.append((at, stack))
+    if bad:
+        raise ValueError("image {}: {}".format(*min(bad)))
+    grids = [None] * sum(len(at) for at, _ in stacks)
+    for at, stack in stacks:
+        for i, grid in zip(at, _latency_code(_convolve(stack, kernel), window)):
+            grids[i] = grid
     return grids
+
+
+def _latency_code(response: np.ndarray, window: CodingWindow) -> np.ndarray:
+    """(G, 2, H, W) fire times of (G, H, W) DoG responses, which it
+    overwrites: each image's response divided by its absolute peak (unless
+    all zero), rectified into on and off channels, and every positive value
+    v coded as ``t_start + (1 - v) * span``; the rest stay silent."""
+    # in place: no temporary is larger than the response
+    peak = np.abs(response).max(axis=(1, 2))
+    response /= np.where(peak > 0, peak, 1.0)[:, None, None]  # x / 1.0 is x
+    times = np.empty((len(response), 2) + response.shape[1:])
+    np.maximum(0.0, response, out=times[:, 0])
+    np.maximum(0.0, np.negative(response, out=response), out=times[:, 1])
+    active = times > 0
+    np.subtract(1.0, times, out=times)
+    np.multiply(times, window.span, out=times)
+    np.add(times, window.t_start, out=times)
+    np.copyto(times, np.inf, where=~active)
+    return times

@@ -75,11 +75,19 @@ def sparsity(y: np.ndarray) -> float:
     if not np.isfinite(y).all():  # NaN or ±inf would make the measure nan
         at = int(np.argmin(np.isfinite(y)))
         raise ValueError(f"sparsity needs finite values, got {y[at]} at entry {at}")
-    l2 = np.sqrt(np.sum(y * y))
-    if l2 == 0.0:
-        return 0.0
-    rn = np.sqrt(n)
-    return float((rn - np.sum(np.abs(y)) / l2) / (rn - 1.0))
+    return float(_hoyer(y[None, :])[0])
+
+
+def _hoyer(rows: np.ndarray) -> np.ndarray:
+    """``sparsity`` of each row of a finite C-contiguous (samples, n >= 2)
+    matrix, in one pass: each row's sums are those of the row alone."""
+    l2 = np.sqrt(np.sum(rows * rows, axis=1))
+    l1 = np.sum(np.abs(rows), axis=1)
+    rn = np.sqrt(rows.shape[1])
+    live = l2 != 0.0
+    out = np.zeros(len(rows))
+    out[live] = (rn - l1[live] / l2[live]) / (rn - 1.0)
+    return out
 
 
 def extract_features(
@@ -133,8 +141,9 @@ def extract_features(
 
 
 def mean_sparsity(features: np.ndarray) -> float:
-    """Dataset mean of the Hoyer measure over feature rows; a row holding NaN
-    or ±inf is rejected by its index."""
+    """Dataset mean of ``sparsity`` over feature rows, bit for bit, computed
+    over the whole matrix at once; a row holding NaN or ±inf is rejected by
+    its index."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError(f"expected a non-empty (samples, dims) matrix, got {features.shape}")
@@ -142,7 +151,9 @@ def mean_sparsity(features: np.ndarray) -> float:
         row, at = np.argwhere(~np.isfinite(features))[0]
         raise ValueError(f"feature row {row} holds {features[row, at]} at entry {at}; "
                          "sparsity needs finite values")
-    return float(np.mean([sparsity(row) for row in features]))
+    if features.shape[1] < 2:
+        raise ValueError(f"sparsity needs a vector of dimension >= 2, got {features.shape[1]}")
+    return float(np.mean(_hoyer(np.ascontiguousarray(features))))
 
 
 def reconstruct_filter(network: Network, index: int, map_index: int) -> np.ndarray:

@@ -87,11 +87,14 @@ def _dual_cd(x, y, sq, c, rng):
     """Dual coordinate descent for min 1/2 w.w + C sum hinge(1 - y w.x).
 
     Returns the weights, the passes used and the last pass's largest
-    projected gradient. The per-coordinate logic runs on Python floats; the
-    weight products and updates are the same numpy operations on the same
-    rows, so every weight is bitwise that of a loop on numpy scalars. An
-    update makes no temporary: ``(new - prev) * y_i`` times the row goes to
-    one reused buffer, which is then added to the weights in place.
+    projected gradient. A coordinate step makes only the NumPy calls it
+    needs: ``w.dot(x_i)`` and, on an update, ``(new - prev) * y_i`` times
+    the row into one reused buffer, which is then added to the weights in
+    place. The projected gradient, its magnitude and the clip of the new
+    alpha to [0, C] are plain comparisons on Python floats: they pick what
+    ``min`` and ``max`` would, signed zeros included, and the magnitude is
+    only compared, so the weights, passes and largest projected gradient
+    are bitwise those of a loop on numpy scalars.
     """
     n = x.shape[0]
     rows = list(x)
@@ -101,28 +104,34 @@ def _dual_cd(x, y, sq, c, rng):
     alpha = [0.0] * n
     w = np.zeros(x.shape[1])
     step = np.empty_like(w)
+    dot, multiply, add, permutation = w.dot, np.multiply, np.add, rng.permutation
     for passes in range(1, _MAX_PASSES + 1):
         worst = 0.0
-        for i in rng.permutation(n).tolist():
-            if sqs[i] == 0.0:
+        for i in permutation(n).tolist():
+            sqi = sqs[i]
+            if sqi == 0.0:
                 continue  # zero row: cannot move the objective
             xi, yi, prev = rows[i], ys[i], alpha[i]
-            g = yi * float(w.dot(xi)) - 1.0
+            g = yi * float(dot(xi)) - 1.0
             if prev == 0.0:
-                pg = min(g, 0.0)
+                pg = 0.0 if g > 0.0 else g  # min(g, 0.0)
             elif prev == c:
-                pg = max(g, 0.0)
+                pg = 0.0 if g < 0.0 else g  # max(g, 0.0)
             else:
                 pg = g
-            apg = abs(pg)
+            apg = pg if pg > 0.0 else -pg
             if apg > worst:
                 worst = apg
             if apg > 1e-12:
-                new = min(max(prev - g / sqs[i], 0.0), c)
+                new = prev - g / sqi
+                if new < 0.0:
+                    new = 0.0
+                elif new > c:
+                    new = c
                 if new != prev:
                     alpha[i] = new
-                    np.multiply(xi, (new - prev) * yi, out=step)
-                    np.add(w, step, out=w)
+                    multiply(xi, (new - prev) * yi, step)
+                    add(w, step, w)
         if worst < _TOL:
             break
     return w, passes, worst

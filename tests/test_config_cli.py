@@ -1,11 +1,15 @@
 import configparser
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikeconv
 from spikeconv.cli import main
 from spikeconv.config import _KEYS, DEFAULT_ARCHITECTURE, ExperimentConfig, parse_config
 from spikeconv.modelio import load_features, load_labels, load_network, load_svm
@@ -588,6 +592,16 @@ class TestCliFeaturesInspect:
         assert "input: 2 maps, 8x8" in text
         assert "layer 0: conv 3x3" in text
         assert "parameters:" in text
+
+    def test_python_dash_m_runs_the_cli(self, toy):
+        # ``python -m spikeconv`` with the package on PYTHONPATH, not installed
+        out = toy["dir"] / "m.spknet"
+        _train(toy, out)
+        env = dict(os.environ, PYTHONPATH=str(Path(spikeconv.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-m", "spikeconv", "inspect", str(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "layer 0: conv 3x3" in run.stdout
 
     def test_inspect_counts_maps_that_fire_on_one_spike(self, tmp_path, capsys):
         from spikeconv import LayerSpec, Network, NetworkSpec, Shape3

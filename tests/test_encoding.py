@@ -216,7 +216,70 @@ class TestDoGParams:
             CodingWindow(1.0, 1.0)
 
 
+def _reference_encode(images, dog, window):
+    """The per-image loop ``encode_dataset`` replaced, which it must match bit
+    for bit, refusals included: each image filtered alone by one
+    matrix-vector product over its copied windows, normalized by its peak,
+    rectified and latency-coded."""
+    kernel = dog_kernel(dog)
+    k = kernel.shape[0]
+    grids = []
+    for i, image in enumerate(images):
+        image = np.asarray(image, dtype=np.float64)
+        if image.ndim != 2:
+            raise ValueError(f"image {i}: expected a 2-D grayscale image, got shape {image.shape}")
+        if not np.all(np.isfinite(image)):
+            raise ValueError(f"image {i}: image contains non-finite values")
+        windows = np.lib.stride_tricks.sliding_window_view(np.pad(image, k // 2), (k, k))
+        flipped = kernel[::-1, ::-1]
+        response = (windows.reshape(-1, k * k) @ flipped.reshape(k * k, 1)).reshape(image.shape)
+        peak = np.max(np.abs(response))
+        if peak > 0:
+            response = response / peak
+        values = np.stack([np.maximum(0.0, response), np.maximum(0.0, -response)])
+        times = np.full(values.shape, np.inf)
+        active = values > 0
+        times[active] = window.t_start + (1.0 - values[active]) * window.span
+        grids.append(times)
+    return grids
+
+
+def _encoder_cases():
+    """(name, images): every way ``encode_dataset`` groups and reads images."""
+    rng = np.random.default_rng(31)
+    strokes = [np.clip(rng.normal(0.0, 1.0, (28, 28)), 0.0, None) * (rng.random((28, 28)) < 0.3)
+               for _ in range(24)]
+    for blank in (0, 11, 23):
+        strokes[blank] = np.zeros((28, 28))
+    ragged = [rng.integers(0, 256, (9, 9), dtype=np.uint8), np.zeros((5, 7)),
+              rng.random((1, 1)), rng.random((12, 3)) * 1e-300,
+              rng.standard_normal((28, 28)) * 1e300, rng.random((28, 28)),
+              rng.random((9, 9)), np.zeros((1, 1)), rng.random((5, 7)) - 0.5]
+    return [
+        ("same-shape batch", strokes),
+        ("uint8 batch", [rng.integers(0, 256, (10, 12), dtype=np.uint8) for _ in range(21)]),
+        ("1x1", [rng.random((1, 1))]),
+        ("ragged", ragged),
+        ("ragged nested lists", [image.tolist() for image in ragged[:4]]),
+        ("(N, H, W) array", np.stack(strokes)),
+        ("(N, H, W) uint8 array", rng.integers(0, 256, (20, 6, 6), dtype=np.uint8)),
+    ]
+
+
 class TestEncodeDataset:
+    @pytest.mark.parametrize("case", _encoder_cases(), ids=lambda case: case[0])
+    @pytest.mark.parametrize("dog, window", [(DoGParams(), CodingWindow()),
+                                             (DoGParams(11, 0.5, 3.0), CodingWindow(0.2, 2.0))])
+    def test_bitwise_the_per_image_loop(self, case, dog, window):
+        _, images = case
+        want = _reference_encode(images, dog, window)
+        for got in (encode_dataset(images, dog, window),
+                    encode_dataset((image for image in images), dog, window)):
+            assert isinstance(got, list) and len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+
     def test_equals_each_image_encoded_alone_bit_for_bit(self):
         # one kernel for the dataset, the same bits as one kernel per image:
         # ragged sizes, uint8 and float images, a blank one, tiny and huge scales
@@ -232,6 +295,7 @@ class TestEncodeDataset:
                 want = encode_image_grid(image, dog, window)
                 assert got.tobytes() == want.tobytes()
         assert encode_dataset([], DoGParams(), CodingWindow()) == []
+        assert encode_dataset(iter([]), DoGParams(), CodingWindow()) == []
 
     def test_bad_image_named_by_its_index(self):
         blank = [np.zeros((4, 4)) for _ in range(5)]
@@ -242,3 +306,31 @@ class TestEncodeDataset:
         with pytest.raises(ValueError, match=r"^image 2: expected a 2-D grayscale image, "
                                              r"got shape \(2, 4, 4\)$"):
             encode_dataset(blank[:2] + [np.zeros((2, 4, 4))] + blank, DoGParams(), CodingWindow())
+
+    @pytest.mark.parametrize("bad_at", [
+        {2: "nan", 4: "inf"},             # first bad in the group seen first
+        {5: "nan", 3: "-inf"},            # first bad in the group seen second
+        {6: "3-D", 4: "nan"},             # a non-finite image before a 3-D one
+        {1: "3-D", 3: "nan"},             # a 3-D image before a non-finite one
+        {0: "1-D", 7: "nan"},
+        {7: "inf"},                       # the last image
+    ])
+    def test_bad_images_across_shape_groups_named_like_the_loop(self, bad_at):
+        # images of three shapes, interleaved; every refusal is the per-image
+        # loop's, naming the first bad image in input order
+        shapes = [(4, 4), (5, 3), (4, 4), (6, 6), (5, 3), (4, 4), (6, 6), (5, 3)]
+        images = [np.ones(shape) for shape in shapes]
+        for at, kind in bad_at.items():
+            if kind == "3-D":
+                images[at] = np.ones((2,) + shapes[at])
+            elif kind == "1-D":
+                images[at] = np.ones(3)
+            else:
+                images[at][1, 1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+        with pytest.raises(ValueError) as want:
+            _reference_encode(images, DoGParams(), CodingWindow())
+        assert str(want.value).startswith(f"image {min(bad_at)}: ")
+        for source in (images, iter(images)):
+            with pytest.raises(ValueError) as got:
+                encode_dataset(source, DoGParams(), CodingWindow())
+            assert str(got.value) == str(want.value)

@@ -127,6 +127,34 @@ class TestSparsity:
         features[2, 1] = 0.25
         assert mean_sparsity(features) == sparsity(features[2]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mean_sparsity_bitwise_the_per_row_measure(self, seed):
+        # the Hoyer measure row by row, as ``sparsity`` computed it before the
+        # matrix-wide pass, and the mean of that list; widths past numpy's
+        # 8-way unrolled and 128-element pairwise sum blocks, zero, one-hot,
+        # constant and tiny or huge rows, C and Fortran layouts
+        def per_row(y):
+            l2 = np.sqrt(np.sum(y * y))
+            if l2 == 0.0:
+                return 0.0
+            rn = np.sqrt(y.size)
+            return float((rn - np.sum(np.abs(y)) / l2) / (rn - 1.0))
+
+        rng = np.random.default_rng(90 + seed)
+        for _ in range(50):
+            n, d = int(rng.integers(1, 60)), int(rng.choice([2, 3, 7, 9, 64, 129, 512, 1031]))
+            x = rng.random((n, d)) * (rng.random((n, d)) < rng.uniform(0.05, 1.0))
+            x *= 10.0 ** rng.uniform(-150, 150, (n, 1))
+            kinds = rng.integers(0, 4, n)
+            x[kinds == 1] = 0.0
+            x[kinds == 2] = 0.0
+            x[kinds == 2, rng.integers(0, d)] = 2.5
+            x[kinds == 3] = 0.125
+            for features in (x, np.asfortranarray(x)):
+                want = [per_row(np.ascontiguousarray(row)) for row in features]
+                assert [sparsity(row) for row in features] == want
+                assert mean_sparsity(features) == float(np.mean(want))
+
     def test_mean_sparsity_reads_array_likes(self):
         rows = [[1.0, 2.0], [3, 4]]
         assert mean_sparsity(rows) == mean_sparsity(np.array(rows, dtype=np.float64))

@@ -118,12 +118,18 @@ def _solver_cases():
     zero = hard.copy()
     zero[[3, 17, 50]] = 0.0
     noise, noise_y = rng.random((60, 8)), rng.integers(0, 3, 60)
+    # shaped like the benchmark's readout: 50 sum-pooled fc512 rows, mostly
+    # maps that fired at the target (1.0), some later (0, 1) or silent (0)
+    u = rng.random((50, 512))
+    pooled = np.where(u < 0.9, 1.0, np.where(u < 0.96, rng.random((50, 512)), 0.0))
+    pooled_y = rng.permutation(np.arange(50) % 10)
     return [
         (easy, easy_y, 1.0, 0, "early stop"),
         (hard, hard_y, 0.5, 1, "alpha at c"),
         (zero, hard_y, 1.0, 2, "zero row"),
         (noise, noise_y, 10.0, 3, "pass cap"),
         (hard[:, :2] * 40.0, hard_y, 0.01, 4, "alpha at c"),
+        (pooled, pooled_y, 1.0, 0, "every class at the cap"),
     ]
 
 
@@ -142,6 +148,7 @@ class TestSolver:
             "alpha at c": bool(np.any(alphas == c)),
             "zero row": bool(np.any(~x.any(axis=1))),
             "pass cap": any(p == _MAX_PASSES and g >= _TOL for _, p, g, _ in ref),
+            "every class at the cap": all(p == _MAX_PASSES and g >= _TOL for _, p, g, _ in ref),
         }
         assert shown[what]
 
